@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--beta-init")
     e.add_argument("--init-from", help="warm start from a prior result JSON")
     e.add_argument("--runs", type=int, default=1)
-    e.add_argument("--init", choices=["default", "random"], default="default")
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--solver-tol", type=float, default=1e-8)
     e.add_argument("--solver-trace", help="CSV filename for per-iteration solver data")

@@ -11,6 +11,10 @@ the translated variable w replaces Q one-for-one) and a mass variable r with
 plus w >= v + u_{s'} - u_s for interior transitions and w = v - u_s for
 destination transitions.  At the optimum all inequalities bind, so u equals
 the value function and the objective equals the log-likelihood.
+
+The data enter only through the objective, as the per-group origin counts
+and attribute totals of the ObservationSet's sufficient statistics
+(``group_observations``).
 """
 
 from __future__ import annotations
@@ -28,23 +32,11 @@ from ..errors import (
     UnreachableStateWithoutFix,
     UnsupportedHeterogeneousScale,
 )
-from ..network import Network, reachable_from
+from ..network import Network, _reachable
 from .program import ConicProgram, save_problem, write_cbf
 from . import solver as cone_solver
 
 BINDING_TOL = 1e-6
-
-
-@dataclass
-class ObservationGroup:
-    """Sufficient statistics of one destination group: how often each origin
-    occurs and the summed attribute vector of all observed paths."""
-
-    network: Network
-    destination: object
-    origin_counts: dict
-    attr_total: np.ndarray
-    n_obs: int
 
 
 @dataclass
@@ -64,32 +56,21 @@ class VariableLayout:
     total: int = 0
 
 
-def group_observations(obs, net_by_group=None) -> dict:
-    """Aggregate an ObservationSet into per-destination sufficient
-    statistics; the objective built from these equals the per-observation sum
-    for every (beta, u)."""
-    out = {}
-    for key, idxs in obs.groups.items():
-        net = (net_by_group or obs.net_by_group())[key]
-        counts: dict = {}
-        attr_total = np.zeros(net.n_attributes)
-        for n in idxs:
-            ob = obs.observations[n]
-            counts[ob.origin] = counts.get(ob.origin, 0) + 1
-            attr_total += ob.attr_sum
-        out[key] = ObservationGroup(net, key, counts, attr_total, len(idxs))
-    return out
+def group_observations(obs) -> dict:
+    """Per-destination sufficient statistics of an ObservationSet (its
+    cached ``statistics.groups``); the objective built from these equals the
+    per-observation sum for every (beta, u)."""
+    return obs.statistics.groups
 
 
-def _check_assumption_coverage(net: Network, group: ObservationGroup):
-    covered: set = set()
-    for origin in group.origin_counts:
-        covered |= reachable_from(net, origin)
-    missing = [s for s in net.states if s not in covered]
+def _check_assumption_coverage(net: Network, key, group):
+    starts, _counts = group.origin_weights(net)
+    covered = _reachable(net, starts)
+    missing = [s for s, ok in zip(net.states, covered) if not ok]
     if missing:
         raise UnreachableStateWithoutFix(
             f"states unreachable from every observed origin in group "
-            f"{group.destination!r}: {missing[:5]}{'...' if len(missing) > 5 else ''}"
+            f"{key!r}: {missing[:5]}{'...' if len(missing) > 5 else ''}"
         )
 
 
@@ -118,14 +99,13 @@ def build_ecp(net, groups: dict, mu=None) -> tuple[ConicProgram, VariableLayout]
             raise ValueError("conic build is stated at scale 1; rescale beta instead")
     nets = net if isinstance(net, dict) else {key: net for key in groups}
 
-    first = next(iter(groups.values()))
-    k = first.network.n_attributes
+    k = len(next(iter(groups.values())).attr_total)
     layout = VariableLayout(n_beta=k, one_index=k)
     counter = k + 1
 
     for key, group in groups.items():
         gnet = nets[key]
-        _check_assumption_coverage(gnet, group)
+        _check_assumption_coverage(gnet, key, group)
         gl = GroupLayout()
         d = gnet.destination_index
         for i, state in enumerate(gnet.states):
@@ -277,11 +257,17 @@ def estimate_ecp(net_by_group, observations, beta_init=None,
     ``beta_init`` is accepted for interface parity and ignored: the
     interior-point method needs no starting parameter.  Status is Optimal on
     success, otherwise the solver status verbatim.
+
+    When the recovered solution fails the binding check, the program is
+    solved once more with a 150-iteration polish phase.  ``iterations`` then
+    counts the iterations of both solves and ``trace`` holds both traces, the
+    first solve's records first.
     """
     start = time.perf_counter()
-    groups = group_observations(observations, net_by_group)
+    groups = group_observations(observations)
     prog, layout = build_ecp(net_by_group, groups)
     sol = cone_solver.solve(prog, opts)
+    iterations, trace = sol.iterations, list(sol.trace)
     n_obs = max(len(observations), 1)
     if sol.status == cone_solver.OPTIMAL:
         try:
@@ -292,6 +278,8 @@ def estimate_ecp(net_by_group, observations, beta_init=None,
             # re-solve with a longer polish phase before giving up
             retry = replace(opts or cone_solver.SolverOptions(), polish_iters=150)
             sol = cone_solver.solve(prog, retry)
+            iterations += sol.iterations
+            trace += sol.trace
             if sol.status != cone_solver.OPTIMAL:
                 raise
             beta_hat, values, _cert = recover_solution(prog, sol, layout, net_by_group)
@@ -304,8 +292,8 @@ def estimate_ecp(net_by_group, observations, beta_init=None,
         loglik=loglik,
         loglik_per_obs=loglik / n_obs,
         status=sol.status,
-        iterations=sol.iterations,
+        iterations=iterations,
         gradient_norm=np.nan,
         wall_time=time.perf_counter() - start,
-        trace=sol.trace,
+        trace=trace,
     )

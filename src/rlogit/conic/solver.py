@@ -143,11 +143,6 @@ def _exp_dual_margin(e):
         return np.log(w) + 1.0 - np.log(-u) - v / u
 
 
-def exp_cone_project_check(triple, slack_tol=1e-7):
-    """Alias for membership of a single triple (see program module)."""
-    return exp_cone_contains(triple, slack_tol)
-
-
 # --- standard-form conversion ----------------------------------------------
 
 

@@ -156,23 +156,16 @@ def _exp_space_system(net: Network, spec: UtilitySpec):
         return None
     ev = np.exp(v)
     d = net.destination_index
-    n = net.n_states
+    rows = [i for i in range(net.n_states) if i != d]
     # map state index -> row in the reduced system (destination dropped)
-    row_of = np.full(n, -1, dtype=int)
-    rows = [i for i in range(n) if i != d]
-    for r, i in enumerate(rows):
-        row_of[i] = r
+    row_of = np.full(net.n_states, -1, dtype=int)
+    row_of[rows] = np.arange(len(rows))
     m = len(rows)
+    to_dest = net.arc_to == d
     b = np.zeros(m)
-    data, ri, ci = [], [], []
-    for a in range(net.n_arcs):
-        i, j = int(net.arc_from[a]), int(net.arc_to[a])
-        if j == d:
-            b[row_of[i]] += ev[a]
-        else:
-            data.append(ev[a])
-            ri.append(row_of[i])
-            ci.append(row_of[j])
+    np.add.at(b, row_of[net.arc_from[to_dest]], ev[to_dest])
+    inner = ~to_dest
+    data, ri, ci = ev[inner], row_of[net.arc_from[inner]], row_of[net.arc_to[inner]]
     M = sp.csc_matrix((data, (ri, ci)), shape=(m, m))
     return M, b, rows
 
@@ -295,21 +288,20 @@ def path_log_prob(net: Network, spec: UtilitySpec, vf: ValueField, path) -> floa
 
 
 def log_likelihood(net_by_group, spec: UtilitySpec, observations) -> float:
-    """Dataset log-likelihood, summing (v(sigma_n) - V(origin_n)) / mu over
-    observations grouped by destination.
+    """Dataset log-likelihood, sum over destination groups of
+    (attr_total . beta - sum_o count_o V(o)) / mu, which equals the sum of
+    (v(sigma_n) - V(origin_n)) / mu over the observations.
 
     ``net_by_group`` maps group keys to networks; ``observations`` is an
     ObservationSet.  Raises ValueSolveFailed when a group's value system has
     no solution.
     """
     total = 0.0
-    for group, idxs in observations.groups.items():
+    for group, stats in observations.statistics.groups.items():
         net = net_by_group[group]
         vf, report = solve_value_linear(net, spec)
         if report.status != SOLVED:
             raise ValueSolveFailed(group, f"status {report.status}")
-        for n in idxs:
-            ob = observations.observations[n]
-            v_sigma = float(ob.attr_sum @ spec.beta)
-            total += (v_sigma - float(vf.values[net.state_index(ob.origin)])) / spec.mu
+        origins, counts = stats.origin_weights(net)
+        total += float(stats.attr_total @ spec.beta - counts @ vf.values[origins]) / spec.mu
     return total

@@ -182,38 +182,35 @@ def build_network(
     )
 
 
+def _reachable(net: Network, starts, reverse: bool = False, allowed=None) -> np.ndarray:
+    """Boolean state mask of everything reachable from the ``starts``
+    indices (included), walking arcs backwards when ``reverse`` and, when an
+    ``allowed`` mask is given, only through allowed states."""
+    src, dst = (net.arc_to, net.arc_from) if reverse else (net.arc_from, net.arc_to)
+    if allowed is not None:
+        usable = allowed[src] & allowed[dst]
+        src, dst = src[usable], dst[usable]
+    seen = np.zeros(net.n_states, dtype=bool)
+    seen[np.asarray(starts, dtype=int)] = True
+    frontier = seen.copy()
+    while frontier.any():
+        nxt = np.zeros_like(seen)
+        nxt[dst[frontier[src]]] = True
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
 def reachable_from(net: Network, origin: StateId) -> set[StateId]:
-    """Forward-reachable state set (origin included) via BFS."""
-    start = net.state_index(origin)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for a in net.succ_arcs[i]:
-                j = int(net.arc_to[a])
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return {net.states[i] for i in seen}
+    """Forward-reachable state set (origin included)."""
+    mask = _reachable(net, [net.state_index(origin)])
+    return {net.states[i] for i in np.flatnonzero(mask)}
 
 
 def coreachable_to(net: Network, target: StateId) -> set[StateId]:
     """States from which ``target`` is reachable (target included)."""
-    start = net.state_index(target)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for a in net.pred_arcs[i]:
-                j = int(net.arc_from[a])
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return {net.states[i] for i in seen}
+    mask = _reachable(net, [net.state_index(target)], reverse=True)
+    return {net.states[i] for i in np.flatnonzero(mask)}
 
 
 def enumerate_paths(net: Network, origin: StateId, max_paths: int = 1_000_000):

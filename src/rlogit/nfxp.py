@@ -88,7 +88,6 @@ def _value_jacobian(net, spec, vf) -> np.ndarray:
     m = M.shape[0]
     lu = spla.splu(sp.identity(m, format="csc") - M)
 
-    d = net.destination_index
     row_of = np.full(net.n_states, -1, dtype=int)
     row_of[rows] = np.arange(m)
 
@@ -110,24 +109,23 @@ def _value_jacobian(net, spec, vf) -> np.ndarray:
 
 
 def loglik_and_gradient(net_by_group, spec: core.UtilitySpec, observations):
-    """Dataset log-likelihood and its analytic beta-gradient.
+    """Dataset log-likelihood and its analytic beta-gradient, read from the
+    observations' sufficient statistics.
 
     Raises ValueSolveFailed when any destination group's value system has no
     solution (the caller maps this to InnerSolveFailed).
     """
     total = 0.0
     grad = np.zeros(len(spec.beta))
-    for group, idxs in observations.groups.items():
+    for group, stats in observations.statistics.groups.items():
         net = net_by_group[group]
         vf, report = core.solve_value_linear(net, spec)
         if report.status != core.SOLVED:
             raise ValueSolveFailed(group, f"status {report.status}")
         dV = _value_jacobian(net, spec, vf)
-        for n in idxs:
-            ob = observations.observations[n]
-            o = net.state_index(ob.origin)
-            total += (float(ob.attr_sum @ spec.beta) - float(vf.values[o])) / spec.mu
-            grad += (ob.attr_sum - dV[o]) / spec.mu
+        origins, counts = stats.origin_weights(net)
+        total += float(stats.attr_total @ spec.beta - counts @ vf.values[origins]) / spec.mu
+        grad += (stats.attr_total - counts @ dV[origins]) / spec.mu
     return total, grad
 
 

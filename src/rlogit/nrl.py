@@ -6,6 +6,10 @@ come from damped fixed-point iteration.  The joint problem is not convex in
 (beta, V, mu), so no conic build exists here — estimation is quasi-Newton
 over (beta, log mu) with an adjoint-based analytic gradient, typically
 warm-started from a plain RL estimate.
+
+The likelihood, its gradient and the objective coefficients read the data
+only through one arc-count vector, built from the ObservationSet's
+transition counts.
 """
 
 from __future__ import annotations
@@ -124,6 +128,24 @@ def check_mu_monotone(net: Network, mu: ScaleField):
     return len(violations) == 0, violations
 
 
+def _arc_counts(net: Network, obs) -> np.ndarray:
+    """How often each arc of ``net`` is traversed by the observed paths, from
+    the transition counts of the observations' sufficient statistics."""
+    counts = np.zeros(net.n_arcs)
+    for (u, v), n in obs.statistics.transitions.items():
+        counts[net.arc_id(u, v)] = n
+    return counts
+
+
+def _value_coefficients(net: Network, weight: np.ndarray) -> np.ndarray:
+    """Net coefficient of each V_s when arc a carries ``weight[a]``: + on the
+    arc's head, - on its tail; V_d is pinned, not a variable."""
+    n = net.n_states
+    coef = np.bincount(net.arc_to, weight, n) - np.bincount(net.arc_from, weight, n)
+    coef[net.destination_index] = 0.0
+    return coef
+
+
 def nrl_objective_coefficients(obs, mu: ScaleField) -> np.ndarray:
     """Net coefficient of each V_s in the path log-likelihoods.
 
@@ -132,14 +154,7 @@ def nrl_objective_coefficients(obs, mu: ScaleField) -> np.ndarray:
     monotonicity all coefficients are <= 0.
     """
     net = obs.network
-    coef = np.zeros(net.n_states)
-    for ob in obs.observations:
-        idx = [net.state_index(s) for s in ob.path]
-        for cur, nxt in zip(idx[:-1], idx[1:]):
-            coef[cur] -= 1.0 / mu.values[cur]
-            coef[nxt] += 1.0 / mu.values[cur]
-    coef[net.destination_index] = 0.0  # V_d is pinned, not a variable
-    return coef
+    return _value_coefficients(net, _arc_counts(net, obs) / mu.values[net.arc_from])
 
 
 def _value_or_raise(net, beta, mu, tol=1e-10):
@@ -159,13 +174,8 @@ def nrl_log_likelihood(net: Network, beta, mu: ScaleField, obs,
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     vf = _value_or_raise(net, beta, mu, tol=value_tol)
     v = net.attrs @ beta
-    total = 0.0
-    for ob in obs.observations:
-        idx = [net.state_index(s) for s in ob.path]
-        for cur, nxt in zip(idx[:-1], idx[1:]):
-            a = net.arc_lookup[(cur, nxt)]
-            total += (v[a] + vf.values[nxt] - vf.values[cur]) / mu.values[cur]
-    return total
+    step = (v + vf.values[net.arc_to] - vf.values[net.arc_from]) / mu.values[net.arc_from]
+    return float(_arc_counts(net, obs) @ step)
 
 
 def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
@@ -181,22 +191,15 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
     values = vf.values
     v = net.attrs @ beta
     w = v + values[net.arc_to]
-    probs = np.exp((w - values[net.arc_from]) / mu.values[net.arc_from])
+    step = (w - values[net.arc_from]) / mu.values[net.arc_from]  # log P(arc)
+    probs = np.exp(step)
 
-    loglik = 0.0
-    dbeta = np.zeros(k)
-    dlogmu = np.zeros(net.n_states)
-    coef = np.zeros(net.n_states)
-    for ob in obs.observations:
-        idx = [net.state_index(s) for s in ob.path]
-        for cur, nxt in zip(idx[:-1], idx[1:]):
-            a = net.arc_lookup[(cur, nxt)]
-            step = (w[a] - values[cur]) / mu.values[cur]
-            loglik += step
-            dbeta += net.attrs[a] / mu.values[cur]
-            dlogmu[cur] -= step
-            coef[cur] -= 1.0 / mu.values[cur]
-            coef[nxt] += 1.0 / mu.values[cur]
+    counts = _arc_counts(net, obs)
+    weight = counts / mu.values[net.arc_from]
+    loglik = float(counts @ step)
+    dbeta = net.attrs.T @ weight
+    dlogmu = -np.bincount(net.arc_from, counts * step, net.n_states)
+    coef = _value_coefficients(net, weight)
 
     # adjoint solve on the non-destination block
     d = net.destination_index

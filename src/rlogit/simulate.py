@@ -1,4 +1,8 @@
-"""Ground-truth observation generation.
+"""Observation sets, their sufficient statistics, and ground-truth sampling.
+
+An :class:`ObservationSet` holds observed paths grouped by destination; the
+likelihoods read them only through its cached ``statistics``: per group the
+origin counts, attribute total and size, and every (from, to) pair's count.
 
 Paths are sampled from the sequential choice process one transition at a
 time.  ``generate_observations`` uses a vectorized batch sampler with a
@@ -11,7 +15,10 @@ spot checks.  Cyclic ground truth goes through the layered-DAG conversion
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -34,26 +41,64 @@ class Observation:
     attr_sum: np.ndarray
 
 
+@dataclass(frozen=True)
+class GroupStatistics:
+    """One destination group: origin counts by state id (first-seen order),
+    summed attribute vector of its paths, and their number."""
+
+    origin_counts: dict
+    attr_total: np.ndarray
+    n_obs: int
+
+    def origin_weights(self, net: Network) -> tuple[np.ndarray, np.ndarray]:
+        """(state indices on ``net``, counts) of the observed origins."""
+        idx = np.array([net.state_index(s) for s in self.origin_counts], dtype=int)
+        return idx, np.array(list(self.origin_counts.values()), dtype=float)
+
+
+@dataclass(frozen=True)
+class ObservationStatistics:
+    """Everything the likelihoods read from an ObservationSet."""
+
+    groups: dict  # destination -> GroupStatistics
+    transitions: Counter  # (from id, to id) -> count over all paths
+
+
 @dataclass
 class ObservationSet:
     """Observations grouped by destination, bound to one network."""
 
     network: Network
     observations: list[Observation] = field(default_factory=list)
-    groups: dict = field(default_factory=dict)
+    groups: dict = field(init=False)  # destination -> observation indices
 
     def __post_init__(self):
-        if not self.groups:
-            groups: dict = {}
-            for n, ob in enumerate(self.observations):
-                groups.setdefault(ob.destination, []).append(n)
-            self.groups = groups
+        self.groups = {}
+        for n, ob in enumerate(self.observations):
+            self.groups.setdefault(ob.destination, []).append(n)
 
     def __len__(self):
         return len(self.observations)
 
     def net_by_group(self) -> dict:
         return {g: self.network for g in self.groups}
+
+    @cached_property
+    def statistics(self) -> ObservationStatistics:
+        """Sufficient statistics, computed on first use and cached.  Attribute
+        totals are summed observation by observation, so the conic objective
+        built from them is reproducible bit for bit."""
+        groups = {}
+        for key, idxs in self.groups.items():
+            counts: dict = {}
+            attr_total = np.zeros(self.network.n_attributes)
+            for n in idxs:
+                ob = self.observations[n]
+                counts[ob.origin] = counts.get(ob.origin, 0) + 1
+                attr_total += ob.attr_sum
+            groups[key] = GroupStatistics(counts, attr_total, len(idxs))
+        pairs = chain.from_iterable(zip(ob.path, ob.path[1:]) for ob in self.observations)
+        return ObservationStatistics(groups, Counter(pairs))
 
 
 def make_observation(net: Network, path) -> Observation:

@@ -23,7 +23,7 @@ from .errors import (
     SingularFlowSystem,
     ValueSolveFailed,
 )
-from .network import Network, build_network, reachable_from
+from .network import Network, _reachable, build_network, reachable_from
 
 
 @dataclass
@@ -91,37 +91,16 @@ def trim(net: Network, flow: FlowVector, epsilon: float, protected=()) -> Networ
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     origin = flow.origin
-    keep = {
-        net.states[i]
-        for i in range(net.n_states)
-        if flow.values[i] >= epsilon
-    }
-    keep |= {net.destination, origin}
-    keep |= set(protected)
+    o, d = net.state_index(origin), net.destination_index
+    keep = flow.values >= epsilon
+    keep[[o, d]] = True
+    keep[[net.index[s] for s in protected if s in net.index]] = True
 
     # restrict to states on some origin-to-destination walk inside the kept
     # set; this prunes dead ends and orphans in one pass
-    fwd: dict = {s: [] for s in keep}
-    bwd: dict = {s: [] for s in keep}
-    for u, v, _vec in net.arcs():
-        if u in keep and v in keep:
-            fwd[u].append(v)
-            bwd[v].append(u)
-
-    def _bfs(start, adj):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for t in adj[s]:
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return seen
-
-    good = _bfs(origin, fwd) & _bfs(net.destination, bwd)
+    on_walk = (_reachable(net, [o], allowed=keep)
+               & _reachable(net, [d], reverse=True, allowed=keep))
+    good = {net.states[i] for i in np.flatnonzero(on_walk)}
     if origin not in good or net.destination not in good:
         raise OriginTrimmed(
             f"epsilon {epsilon} disconnects {origin!r} from the destination"

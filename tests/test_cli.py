@@ -99,7 +99,7 @@ def test_estimate_success_rate_mode(workspace, tmp_path):
     net_path = workspace / "nets" / "net_dag_20_0.json"
     code = run("estimate", "--network", str(net_path),
                "--observations", str(workspace / "train.jsonl"),
-               "--method", "nfxp", "--runs", "3", "--init", "random",
+               "--method", "nfxp", "--runs", "3",
                "--out", str(tmp_path))
     assert code == 0
     with open(tmp_path / "results.csv", newline="") as fh:

@@ -183,6 +183,24 @@ def test_invalid_paths_rejected(chain_net):
         core.validate_path(chain_net, ["d"])
 
 
+def test_exp_space_system_matches_per_arc_assembly():
+    nets = [random_geometric_network(15, 0.4, seed=1),
+            random_geometric_network(12, 0.5, seed=3, acyclic=False)]
+    for net in nets:
+        spec = core.UtilitySpec(np.full(net.n_attributes, -0.7))
+        M, b, rows = core._exp_space_system(net, spec)
+        row_of = {s: r for r, s in enumerate(rows)}
+        dense, ref_b = np.zeros(M.shape), np.zeros(len(rows))
+        for a, ev in enumerate(np.exp(core.arc_utilities(net, spec))):
+            i, j = int(net.arc_from[a]), int(net.arc_to[a])
+            if j == net.destination_index:
+                ref_b[row_of[i]] += ev
+            else:
+                dense[row_of[i], row_of[j]] = ev
+        assert rows == [i for i in range(net.n_states) if i != net.destination_index]
+        assert np.array_equal(M.toarray(), dense) and np.array_equal(b, ref_b)
+
+
 def test_log_likelihood_sums_path_log_probs(two_route_net):
     s = spec(-1.3)
     vf, _ = core.solve_value_linear(two_route_net, s)

@@ -199,3 +199,28 @@ def test_export_problem_formats(tmp_path):
     assert (tmp_path / "p.json").exists() and (tmp_path / "p.cbf").exists()
     with pytest.raises(ValueError):
         builder.export_problem(prog, tmp_path / "p.x", "mps")
+
+
+def test_estimate_ecp_reports_binding_retry(monkeypatch):
+    net = random_geometric_network(20, 0.35, seed=4)
+    obs = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 300, seed=4)
+    solves, recovers = [], []
+    real_solve, real_recover = builder.cone_solver.solve, builder.recover_solution
+
+    def counting_solve(*args, **kwargs):
+        solves.append(real_solve(*args, **kwargs))
+        return solves[-1]
+
+    def recover_failing_once(*args, **kwargs):
+        recovers.append(args)
+        if len(recovers) == 1:
+            raise BindingViolation("o", 2e-6)
+        return real_recover(*args, **kwargs)
+
+    monkeypatch.setattr(builder.cone_solver, "solve", counting_solve)
+    monkeypatch.setattr(builder, "recover_solution", recover_failing_once)
+    res = builder.estimate_ecp(obs.net_by_group(), obs)
+    assert res.status == OPTIMAL and len(solves) == len(recovers) == 2
+    assert res.iterations == solves[0].iterations + solves[1].iterations
+    assert res.trace == solves[0].trace + solves[1].trace
+    assert len(res.trace) == len(solves[0].trace) + len(solves[1].trace)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlogit.errors import (
     DanglingEndpoint,
@@ -14,6 +15,7 @@ from rlogit.errors import (
     UnknownState,
 )
 from rlogit.network import (
+    _reachable,
     build_network,
     canonical_json,
     coreachable_to,
@@ -68,6 +70,41 @@ def test_unknown_state_and_arc(chain_net):
 def test_reachability(partial_net):
     assert reachable_from(partial_net, "o") == {"o", "s1", "d"}
     assert coreachable_to(partial_net, "d") == {"o", "s1", "s2", "d"}
+
+
+def _bfs(net, start, reverse, allowed):
+    """Breadth-first search over successor (or predecessor) lists."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for a in (net.pred_arcs if reverse else net.succ_arcs)[i]:
+                j = int(net.arc_from[a] if reverse else net.arc_to[a])
+                if allowed[i] and allowed[j] and j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return seen
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 2), st.integers(0, n - 1))),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.integers(0, n - 1),
+)))
+def test_reachable_matches_breadth_first_search(case):
+    n, pairs, allowed, start = case
+    states = [f"s{i}" for i in range(n)]
+    net = build_network(states, states[-1],
+                        [(states[i], states[j], [1.0]) for i, j in sorted(pairs) if i != j])
+    mask = np.array(allowed)
+    for reverse in (False, True):
+        for allow in (np.ones(n, dtype=bool), mask):
+            got = _reachable(net, [start], reverse=reverse,
+                             allowed=None if allow.all() else allow)
+            assert set(np.flatnonzero(got)) == _bfs(net, start, reverse, allow)
 
 
 def test_enumerate_paths_two_route(two_route_net):

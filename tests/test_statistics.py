@@ -1,0 +1,180 @@
+"""Sufficient statistics of an ObservationSet against per-observation and
+per-transition reference loops, on a pooled multi-destination set and on
+generated small DAGs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rlogit import core, nfxp, nrl
+from rlogit.conic import builder
+from rlogit.conic.solver import OPTIMAL
+from rlogit.generators import random_geometric_network
+from rlogit.network import build_network
+from rlogit.simulate import ObservationSet, generate_observations
+
+BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
+
+
+def _relabel(net, destination):
+    """Copy of ``net`` whose destination state is renamed."""
+    states = [destination if s == net.destination else s for s in net.states]
+    arcs = [(states[i], states[j], net.attrs[a])
+            for a, (i, j) in enumerate(zip(net.arc_from, net.arc_to))]
+    return build_network(states, destination, arcs, net.attribute_names)
+
+
+def _reference_nfxp(nets, spec, obs):
+    """Log-likelihood and gradient summed one observation at a time."""
+    total, grad = 0.0, np.zeros(len(spec.beta))
+    for ob in obs.observations:
+        net = nets[ob.destination]
+        vf, _ = core.solve_value_linear(net, spec)
+        dV = nfxp._value_jacobian(net, spec, vf)
+        o = net.state_index(ob.origin)
+        total += float(ob.attr_sum @ spec.beta) - vf.values[o]
+        grad += ob.attr_sum - dV[o]
+    return total, grad
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    """Two destination groups on their own networks; the set itself is bound
+    to a third network."""
+    spec = core.UtilitySpec(BETA_TRUE)
+    nets, members = {}, []
+    for k, seed in enumerate((1, 2)):
+        net = _relabel(random_geometric_network(15, 0.4, seed=seed), f"d{k}")
+        nets[net.destination] = net
+        members += generate_observations(net, spec, "o", 800, seed=10 + k).observations
+    other = random_geometric_network(20, 0.35, seed=1)
+    return nets, ObservationSet(other, members)
+
+
+def test_pooled_groups_resolve_against_their_own_networks(pooled):
+    nets, obs = pooled
+    assert set(obs.statistics.groups) == {"d0", "d1"}
+    assert all(net is not obs.network for net in nets.values())
+    spec = core.UtilitySpec(np.array([-3.0, -0.2, -0.1, -0.4]))
+    ll, grad = nfxp.loglik_and_gradient(nets, spec, obs)
+    ref_ll, ref_grad = _reference_nfxp(nets, spec, obs)
+    assert ll == pytest.approx(ref_ll, rel=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-9)
+    assert core.log_likelihood(nets, spec, obs) == pytest.approx(ref_ll, rel=1e-12)
+    for key, group in builder.group_observations(obs).items():
+        in_order = np.zeros(len(BETA_TRUE))
+        for n in obs.groups[key]:
+            in_order += obs.observations[n].attr_sum
+        assert np.array_equal(group.attr_total, in_order)
+        assert group.n_obs == len(obs.groups[key]) == 800
+
+
+def test_pooled_ecp_matches_nfxp(pooled):
+    nets, obs = pooled
+    r_nfxp = nfxp.estimate_nfxp(nets, obs)
+    r_ecp = builder.estimate_ecp(nets, obs)
+    assert r_nfxp.converged and r_ecp.status == OPTIMAL
+    assert abs(r_nfxp.loglik_per_obs - r_ecp.loglik_per_obs) <= 1e-4
+    assert np.max(np.abs(r_nfxp.beta_hat - r_ecp.beta_hat)) <= 1e-3
+
+
+# --- generated small DAGs ----------------------------------------------------
+
+
+@st.composite
+def dag_samples(draw):
+    """(network, observations, beta, scale field) on a random DAG s0 -> ...
+    -> s{n-1} with a chain backbone, extra forward arcs and two origins."""
+    n = draw(st.integers(4, 7))
+    states = [f"s{i}" for i in range(n)]
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [(i, j) for i in range(n) for j in range(i + 2, n) if draw(st.booleans())]
+    unit = st.floats(0.0, 2.0)
+    arcs = [(states[i], states[j], [draw(unit), draw(unit)]) for i, j in pairs]
+    net = build_network(states, states[-1], arcs)
+    beta = np.array([draw(st.floats(-2.0, -0.1)), draw(st.floats(-2.0, 0.5))])
+    obs = generate_observations(net, core.UtilitySpec(beta), ["s0", "s1"],
+                                draw(st.integers(1, 40)), seed=draw(st.integers(0, 10**6)))
+    mu = nrl.ScaleField([draw(st.floats(0.5, 2.0)) for _ in range(n)])
+    return net, obs, beta, mu
+
+
+def _reference_nrl(net, beta, mu, obs):
+    """Nested log-likelihood and gradient, one observed transition at a time,
+    with a dense adjoint solve."""
+    values = nrl.solve_nrl_value(net, beta, mu)[0].values
+    v = net.attrs @ beta
+    m = mu.values
+    loglik, dbeta = 0.0, np.zeros(len(beta))
+    dlogmu, coef = np.zeros(net.n_states), np.zeros(net.n_states)
+    for ob in obs.observations:
+        for s_cur, s_nxt in zip(ob.path[:-1], ob.path[1:]):
+            cur, nxt = net.state_index(s_cur), net.state_index(s_nxt)
+            a = net.arc_id(s_cur, s_nxt)
+            step = (v[a] + values[nxt] - values[cur]) / m[cur]
+            loglik += step
+            dbeta += net.attrs[a] / m[cur]
+            dlogmu[cur] -= step
+            coef[cur] -= 1.0 / m[cur]
+            coef[nxt] += 1.0 / m[cur]
+    d = net.destination_index
+    coef[d] = 0.0
+    keep = np.arange(net.n_states) != d
+    p = np.zeros((net.n_states, net.n_states))
+    w = v + values[net.arc_to]
+    probs = np.exp((w - values[net.arc_from]) / m[net.arc_from])
+    p[net.arc_from, net.arc_to] = probs
+    lam = np.linalg.solve((np.eye(keep.sum()) - p[np.ix_(keep, keep)]).T, coef[keep])
+    dt_beta = np.zeros((net.n_states, len(beta)))
+    pw = np.zeros(net.n_states)
+    for a in range(net.n_arcs):
+        dt_beta[net.arc_from[a]] += probs[a] * net.attrs[a]
+        pw[net.arc_from[a]] += probs[a] * w[a]
+    dbeta += dt_beta[keep].T @ lam
+    dlogmu[keep] += lam * (values - pw)[keep]
+    dlogmu[d] = 0.0
+    return loglik, dbeta, dlogmu, coef
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples())
+def test_nfxp_statistics_match_per_path_loop(sample):
+    net, obs, beta, _mu = sample
+    spec = core.UtilitySpec(beta)
+    nets = obs.net_by_group()
+    ll, grad = nfxp.loglik_and_gradient(nets, spec, obs)
+    ref_ll, ref_grad = _reference_nfxp(nets, spec, obs)
+    assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+    assert core.log_likelihood(nets, spec, obs) == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples())
+def test_nrl_statistics_match_per_transition_loop(sample):
+    net, obs, beta, mu = sample
+    ref_ll, ref_dbeta, ref_dlogmu, ref_coef = _reference_nrl(net, beta, mu, obs)
+    ll, dbeta, dlogmu = nrl.nrl_loglik_and_gradient(net, beta, mu, obs)
+    assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
+    assert nrl.nrl_log_likelihood(net, beta, mu, obs) == pytest.approx(ref_ll, rel=1e-12,
+                                                                       abs=1e-12)
+    np.testing.assert_allclose(dbeta, ref_dbeta, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(dlogmu, ref_dlogmu, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(nrl.nrl_objective_coefficients(obs, mu), ref_coef,
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples())
+def test_builder_attr_total_is_in_order_sum(sample):
+    net, obs, _beta, _mu = sample
+    in_order = np.zeros(net.n_attributes)
+    for ob in obs.observations:
+        in_order += ob.attr_sum
+    group = builder.group_observations(obs)[net.destination]
+    assert np.array_equal(group.attr_total, in_order)
+    assert group.n_obs == len(obs)
+    counts = {}
+    for ob in obs.observations:
+        counts[ob.origin] = counts.get(ob.origin, 0) + 1
+    assert list(group.origin_counts.items()) == list(counts.items())
