@@ -1,16 +1,22 @@
 """Compile the maximum-likelihood problem into an exponential-cone program.
 
 The likelihood max Sigma_n (v(sigma_n | beta) - V(origin_n)) is rewritten
-with per-destination-group value variables u_s and an exact epigraph encoding
-of the log-sum-exp Bellman inequality: for every transition the program
-carries w = Q - u_s (the cone's exponent slot must be a plain variable, so
-the translated variable w replaces Q one-for-one) and a mass variable r with
+with per-destination-group value variables u_s (u_d = 0 at the destination,
+which has no variable) and an exact epigraph encoding of the log-sum-exp
+Bellman inequality: every transition a = (s, s') carries a mass variable r_a
+with
 
-    (w, 1, r) in K_exp,   sum over successors of r <= 1,
+    (v(a | beta) + u_{s'} - u_s, 1, r_a) in K_exp,   sum over a out of s of r_a <= 1.
 
-plus w >= v + u_{s'} - u_s for interior transitions and w = v - u_s for
-destination transitions.  At the optimum all inequalities bind, so u equals
-the value function and the objective equals the log-likelihood.
+(x, 1, r) in K_exp says e^x <= r, so together these say
+u_s >= log sum_a e^{v(a | beta) + u_{s'}}.  The cone's first slot is an affine
+expression, so no auxiliary variable stands in for it.  At the optimum all
+inequalities bind, so u equals the value function and the objective equals
+the log-likelihood.
+
+Variables are ordered beta, then per group its u (non-destination states in
+state order) followed by its r (arcs in arc order).  Both constraint blocks
+are assembled with array operations.
 
 The data enter only through the objective, as the per-group origin counts
 and attribute totals of the ObservationSet's sufficient statistics
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,8 +49,6 @@ BINDING_TOL = 1e-6
 @dataclass
 class GroupLayout:
     u: dict = field(default_factory=dict)  # state id -> variable index
-    w: dict = field(default_factory=dict)  # arc index -> variable index
-    r: dict = field(default_factory=dict)  # arc index -> variable index
 
 
 @dataclass
@@ -51,7 +56,6 @@ class VariableLayout:
     """Index maps tying program variables back to model quantities."""
 
     n_beta: int
-    one_index: int
     groups: dict = field(default_factory=dict)
     total: int = 0
 
@@ -63,8 +67,7 @@ def group_observations(obs) -> dict:
     return obs.statistics.groups
 
 
-def _check_assumption_coverage(net: Network, key, group):
-    starts, _counts = group.origin_weights(net)
+def _check_assumption_coverage(net: Network, key, starts):
     covered = _reachable(net, starts)
     missing = [s for s, ok in zip(net.states, covered) if not ok]
     if missing:
@@ -100,89 +103,62 @@ def build_ecp(net, groups: dict, mu=None) -> tuple[ConicProgram, VariableLayout]
     nets = net if isinstance(net, dict) else {key: net for key in groups}
 
     k = len(next(iter(groups.values())).attr_total)
-    layout = VariableLayout(n_beta=k, one_index=k)
-    counter = k + 1
-
+    layout = VariableLayout(n_beta=k)
+    beta_obj = np.zeros(k)
+    group_obj, cone_parts, mass_parts = [], [], []
+    n_cols, n_cones, n_mass = k, 0, 0  # running sizes of the program
     for key, group in groups.items():
         gnet = nets[key]
-        _check_assumption_coverage(gnet, key, group)
-        gl = GroupLayout()
-        d = gnet.destination_index
-        for i, state in enumerate(gnet.states):
-            if i != d:
-                gl.u[state] = counter
-                counter += 1
-        for a in range(gnet.n_arcs):
-            gl.w[a] = counter
-            counter += 1
-        for a in range(gnet.n_arcs):
-            gl.r[a] = counter
-            counter += 1
-        layout.groups[key] = gl
-    layout.total = counter
+        starts, counts = group.origin_weights(gnet)
+        _check_assumption_coverage(gnet, key, starts)
+        n, m, d = gnet.n_states, gnet.n_arcs, gnet.destination_index
+        src, dst = gnet.arc_from, gnet.arc_to
+        live = np.arange(n) != d
+        u_col = np.full(n, -1)
+        u_col[live] = n_cols + np.arange(n - 1)
+        r_col = n_cols + n - 1 + np.arange(m)
+        n_cols += n - 1 + m
+        layout.groups[key] = GroupLayout(
+            dict(zip(compress(gnet.states, live), u_col[live].tolist())))
 
-    objective = np.zeros(counter)
-    eq_rows, eq_rhs = [], []
-    ineq_rows, ineq_rhs = [], []
-    cones = []
+        beta_obj += group.attr_total
+        u_obj = np.zeros(n)
+        u_obj[starts] = -counts
+        group_obj += [u_obj[live], np.zeros(m)]
 
-    eq_rows.append([(layout.one_index, 1.0)])
-    eq_rhs.append(1.0)
+        # cone of arc a: (attrs[a] . beta + u_to - u_from, 1, r_a); the
+        # destination never leaves, and arriving there adds u_d = 0
+        x_row = 3 * (n_cones + np.arange(m))
+        arc, kk = np.nonzero(gnet.attrs)
+        inner = dst != d
+        cone_parts.append((
+            np.concatenate([x_row[arc], x_row[inner], x_row, x_row + 2]),
+            np.concatenate([kk, u_col[dst[inner]], u_col[src], r_col]),
+            np.concatenate([gnet.attrs[arc, kk], np.ones(np.count_nonzero(inner)),
+                            -np.ones(m), np.ones(m)]),
+        ))
+        n_cones += m
 
-    for key, group in groups.items():
-        gnet = nets[key]
-        gl = layout.groups[key]
-        d = gnet.destination_index
-        objective[:k] += group.attr_total
-        for origin, count in group.origin_counts.items():
-            objective[gl.u[origin]] -= count
+        # one mass row per state with successors: sum of its arcs' r <= 1
+        out_states, out_row = np.unique(src, return_inverse=True)
+        mass_parts.append((n_mass + out_row, r_col))
+        n_mass += len(out_states)
+    layout.total = n_cols
 
-        for a in range(gnet.n_arcs):
-            i = int(gnet.arc_from[a])
-            j = int(gnet.arc_to[a])
-            s_from = gnet.states[i]
-            beta_coeffs = [(kk, float(gnet.attrs[a, kk])) for kk in range(k)
-                           if gnet.attrs[a, kk] != 0.0]
-            if j == d:
-                # w + u_s = v(d | s; beta)
-                row = [(gl.w[a], 1.0), (gl.u[s_from], 1.0)]
-                row += [(idx, -val) for idx, val in beta_coeffs]
-                eq_rows.append(row)
-                eq_rhs.append(0.0)
-            else:
-                # v + u_{s'} - u_s - w <= 0
-                s_to = gnet.states[j]
-                row = list(beta_coeffs)
-                row += [(gl.u[s_to], 1.0), (gl.u[s_from], -1.0), (gl.w[a], -1.0)]
-                ineq_rows.append(row)
-                ineq_rhs.append(0.0)
-            cones.append((gl.w[a], layout.one_index, gl.r[a]))
-
-        for i in range(gnet.n_states):
-            if i == d or len(gnet.succ_arcs[i]) == 0:
-                continue
-            ineq_rows.append([(gl.r[a], 1.0) for a in gnet.succ_arcs[i]])
-            ineq_rhs.append(1.0)
-
-    def to_csr(rows, nv):
-        data, ri, ci = [], [], []
-        for r, row in enumerate(rows):
-            for idx, val in row:
-                ri.append(r)
-                ci.append(idx)
-                data.append(val)
-        return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), nv))
-
+    cone_rows, cone_cols, cone_vals = (np.concatenate(p) for p in zip(*cone_parts))
+    mass_rows, mass_cols = (np.concatenate(p) for p in zip(*mass_parts))
     prog = ConicProgram(
-        n_vars=counter,
-        objective=objective,
+        n_vars=n_cols,
+        objective=np.concatenate([beta_obj] + group_obj),
         maximize=True,
-        a_eq=to_csr(eq_rows, counter),
-        b_eq=np.asarray(eq_rhs),
-        a_ineq=to_csr(ineq_rows, counter),
-        b_ineq=np.asarray(ineq_rhs),
-        exp_cones=cones,
-        one_index=layout.one_index,
+        a_eq=sp.csr_matrix((0, n_cols)),
+        b_eq=np.zeros(0),
+        a_ineq=sp.csr_matrix((np.ones(len(mass_rows)), (mass_rows, mass_cols)),
+                             shape=(n_mass, n_cols)),
+        b_ineq=np.ones(n_mass),
+        a_cone=sp.csr_matrix((cone_vals, (cone_rows, cone_cols)),
+                             shape=(3 * n_cones, n_cols)),
+        b_cone=np.tile([0.0, 1.0, 0.0], n_cones),
     )
     return prog, layout
 

@@ -1,12 +1,13 @@
 """Conic program container and serialization.
 
 A :class:`ConicProgram` is a linear objective over variables subject to
-linear equalities, linear inequalities (row . x <= rhs) and three-dimensional
-exponential-cone memberships.  Cone triples reference plain variable indices;
-the middle (y) slot conventionally points at a single shared variable pinned
-to 1 by an equality row.
+linear equalities, linear inequalities (row . x <= rhs) and
+three-dimensional exponential-cone memberships of an affine map: each
+consecutive triple of ``a_cone @ x + b_cone`` lies in K_exp.  This is the
+affine conic form (c, A, b, G, h, cones) of CBF, ECOS, SCS and Clarabel;
+``g_mat`` and ``h`` give its slack rows G x + s = h.
 
-Two on-disk formats are provided: a canonical JSON schema whose
+Two on-disk formats are provided: a canonical JSON schema (version 2) whose
 dump -> load -> dump round-trip is byte-identical, and a CBF (Conic
 Benchmark Format) subset with EXP cone blocks for interop with external
 solvers.  Note CBF orders the exponential cone as (z, y, x) relative to the
@@ -17,12 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..network import canonical_json
+
+SCHEMA_VERSION = 2
 
 
 def exp_cone_contains(triple, slack_tol: float = 1e-7) -> bool:
@@ -63,8 +66,8 @@ def dual_exp_cone_contains(triple, slack_tol: float = 1e-7) -> bool:
 class ConicProgram:
     """Linear objective over linear rows plus exponential-cone triples.
 
-    ``a_eq x = b_eq``; ``a_ineq x <= b_ineq``; for every (ix, iy, iz) in
-    ``exp_cones``, (x_ix, x_iy, x_iz) lies in the exponential cone.
+    ``a_eq x = b_eq``; ``a_ineq x <= b_ineq``; rows 3i, 3i + 1 and 3i + 2 of
+    ``a_cone x + b_cone`` are the (x, y, z) slots of cone i.
     """
 
     n_vars: int
@@ -74,25 +77,25 @@ class ConicProgram:
     b_eq: np.ndarray
     a_ineq: sp.csr_matrix
     b_ineq: np.ndarray
-    exp_cones: list = field(default_factory=list)
-    one_index: int | None = None
+    a_cone: sp.csr_matrix
+    b_cone: np.ndarray
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         self.b_eq = np.asarray(self.b_eq, dtype=float)
         self.b_ineq = np.asarray(self.b_ineq, dtype=float)
+        self.b_cone = np.asarray(self.b_cone, dtype=float)
         self.a_eq = sp.csr_matrix(self.a_eq)
         self.a_ineq = sp.csr_matrix(self.a_ineq)
+        self.a_cone = sp.csr_matrix(self.a_cone)
         if self.objective.shape != (self.n_vars,):
             raise ValueError("objective length mismatch")
         if self.a_eq.shape != (len(self.b_eq), self.n_vars):
             raise ValueError("equality block shape mismatch")
         if self.a_ineq.shape != (len(self.b_ineq), self.n_vars):
             raise ValueError("inequality block shape mismatch")
-        self.exp_cones = [tuple(int(i) for i in t) for t in self.exp_cones]
-        for t in self.exp_cones:
-            if len(t) != 3 or any(i < 0 or i >= self.n_vars for i in t):
-                raise ValueError(f"cone triple {t} out of range")
+        if self.a_cone.shape != (len(self.b_cone), self.n_vars) or len(self.b_cone) % 3:
+            raise ValueError("cone block must be n_vars wide with three rows per cone")
 
     @property
     def n_eq(self) -> int:
@@ -104,51 +107,69 @@ class ConicProgram:
 
     @property
     def n_cones(self) -> int:
-        return len(self.exp_cones)
+        return len(self.b_cone) // 3
+
+    @property
+    def g_mat(self) -> sp.csr_matrix:
+        """G of G x + s = h: the slack s is b_ineq - a_ineq x on the orthant
+        and a_cone x + b_cone on the cones."""
+        return sp.vstack([self.a_ineq, -self.a_cone], format="csr")
+
+    @property
+    def h(self) -> np.ndarray:
+        return np.concatenate([self.b_ineq, self.b_cone])
 
 
-def _rows_to_doc(mat: sp.csr_matrix, rhs: np.ndarray) -> list:
+def _rows_to_doc(mat: sp.csr_matrix, vec: np.ndarray, key: str = "rhs") -> list:
     rows = []
     for r in range(mat.shape[0]):
         lo, hi = mat.indptr[r], mat.indptr[r + 1]
         pairs = sorted(zip(mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist()))
         rows.append({"coeffs": [[int(i), float(c)] for i, c in pairs if c != 0.0],
-                     "rhs": float(rhs[r])})
+                     key: float(vec[r])})
     return rows
 
 
-def _rows_from_doc(rows: list, n_vars: int):
-    data, ri, ci, rhs = [], [], [], []
+def _rows_from_doc(rows: list, n_vars: int, key: str = "rhs"):
+    data, ri, ci, vec = [], [], [], []
     for r, row in enumerate(rows):
-        rhs.append(row["rhs"])
+        vec.append(row[key])
         for i, c in row["coeffs"]:
             ri.append(r)
             ci.append(i)
             data.append(c)
     mat = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n_vars))
-    return mat, np.asarray(rhs, dtype=float)
+    return mat, np.asarray(vec, dtype=float)
 
 
 def problem_to_dict(prog: ConicProgram) -> dict:
+    """Canonical document; ``cone_rows`` hold the rows of ``a_cone`` with
+    their constant term from ``b_cone``."""
     obj = [[int(i), float(c)] for i, c in enumerate(prog.objective) if c != 0.0]
     return {
+        "version": SCHEMA_VERSION,
         "n_vars": prog.n_vars,
         "maximize": bool(prog.maximize),
         "objective": obj,
         "eq_rows": _rows_to_doc(prog.a_eq, prog.b_eq),
         "ineq_rows": _rows_to_doc(prog.a_ineq, prog.b_ineq),
-        "exp_cones": [list(t) for t in prog.exp_cones],
-        "one_index": prog.one_index,
+        "cone_rows": _rows_to_doc(prog.a_cone, prog.b_cone, "const"),
     }
 
 
 def problem_from_dict(doc: dict) -> ConicProgram:
+    """Inverse of :func:`problem_to_dict`; any other schema version raises
+    ValueError."""
+    if doc.get("version") != SCHEMA_VERSION:
+        raise ValueError(f"conic program schema version {doc.get('version')!r} "
+                         f"is not {SCHEMA_VERSION}")
     n = int(doc["n_vars"])
     obj = np.zeros(n)
     for i, c in doc["objective"]:
         obj[i] = c
     a_eq, b_eq = _rows_from_doc(doc["eq_rows"], n)
     a_ineq, b_ineq = _rows_from_doc(doc["ineq_rows"], n)
+    a_cone, b_cone = _rows_from_doc(doc["cone_rows"], n, "const")
     return ConicProgram(
         n_vars=n,
         objective=obj,
@@ -157,8 +178,8 @@ def problem_from_dict(doc: dict) -> ConicProgram:
         b_eq=b_eq,
         a_ineq=a_ineq,
         b_ineq=b_ineq,
-        exp_cones=[tuple(t) for t in doc["exp_cones"]],
-        one_index=doc.get("one_index"),
+        a_cone=a_cone,
+        b_cone=b_cone,
     )
 
 
@@ -176,56 +197,53 @@ def load_problem(path) -> ConicProgram:
 # --- CBF writer / reader ---------------------------------------------------
 #
 # Subset used: VER, OBJSENSE, VAR (all free), CON with L=, L- and EXP
-# domains, OBJACOORD, ACOORD, BCOORD.  CBF's EXP cone is ordered so that the
-# *first* member bounds the exponential: (c1, c2, c3) in EXP means
-# c2 > 0, c2 * exp(c3 / c2) <= c1 — the reverse of this package's (x, y, z).
+# domains in that order, OBJACOORD, ACOORD, BCOORD.  A CBF constraint row is
+# a x + b in its domain, so the linear rows carry b = -rhs.  CBF's EXP cone
+# is ordered so that the *first* member bounds the exponential:
+# (c1, c2, c3) in EXP means c2 > 0, c2 * exp(c3 / c2) <= c1 — the reverse of
+# this package's (x, y, z).
+
+_CBF_DOMAINS = ["L=", "L-", "EXP"]
+
+
+def _cbf_cone_rows(n_cones: int) -> np.ndarray:
+    """Row order that swaps the x and z slot of every cone (its own inverse)."""
+    return (3 * np.arange(n_cones)[:, None] + np.array([2, 1, 0])).ravel()
 
 
 def write_cbf(prog: ConicProgram, path) -> None:
-    lines = ["VER", "3", ""]
-    lines += ["OBJSENSE", "MAX" if prog.maximize else "MIN", ""]
-    lines += ["VAR", f"{prog.n_vars} 1", f"F {prog.n_vars}", ""]
+    # rows: equalities, inequalities, then every cone in CBF's (z, y, x) order
+    order = _cbf_cone_rows(prog.n_cones)
+    rows = sp.vstack([prog.a_eq, prog.a_ineq, prog.a_cone[order]], format="csr")
+    rows.sum_duplicates()
+    rows.eliminate_zeros()
+    acoord = rows.tocoo()
+    const = np.concatenate([-prog.b_eq, -prog.b_ineq, prog.b_cone[order]])
+    bcoord = np.flatnonzero(const)
 
-    # constraint rows: equalities, inequalities (as <= 0 after rhs shift),
-    # then one EXP block of three rows per cone in (z, y, x) order
     domains = []
     if prog.n_eq:
         domains.append(("L=", prog.n_eq))
     if prog.n_ineq:
         domains.append(("L-", prog.n_ineq))
-    for _ in prog.exp_cones:
-        domains.append(("EXP", 3))
-    n_rows = prog.n_eq + prog.n_ineq + 3 * prog.n_cones
-    lines += ["CON", f"{n_rows} {len(domains)}"]
-    lines += [f"{name} {size}" for name, size in domains]
-    lines.append("")
-
-    acoord = []
-    bcoord = []
-    row = 0
-    for mat, rhs in ((prog.a_eq, prog.b_eq), (prog.a_ineq, prog.b_ineq)):
-        for r in range(mat.shape[0]):
-            lo, hi = mat.indptr[r], mat.indptr[r + 1]
-            for i, c in sorted(zip(mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist())):
-                if c != 0.0:
-                    acoord.append((row, i, c))
-            if rhs[r] != 0.0:
-                bcoord.append((row, -rhs[r]))
-            row += 1
-    for (ix, iy, iz) in prog.exp_cones:
-        for var in (iz, iy, ix):  # CBF order: bound, base, exponent
-            acoord.append((row, var, 1.0))
-            row += 1
+    domains += [("EXP", 3)] * prog.n_cones
 
     obj = [(i, c) for i, c in enumerate(prog.objective) if c != 0.0]
+    lines = ["VER", "3", ""]
+    lines += ["OBJSENSE", "MAX" if prog.maximize else "MIN", ""]
+    lines += ["VAR", f"{prog.n_vars} 1", f"F {prog.n_vars}", ""]
+    lines += ["CON", f"{rows.shape[0]} {len(domains)}"]
+    lines += [f"{name} {size}" for name, size in domains]
+    lines.append("")
     lines += ["OBJACOORD", str(len(obj))]
     lines += [f"{i} {c:.17g}" for i, c in obj]
     lines.append("")
-    lines += ["ACOORD", str(len(acoord))]
-    lines += [f"{r} {i} {c:.17g}" for r, i, c in acoord]
+    lines += ["ACOORD", str(acoord.nnz)]
+    lines += [f"{r} {i} {c:.17g}" for r, i, c in
+              zip(acoord.row.tolist(), acoord.col.tolist(), acoord.data.tolist())]
     lines.append("")
     lines += ["BCOORD", str(len(bcoord))]
-    lines += [f"{r} {v:.17g}" for r, v in bcoord]
+    lines += [f"{r} {v:.17g}" for r, v in zip(bcoord.tolist(), const[bcoord].tolist())]
     lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
@@ -282,33 +300,19 @@ def read_cbf(path) -> ConicProgram:
                 r, v = next_line().split()
                 b_entries.append((int(r), float(v)))
 
+    names = [name for name, _ in domains]
+    if names != sorted(names, key=_CBF_DOMAINS.index):  # unknown names raise too
+        raise ValueError(f"CBF domains must be {_CBF_DOMAINS} in that order")
+    n_rows = sum(size for _, size in domains)
+    a = np.array(a_entries, dtype=float).reshape(-1, 3)
+    rows = sp.csr_matrix((a[:, 2], (a[:, 0].astype(int), a[:, 1].astype(int))),
+                         shape=(n_rows, n_vars))
+    const = np.zeros(n_rows)
+    for r, v in b_entries:
+        const[r] = v
     n_eq = sum(s for name, s in domains if name == "L=")
-    n_ineq = sum(s for name, s in domains if name == "L-")
-    b_by_row = dict(b_entries)
-    coeffs_by_row: dict[int, list] = {}
-    for r, i, c in a_entries:
-        coeffs_by_row.setdefault(r, []).append((i, c))
-
-    def block(lo, hi):
-        rows = [{"coeffs": [[i, c] for i, c in sorted(coeffs_by_row.get(r, []))],
-                 "rhs": -b_by_row.get(r, 0.0)} for r in range(lo, hi)]
-        return _rows_from_doc(rows, n_vars)
-
-    a_eq, b_eq = block(0, n_eq)
-    a_ineq, b_ineq = block(n_eq, n_eq + n_ineq)
-    cones = []
-    row = n_eq + n_ineq
-    for name, size in domains:
-        if name == "EXP":
-            triple = []
-            for _ in range(size):
-                entries = coeffs_by_row.get(row, [])
-                if len(entries) != 1 or entries[0][1] != 1.0:
-                    raise ValueError("CBF EXP rows must be single variables")
-                triple.append(entries[0][0])
-                row += 1
-            iz, iy, ix = triple  # undo the CBF ordering
-            cones.append((ix, iy, iz))
+    n_lin = n_eq + sum(s for name, s in domains if name == "L-")
+    cone_rows = n_lin + _cbf_cone_rows((n_rows - n_lin) // 3)
 
     obj = np.zeros(n_vars)
     for i, c in obj_entries:
@@ -317,9 +321,10 @@ def read_cbf(path) -> ConicProgram:
         n_vars=n_vars,
         objective=obj,
         maximize=maximize,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_ineq=a_ineq,
-        b_ineq=b_ineq,
-        exp_cones=cones,
+        a_eq=rows[:n_eq],
+        b_eq=-const[:n_eq],
+        a_ineq=rows[n_eq:n_lin],
+        b_ineq=-const[n_eq:n_lin],
+        a_cone=rows[cone_rows],
+        b_cone=const[cone_rows],
     )

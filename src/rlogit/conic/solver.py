@@ -1,20 +1,27 @@
 """Primal-dual interior-point solver for exponential-cone programs.
 
-The program is converted to the standard form
+A :class:`ConicProgram` is already in the affine standard form
 
     min c'x  s.t.  A x = b,  G x + s = h,  s in K,
 
-with K a product of a nonnegative orthant (one coordinate per linear
-inequality) and three-dimensional exponential cones, and solved on the
-homogeneous self-dual embedding so that infeasibility comes out as a
-certificate rather than a crash.  Search directions use the standard
-3-self-concordant barrier for the exponential cone,
+with A = a_eq, b = b_eq, G = [a_ineq; -a_cone] and h = [b_ineq; b_cone], so
+the slack s is b_ineq - a_ineq x on a nonnegative orthant (one coordinate per
+linear inequality) and a_cone x + b_cone on a product of three-dimensional
+exponential cones.  It is solved on the homogeneous self-dual embedding so
+that infeasibility comes out as a certificate rather than a crash.  Search
+directions use the standard 3-self-concordant barrier for the exponential
+cone,
 
     F(x, y, z) = -log(y log(z/y) - x) - log y - log z,
 
 with a predictor-corrector sigma heuristic, a sparse regularized LDL-style
 factorization of the KKT system (via SuperLU) and iterative refinement.
-Solves are single-threaded and bitwise deterministic.
+
+Once the tolerances are first met, the solver spends the whole
+``polish_iters`` budget and returns the in-tolerance iterate with the
+smallest complementarity; iterates that leave tolerance meanwhile are
+skipped, not a reason to stop.  Solves are single-threaded and bitwise
+deterministic.
 """
 
 from __future__ import annotations
@@ -48,10 +55,9 @@ class SolverOptions:
     frac_to_boundary: float = 0.99
     regularization: float = 1e-9
     min_step: float = 1e-9
-    # extra iterations after tolerances are first met, run while the
-    # complementarity keeps shrinking; the best iterate is returned.  This
-    # tightens downstream certificates (e.g. Bellman binding residuals) at
-    # negligible cost.
+    # extra iterations after tolerances are first met, all of them run; the
+    # in-tolerance iterate with the smallest complementarity is returned.
+    # This tightens downstream certificates (e.g. Bellman binding residuals).
     polish_iters: int = 25
 
     def __post_init__(self):
@@ -143,34 +149,6 @@ def _exp_dual_margin(e):
         return np.log(w) + 1.0 - np.log(-u) - v / u
 
 
-# --- standard-form conversion ----------------------------------------------
-
-
-def _standard_form(prog: ConicProgram):
-    n = prog.n_vars
-    c = -prog.objective if prog.maximize else prog.objective.copy()
-    a_mat = prog.a_eq.tocsr()
-    b = prog.b_eq.copy()
-    l = prog.n_ineq
-    ne = prog.n_cones
-
-    rows, cols, data = [], [], []
-    ineq = prog.a_ineq.tocoo()
-    rows.extend(ineq.row.tolist())
-    cols.extend(ineq.col.tolist())
-    data.extend(ineq.data.tolist())
-    r = l
-    for (ix, iy, iz) in prog.exp_cones:
-        for var in (ix, iy, iz):
-            rows.append(r)
-            cols.append(var)
-            data.append(-1.0)
-            r += 1
-    g_mat = sp.csr_matrix((data, (rows, cols)), shape=(l + 3 * ne, n))
-    h = np.concatenate([prog.b_ineq, np.zeros(3 * ne)])
-    return c, a_mat, b, g_mat, h, l, ne
-
-
 class _Cone:
     """Product cone R+^l x Exp^ne acting on stacked slack vectors."""
 
@@ -223,11 +201,7 @@ class _Cone:
         mu * hess F(s) on each exponential cone."""
         lin_s, e = self.split(s)
         lin_z, _ = self.split(z)
-        rows, cols, data = [], [], []
-        idx = np.arange(self.l)
-        rows.extend(idx.tolist())
-        cols.extend(idx.tolist())
-        data.extend((lin_s / lin_z).tolist())
+        blocks = np.empty((0, 3, 3))
         if self.ne:
             hess = _exp_hess(e)
             try:
@@ -237,13 +211,14 @@ class _Cone:
                 jitter = 1e-13 * np.trace(hess, axis1=1, axis2=2)
                 hess = hess + jitter[:, None, None] * np.eye(3)
                 blocks = np.linalg.inv(hess) / mu
-            base = self.l + 3 * np.arange(self.ne)
-            for a in range(3):
-                for b in range(3):
-                    rows.extend((base + a).tolist())
-                    cols.extend((base + b).tolist())
-                    data.extend(blocks[:, a, b].tolist())
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
+        # CSR by rows: one diagonal entry per orthant row, then the three
+        # entries of its 3x3 block per cone row
+        cone_cols = self.l + 3 * np.arange(self.ne)[:, None, None] + np.arange(3)
+        indices = np.concatenate([np.arange(self.l),
+                                  np.broadcast_to(cone_cols, blocks.shape).ravel()])
+        indptr = np.concatenate([np.arange(self.l), self.l + 3 * np.arange(3 * self.ne + 1)])
+        data = np.concatenate([lin_s / lin_z, blocks.ravel()])
+        return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
 
     def complementarity_target(self, s, z, sigma, mu):
         """psi with dz + H_sc ds = -psi linearizing s o z -> sigma mu e."""
@@ -293,10 +268,11 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
     reported, never raised.
     """
     opts = opts or SolverOptions()
-    c, a_mat, b, g_mat, h, l, ne = _standard_form(prog)
+    c = -prog.objective if prog.maximize else prog.objective
+    a_mat, b, g_mat, h = prog.a_eq, prog.b_eq, prog.g_mat, prog.h
     n = len(c)
     p = len(b)
-    cone = _Cone(l, ne)
+    cone = _Cone(prog.n_ineq, prog.n_cones)
     m = cone.dim
     at_mat = a_mat.T.tocsr()
     gt_mat = g_mat.T.tocsr()
@@ -367,9 +343,11 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
         if ok and polish_left is None:
             polish_left = opts.polish_iters
         if polish_left is not None:
-            # converged: spend the remaining polish budget shrinking the
-            # complementarity, then return the best iterate
-            if polish_left <= 0 or not ok:
+            # converged: spend the whole polish budget, then return the best
+            # in-tolerance iterate.  An iterate outside tolerance does not end
+            # polishing: later ones can come back with a smaller
+            # complementarity and tighter Bellman binding.
+            if polish_left <= 0:
                 return best_solution()
             polish_left -= 1
 
@@ -493,7 +471,9 @@ def check_certificates(prog: ConicProgram, sol: Solution) -> dict:
     of magnitude of the solver tolerances; for infeasibility statuses the
     report carries the certificate value instead.
     """
-    c, a_mat, b, g_mat, h, l, ne = _standard_form(prog)
+    c = -prog.objective if prog.maximize else prog.objective
+    a_mat, b, g_mat, h = prog.a_eq, prog.b_eq, prog.g_mat, prog.h
+    l, ne = prog.n_ineq, prog.n_cones
     report: dict = {"status": sol.status}
     s_ineq = None
     if sol.status == OPTIMAL:

@@ -2,7 +2,8 @@
 
 An :class:`ObservationSet` holds observed paths grouped by destination; the
 likelihoods read them only through its cached ``statistics``: per group the
-origin counts, attribute total and size, and every (from, to) pair's count.
+origin counts, attribute total and size, and every (from, to) pair's count
+(counted on first read).
 
 Paths are sampled from the sequential choice process one transition at a
 time.  ``generate_observations`` uses a vectorized batch sampler with a
@@ -58,10 +59,17 @@ class GroupStatistics:
 
 @dataclass(frozen=True)
 class ObservationStatistics:
-    """Everything the likelihoods read from an ObservationSet."""
+    """Everything the likelihoods read from an ObservationSet.  Transition
+    counts are read only by NRL, so they are counted on first read."""
 
     groups: dict  # destination -> GroupStatistics
-    transitions: Counter  # (from id, to id) -> count over all paths
+    observations: list = field(repr=False)
+
+    @cached_property
+    def transitions(self) -> Counter:
+        """(from id, to id) -> count over all paths."""
+        return Counter(chain.from_iterable(zip(ob.path, ob.path[1:])
+                                           for ob in self.observations))
 
 
 @dataclass
@@ -97,8 +105,7 @@ class ObservationSet:
                 counts[ob.origin] = counts.get(ob.origin, 0) + 1
                 attr_total += ob.attr_sum
             groups[key] = GroupStatistics(counts, attr_total, len(idxs))
-        pairs = chain.from_iterable(zip(ob.path, ob.path[1:]) for ob in self.observations)
-        return ObservationStatistics(groups, Counter(pairs))
+        return ObservationStatistics(groups, self.observations)
 
 
 def make_observation(net: Network, path) -> Observation:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from rlogit import core, nrl
 from rlogit.network import build_network
+from rlogit.simulate import generate_observations
 
 
 @pytest.fixture
@@ -89,3 +92,39 @@ def partial_net():
         [("o", "s1", [1.0]), ("s1", "d", [1.0]), ("s2", "d", [1.0])],
         ["cost"],
     )
+
+
+@st.composite
+def dag_samples(draw):
+    """(network, observations, beta, scale field) on a random DAG s0 -> ...
+    -> s{n-1} with a chain backbone, extra forward arcs and two origins."""
+    n = draw(st.integers(4, 7))
+    states = [f"s{i}" for i in range(n)]
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [(i, j) for i in range(n) for j in range(i + 2, n) if draw(st.booleans())]
+    unit = st.floats(0.0, 2.0)
+    arcs = [(states[i], states[j], [draw(unit), draw(unit)]) for i, j in pairs]
+    net = build_network(states, states[-1], arcs)
+    beta = np.array([draw(st.floats(-2.0, -0.1)), draw(st.floats(-2.0, 0.5))])
+    obs = generate_observations(net, core.UtilitySpec(beta), ["s0", "s1"],
+                                draw(st.integers(1, 40)), seed=draw(st.integers(0, 10**6)))
+    mu = nrl.ScaleField([draw(st.floats(0.5, 2.0)) for _ in range(n)])
+    return net, obs, beta, mu
+
+
+def _dense_cyclic_instance(n_states=200, out_degree=6, seed=21):
+    """Strongly connected instance that is value-infeasible at beta = -1.5."""
+    rng = np.random.default_rng(seed)
+    names = [f"s{i}" for i in range(n_states)] + ["d"]
+    arcs = {}
+    for i in range(n_states):
+        # ring arc keeps the graph strongly connected
+        arcs[(f"s{i}", f"s{(i + 1) % n_states}")] = [float(rng.uniform(0.8, 1.5))]
+        for j in rng.choice(n_states, size=out_degree, replace=False):
+            if j != i:
+                arcs[(f"s{i}", f"s{j}")] = [float(rng.uniform(0.8, 1.5))]
+    for i in range(0, n_states, 10):
+        # costly exit arcs so most observed mass stays on a corridor
+        arcs[(f"s{i}", "d")] = [float(rng.uniform(4.0, 5.0))]
+    arc_list = [(u, v, vec) for (u, v), vec in arcs.items()]
+    return build_network(names, "d", arc_list, ["cost"])

@@ -17,10 +17,10 @@ from rlogit.conic.program import dual_exp_cone_contains, exp_cone_contains
 from rlogit.conic.solver import OPTIMAL, PRIMAL_INFEASIBLE, SolverOptions, solve
 from rlogit.errors import DisconnectedInstance
 from rlogit.generators import bic_dag, composite_from_path, random_geometric_network
-from rlogit.network import build_network, enumerate_paths
+from rlogit.network import enumerate_paths
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
-from conftest import make_infeasible_net
+from conftest import _dense_cyclic_instance, make_infeasible_net
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 CYCLE_V_S0 = math.log(0.8 / 0.68)
@@ -286,24 +286,6 @@ def test_criterion_07_trimming_soundness():
     assert n_trims == 50
 
 
-def _dense_cyclic_instance(n_states=200, out_degree=6, seed=21):
-    """Strongly connected instance that is value-infeasible at beta = -1.5."""
-    rng = np.random.default_rng(seed)
-    names = [f"s{i}" for i in range(n_states)] + ["d"]
-    arcs = {}
-    for i in range(n_states):
-        # ring arc keeps the graph strongly connected
-        arcs[(f"s{i}", f"s{(i + 1) % n_states}")] = [float(rng.uniform(0.8, 1.5))]
-        for j in rng.choice(n_states, size=out_degree, replace=False):
-            if j != i:
-                arcs[(f"s{i}", f"s{j}")] = [float(rng.uniform(0.8, 1.5))]
-    for i in range(0, n_states, 10):
-        # costly exit arcs so most observed mass stays on a corridor
-        arcs[(f"s{i}", "d")] = [float(rng.uniform(4.0, 5.0))]
-    arc_list = [(u, v, vec) for (u, v), vec in arcs.items()]
-    return build_network(names, "d", arc_list, ["cost"])
-
-
 def test_criterion_08_two_stage_pipeline():
     net = _dense_cyclic_instance()
     # the value fixed point does not exist at the default -1.5 init
@@ -354,8 +336,8 @@ def test_criterion_09_solver_unit_suite():
         b_eq=np.array([1.0, 1.0]),
         a_ineq=sp.csr_matrix((0, 3)),
         b_ineq=np.zeros(0),
-        exp_cones=[(0, 1, 2)],
-        one_index=1,
+        a_cone=sp.eye(3, format="csr"),
+        b_cone=np.zeros(3),
     )
     sol1 = solve(prog1)
     assert sol1.status == OPTIMAL and abs(sol1.x[2] - math.e) <= 1e-6
@@ -373,7 +355,7 @@ def test_criterion_09_solver_unit_suite():
         n_vars=n, objective=obj, maximize=True,
         a_eq=sp.csr_matrix(a_eq), b_eq=np.array([1.0, 1.0, 2.0]),
         a_ineq=sp.csr_matrix(a_ineq), b_ineq=np.array([1.0]),
-        exp_cones=[(2, 1, 4), (3, 1, 5)], one_index=1,
+        a_cone=sp.eye(n, format="csr")[[2, 1, 4, 3, 1, 5]], b_cone=np.zeros(6),
     )
     sol2 = solve(prog2)
     assert sol2.status == OPTIMAL

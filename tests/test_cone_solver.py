@@ -28,8 +28,8 @@ def _single_cone_program():
         b_eq=np.array([1.0, 1.0]),
         a_ineq=sp.csr_matrix((0, 3)),
         b_ineq=np.zeros(0),
-        exp_cones=[(0, 1, 2)],
-        one_index=1,
+        a_cone=sp.eye(3, format="csr"),
+        b_cone=np.zeros(3),
     )
 
 
@@ -54,8 +54,8 @@ def _logsumexp_program():
         b_eq=b_eq,
         a_ineq=sp.csr_matrix(a_ineq),
         b_ineq=np.array([1.0]),
-        exp_cones=[(2, 1, 4), (3, 1, 5)],
-        one_index=1,
+        a_cone=sp.eye(n, format="csr")[[2, 1, 4, 3, 1, 5]],
+        b_cone=np.zeros(6),
     )
 
 
@@ -123,7 +123,8 @@ def test_primal_infeasible_certificate():
         b_eq=np.zeros(0),
         a_ineq=sp.csr_matrix(np.array([[1.0], [-1.0]])),
         b_ineq=np.array([-1.0, -1.0]),
-        exp_cones=[],
+        a_cone=sp.csr_matrix((0, 1)),
+        b_cone=np.zeros(0),
     )
     sol = solve(prog)
     assert sol.status == PRIMAL_INFEASIBLE
@@ -142,7 +143,8 @@ def test_dual_infeasible_detected():
         b_eq=np.zeros(0),
         a_ineq=sp.csr_matrix(np.array([[1.0]])),
         b_ineq=np.array([1.0]),
-        exp_cones=[],
+        a_cone=sp.csr_matrix((0, 1)),
+        b_cone=np.zeros(0),
     )
     sol = solve(prog)
     assert sol.status == DUAL_INFEASIBLE
@@ -158,7 +160,8 @@ def test_pure_lp_solves():
         b_eq=np.zeros(0),
         a_ineq=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
         b_ineq=np.array([2.0, 3.0, 4.0]),
-        exp_cones=[],
+        a_cone=sp.csr_matrix((0, 2)),
+        b_cone=np.zeros(0),
     )
     sol = solve(prog)
     assert sol.status == OPTIMAL

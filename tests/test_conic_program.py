@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
 
+from rlogit.conic import builder
 from rlogit.conic.program import (
     ConicProgram,
     dual_exp_cone_contains,
@@ -17,6 +19,8 @@ from rlogit.conic.program import (
     save_problem,
     write_cbf,
 )
+
+from conftest import dag_samples
 
 
 @pytest.mark.parametrize(
@@ -68,23 +72,29 @@ def _sample_program():
         b_eq=b_eq,
         a_ineq=sp.csr_matrix(a_ineq),
         b_ineq=np.array([1.0]),
-        exp_cones=[(2, 1, 4), (3, 1, 5)],
-        one_index=1,
+        a_cone=sp.eye(n, format="csr")[[2, 1, 4, 3, 1, 5]],
+        b_cone=np.zeros(6),
     )
 
 
 def test_program_validation_rejects_bad_cone():
-    with pytest.raises(ValueError):
-        ConicProgram(
-            n_vars=2,
-            objective=np.zeros(2),
-            maximize=True,
-            a_eq=sp.csr_matrix((0, 2)),
-            b_eq=np.zeros(0),
-            a_ineq=sp.csr_matrix((0, 2)),
-            b_ineq=np.zeros(0),
-            exp_cones=[(0, 1, 5)],
-        )
+    bad_blocks = [
+        (sp.eye(6, format="csr")[[0, 1, 5]], np.zeros(3)),  # references x_5 of 2
+        (sp.eye(2, format="csr"), np.zeros(2)),  # two rows are no cone
+    ]
+    for a_cone, b_cone in bad_blocks:
+        with pytest.raises(ValueError):
+            ConicProgram(
+                n_vars=2,
+                objective=np.zeros(2),
+                maximize=True,
+                a_eq=sp.csr_matrix((0, 2)),
+                b_eq=np.zeros(0),
+                a_ineq=sp.csr_matrix((0, 2)),
+                b_ineq=np.zeros(0),
+                a_cone=a_cone,
+                b_cone=b_cone,
+            )
 
 
 def test_json_roundtrip_byte_identical(tmp_path):
@@ -95,9 +105,21 @@ def test_json_roundtrip_byte_identical(tmp_path):
     prog2 = load_problem(p1)
     save_problem(prog2, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert prog2.exp_cones == prog.exp_cones
-    assert prog2.one_index == prog.one_index
+    np.testing.assert_array_equal(prog2.a_cone.toarray(), prog.a_cone.toarray())
+    np.testing.assert_array_equal(prog2.b_cone, prog.b_cone)
     np.testing.assert_array_equal(prog2.objective, prog.objective)
+
+
+def test_json_rejects_other_schema_versions():
+    doc = problem_to_dict(_sample_program())
+    assert doc["version"] == 2
+    for version in (1, None):
+        doc["version"] = version
+        with pytest.raises(ValueError):
+            problem_from_dict(doc)
+    del doc["version"]
+    with pytest.raises(ValueError):
+        problem_from_dict(doc)
 
 
 def test_dict_roundtrip_preserves_rows():
@@ -118,7 +140,39 @@ def test_cbf_roundtrip_counts_and_solution(tmp_path):
     assert back.n_vars == prog.n_vars
     assert back.n_eq == prog.n_eq
     assert back.n_ineq == prog.n_ineq
-    assert back.exp_cones == prog.exp_cones
+    assert back.n_cones == prog.n_cones
+    np.testing.assert_array_equal(back.a_cone.toarray(), prog.a_cone.toarray())
+    np.testing.assert_array_equal(back.b_cone, prog.b_cone)
     np.testing.assert_allclose(back.a_eq.toarray(), prog.a_eq.toarray())
     np.testing.assert_allclose(back.b_eq, prog.b_eq)
     np.testing.assert_allclose(back.objective, prog.objective)
+
+
+def test_cbf_rejects_domains_out_of_order(tmp_path):
+    path = tmp_path / "prog.cbf"
+    write_cbf(_sample_program(), path)
+    path.write_text(path.read_text().replace("CON\n10 4\nL= 3\nL- 1",
+                                             "CON\n10 4\nL- 1\nL= 3"))
+    with pytest.raises(ValueError):
+        read_cbf(path)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples())
+def test_ecp_program_round_trips(tmp_path_factory, sample):
+    net, obs, _beta, _mu = sample
+    assume("s0" in obs.statistics.groups[net.destination].origin_counts)
+    prog, _ = builder.build_ecp(net, builder.group_observations(obs))
+    tmp = tmp_path_factory.mktemp("io")
+    save_problem(prog, tmp / "p1.json")
+    save_problem(load_problem(tmp / "p1.json"), tmp / "p2.json")
+    assert (tmp / "p1.json").read_bytes() == (tmp / "p2.json").read_bytes()
+    write_cbf(prog, tmp / "p.cbf")
+    back = read_cbf(tmp / "p.cbf")
+    assert (back.n_vars, back.maximize) == (prog.n_vars, prog.maximize)
+    np.testing.assert_array_equal(back.objective, prog.objective)
+    for name in ("a_eq", "a_ineq", "a_cone"):
+        np.testing.assert_array_equal(getattr(back, name).toarray(),
+                                      getattr(prog, name).toarray())
+    for name in ("b_eq", "b_ineq", "b_cone"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(prog, name))

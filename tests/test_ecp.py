@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rlogit import core
+from rlogit import core, trim
 from rlogit.conic import builder
 from rlogit.conic.solver import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from rlogit.errors import (
@@ -15,7 +15,7 @@ from rlogit.generators import random_geometric_network
 from rlogit.network import build_network, ensure_connectivity
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
-from conftest import make_infeasible_net
+from conftest import _dense_cyclic_instance, make_infeasible_net
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 
@@ -30,10 +30,10 @@ def test_smallest_program_shape():
     net, obs = _one_arc_instance()
     groups = builder.group_observations(obs)
     prog, layout = builder.build_ecp(net, groups)
-    # variables: 1 beta, shared one, u_{s0}, one w, one r
-    assert prog.n_vars == 5
+    # variables: 1 beta, u_{s0}, one r
+    assert prog.n_vars == 3
     assert prog.n_cones == 1
-    assert layout.total == 5
+    assert layout.total == 3
     gl = layout.groups["d"]
     assert set(gl.u) == {"s0"}
     sol = solve(prog)
@@ -81,7 +81,7 @@ def test_cone_count_scaling():
     groups = builder.group_observations(obs)
     prog, layout = builder.build_ecp(net, groups)
     assert prog.n_cones == net.n_arcs  # one cone per (group, arc); one group
-    expected_vars = net.n_attributes + 1 + (net.n_states - 1) + 2 * net.n_arcs
+    expected_vars = net.n_attributes + (net.n_states - 1) + net.n_arcs
     assert prog.n_vars == expected_vars
 
 
@@ -135,6 +135,31 @@ def test_perturbed_solution_raises_binding_violation():
     sol.x[gl.u[state]] += 0.1
     with pytest.raises(BindingViolation):
         builder.recover_solution(prog, sol, layout, net)
+
+
+@pytest.fixture(scope="module")
+def trimmed_dense():
+    """Stage 1 of the criterion-08 pipeline: the dense cyclic instance, its
+    simulation beta and its 0.9-quantile flow trim."""
+    net = _dense_cyclic_instance()
+    beta_sim = np.array([-2.2])
+    return net, beta_sim, trim.trim_quantile(net, trim.flow_vector(net, beta_sim, "s0"), 0.9)
+
+
+@pytest.mark.parametrize("path_seed", [1, 9, 11])
+def test_trimmed_dense_instance_binds_on_first_solve(trimmed_dense, path_seed):
+    # the rarely visited state s30 kept a few-1e-6 Bellman slack on these
+    # samples while polishing stopped at the first out-of-tolerance iterate
+    net, beta_sim, trimmed = trimmed_dense
+    obs = generate_observations(net, core.UtilitySpec(beta_sim), "s0", 300, seed=path_seed)
+    kept = [make_observation(trimmed, list(ob.path)) for ob in obs.observations
+            if set(ob.path) <= set(trimmed.states)]
+    prog, layout = builder.build_ecp(
+        trimmed, builder.group_observations(ObservationSet(trimmed, kept)))
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    _, _, cert = builder.recover_solution(prog, sol, layout, trimmed)
+    assert max(float(np.max(np.abs(r))) for r in cert.values()) <= 1e-6
 
 
 def test_infeasible_family_certified():

@@ -4,7 +4,7 @@ generated small DAGs."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from rlogit import core, nfxp, nrl
 from rlogit.conic import builder
@@ -12,6 +12,8 @@ from rlogit.conic.solver import OPTIMAL
 from rlogit.generators import random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations
+
+from conftest import dag_samples
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 
@@ -74,29 +76,12 @@ def test_pooled_ecp_matches_nfxp(pooled):
     r_nfxp = nfxp.estimate_nfxp(nets, obs)
     r_ecp = builder.estimate_ecp(nets, obs)
     assert r_nfxp.converged and r_ecp.status == OPTIMAL
+    assert "transitions" not in vars(obs.statistics)  # only NRL counts them
     assert abs(r_nfxp.loglik_per_obs - r_ecp.loglik_per_obs) <= 1e-4
     assert np.max(np.abs(r_nfxp.beta_hat - r_ecp.beta_hat)) <= 1e-3
 
 
 # --- generated small DAGs ----------------------------------------------------
-
-
-@st.composite
-def dag_samples(draw):
-    """(network, observations, beta, scale field) on a random DAG s0 -> ...
-    -> s{n-1} with a chain backbone, extra forward arcs and two origins."""
-    n = draw(st.integers(4, 7))
-    states = [f"s{i}" for i in range(n)]
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    pairs += [(i, j) for i in range(n) for j in range(i + 2, n) if draw(st.booleans())]
-    unit = st.floats(0.0, 2.0)
-    arcs = [(states[i], states[j], [draw(unit), draw(unit)]) for i, j in pairs]
-    net = build_network(states, states[-1], arcs)
-    beta = np.array([draw(st.floats(-2.0, -0.1)), draw(st.floats(-2.0, 0.5))])
-    obs = generate_observations(net, core.UtilitySpec(beta), ["s0", "s1"],
-                                draw(st.integers(1, 40)), seed=draw(st.integers(0, 10**6)))
-    mu = nrl.ScaleField([draw(st.floats(0.5, 2.0)) for _ in range(n)])
-    return net, obs, beta, mu
 
 
 def _reference_nrl(net, beta, mu, obs):
