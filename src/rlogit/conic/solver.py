@@ -14,14 +14,26 @@ cone,
 
     F(x, y, z) = -log(y log(z/y) - x) - log y - log z,
 
-with a predictor-corrector sigma heuristic, a sparse regularized LDL-style
-factorization of the KKT system (via SuperLU) and iterative refinement.
+with a predictor-corrector sigma heuristic.  Each step solves the
+quasi-definite KKT system
 
-Once the tolerances are first met, the solver spends the whole
-``polish_iters`` budget and returns the in-tolerance iterate with the
+    [[+reg I, A', G'], [A, -reg I, 0], [G, 0, -W - reg I]]
+
+(static regularization as in ECOS) with SuperLU and two steps of iterative
+refinement against the unregularized matrix.  Its sparsity pattern is
+assembled once per solve, and each iteration writes only the values of the
+scaling W; the first factorization picks a symmetric minimum-degree ordering
+with near-diagonal pivoting and every later one reuses it.  The slack step
+ds is taken from the primal row, so the residual G x + s - h tau shrinks by
+the factor (1 - alpha eta) of each step, up to rounding, also after
+convergence.
+
+Once the tolerances are first met, the solver polishes for up to
+``polish_iters`` iterations and returns the in-tolerance iterate with the
 smallest complementarity; iterates that leave tolerance meanwhile are
-skipped, not a reason to stop.  Solves are single-threaded and bitwise
-deterministic.
+skipped, not a reason to stop, but two stalled steps end polishing (the
+recentering that rescues a stall before convergence would throw the polished
+dual iterate away).  Solves are single-threaded and bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -55,8 +67,9 @@ class SolverOptions:
     frac_to_boundary: float = 0.99
     regularization: float = 1e-9
     min_step: float = 1e-9
-    # extra iterations after tolerances are first met, all of them run; the
-    # in-tolerance iterate with the smallest complementarity is returned.
+    # extra iterations after tolerances are first met, ended early only by two
+    # stalled steps; the in-tolerance iterate with the smallest
+    # complementarity is returned.
     # This tightens downstream certificates (e.g. Bellman binding residuals).
     polish_iters: int = 25
 
@@ -70,7 +83,9 @@ class SolverOptions:
 @dataclass
 class Solution:
     """Solver outcome: primal/dual points (scaled by tau for Optimal, raw
-    certificate rays otherwise), residuals and the iteration trace."""
+    certificate rays otherwise), residuals and the iteration trace.
+    ``iterations`` counts every iteration run, ``len(trace)``, also when an
+    earlier iterate is returned."""
 
     status: str
     x: np.ndarray
@@ -196,9 +211,20 @@ class _Cone:
         _, ez = self.split(z)
         return float(np.min(_exp_primal_margin(es))), float(np.min(_exp_dual_margin(ez)))
 
+    def scaling_pattern(self):
+        """(rows, cols) of W's entries in the order of
+        :meth:`scaling_inverse`'s values: the orthant diagonal, then each
+        cone's 3x3 block by rows."""
+        block = self.l + 3 * np.arange(self.ne)[:, None, None]
+        shape = (self.ne, 3, 3)
+        rows = np.broadcast_to(block + np.arange(3)[:, None], shape).ravel()
+        cols = np.broadcast_to(block + np.arange(3), shape).ravel()
+        diag = np.arange(self.l)
+        return np.concatenate([diag, rows]), np.concatenate([diag, cols])
+
     def scaling_inverse(self, s, z, mu):
-        """Sparse W = H_sc^{-1} where H_sc is diag(z/s) on the orthant and
-        mu * hess F(s) on each exponential cone."""
+        """Values of W = H_sc^{-1}, where H_sc is diag(z/s) on the orthant
+        and mu * hess F(s) on each exponential cone."""
         lin_s, e = self.split(s)
         lin_z, _ = self.split(z)
         blocks = np.empty((0, 3, 3))
@@ -211,14 +237,16 @@ class _Cone:
                 jitter = 1e-13 * np.trace(hess, axis1=1, axis2=2)
                 hess = hess + jitter[:, None, None] * np.eye(3)
                 blocks = np.linalg.inv(hess) / mu
-        # CSR by rows: one diagonal entry per orthant row, then the three
-        # entries of its 3x3 block per cone row
-        cone_cols = self.l + 3 * np.arange(self.ne)[:, None, None] + np.arange(3)
-        indices = np.concatenate([np.arange(self.l),
-                                  np.broadcast_to(cone_cols, blocks.shape).ravel()])
-        indptr = np.concatenate([np.arange(self.l), self.l + 3 * np.arange(3 * self.ne + 1)])
-        data = np.concatenate([lin_s / lin_z, blocks.ravel()])
-        return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
+        return np.concatenate([lin_s / lin_z, blocks.ravel()])
+
+    def apply_scaling(self, w, v):
+        """W @ v for the values ``w`` of :meth:`scaling_inverse`."""
+        out = np.empty(self.dim)
+        out[: self.l] = w[: self.l] * v[: self.l]
+        if self.ne:
+            blocks = w[self.l:].reshape(self.ne, 3, 3)
+            out[self.l:] = (blocks @ v[self.l:].reshape(self.ne, 3, 1)).ravel()
+        return out
 
     def complementarity_target(self, s, z, sigma, mu):
         """psi with dz + H_sc ds = -psi linearizing s o z -> sigma mu e."""
@@ -260,12 +288,97 @@ def _step_length(cone, s, ds, z, dz, tau, dtau, kappa, dkappa, ftb, min_step):
     return 0.0
 
 
+# SuperLU accepts a diagonal pivot down to this fraction of its column's
+# largest entry.  Small, so the symmetric ordering survives; not zero, because
+# the nearly singular systems of infeasible and nearly converged programs
+# still need an off-diagonal pivot now and then.
+_DIAG_PIVOT_THRESH = 0.01
+
+
+class _KKT:
+    """The regularized quasi-definite KKT matrix
+
+        [[+reg I, A', G'], [A, -reg I, 0], [G, 0, -W - reg I]]
+
+    on a sparsity pattern assembled once per solve.  W's pattern is fixed
+    (the orthant diagonal and the 3x3 cone blocks), so each factorization only
+    writes W's values into their CSC data slots.  The first factorization
+    picks a symmetric fill-reducing ordering (minimum degree on A' + A); the
+    pattern is then laid out in that order and every later factorization
+    keeps it, which a quasi-definite matrix allows (Vanderbei 1995).  Vectors
+    passed to and returned by :meth:`solve` are in the KKT's own order.
+    """
+
+    def __init__(self, a_mat, g_mat, cone, reg):
+        p, n = a_mat.shape
+        self.size = n + p + cone.dim
+        a, g = a_mat.tocoo(), g_mat.tocoo()
+        w_rows, w_cols = cone.scaling_pattern()
+        diag = np.arange(self.size)
+        off = n + p
+        self.reg = np.concatenate([np.full(n, reg), np.full(p, -reg), np.full(cone.dim, -reg)])
+        self._rows = np.concatenate([n + a.row, a.col, off + g.row, g.col, diag, off + w_rows])
+        self._cols = np.concatenate([a.col, n + a.row, g.col, off + g.row, diag, off + w_cols])
+        self._static_vals = np.concatenate([a.data, a.data, g.data, g.data, self.reg])
+        # KKT row and column at each position of the factored matrix
+        self.order = diag
+        self.lu = None
+        self._ordered = False
+        self._lay_out()
+
+    def _lay_out(self):
+        pos = np.argsort(self.order)
+        keys = pos[self._cols] * self.size + pos[self._rows]
+        uniq, slots = np.unique(keys, return_inverse=True)
+        n_static = len(self._static_vals)
+        self._static = np.bincount(slots[:n_static], weights=self._static_vals,
+                                   minlength=len(uniq))
+        self._w_slots = slots[n_static:]
+        indptr = np.searchsorted(uniq // self.size, np.arange(self.size + 1))
+        self.mat = sp.csc_matrix((self._static.copy(), uniq % self.size, indptr),
+                                 shape=(self.size, self.size))
+
+    def assemble(self, w):
+        """Write the values ``w`` of W (in the cone's scaling pattern order)."""
+        data = self.mat.data
+        data[:] = self._static
+        data[self._w_slots] -= w
+
+    def factor(self, w):
+        """Assemble and factor; raises RuntimeError on a singular matrix."""
+        if self.lu is not None and not self._ordered:
+            self.order = self.order[np.argsort(self.lu.perm_c)]
+            self._ordered = True
+            self._lay_out()
+        self.assemble(w)
+        self.lu = spla.splu(self.mat, permc_spec="NATURAL" if self._ordered else "MMD_AT_PLUS_A",
+                            diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                            options=dict(SymmetricMode=True))
+
+    def solve(self, rhs):
+        """Solve against the unregularized matrix: a regularized solve and two
+        steps of iterative refinement."""
+        q = self.order
+        r = rhs[q]
+        reg = self.reg[q]
+        sol = self.lu.solve(r)
+        for _ in range(2):
+            sol = sol + self.lu.solve(r - (self.mat @ sol - reg * sol))
+        out = np.empty_like(sol)
+        out[q] = sol
+        return out
+
+
 def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
     """Solve a :class:`ConicProgram` on the homogeneous self-dual embedding.
 
     Returns a :class:`Solution` whose status is Optimal, PrimalInfeasible,
     DualInfeasible, MaxIters or NumericalFailure; numerical trouble is
-    reported, never raised.
+    reported, never raised.  Each trace record holds the iterate's ``mu``,
+    residuals, ``tau`` and ``kappa``; a record of an iteration that went on
+    to search also holds the step length ``alpha`` found, the centering
+    parameter ``sigma`` used and whether the dual iterate was ``recentered``
+    in place of taking that step.
     """
     opts = opts or SolverOptions()
     c = -prog.objective if prog.maximize else prog.objective
@@ -273,9 +386,9 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
     n = len(c)
     p = len(b)
     cone = _Cone(prog.n_ineq, prog.n_cones)
-    m = cone.dim
     at_mat = a_mat.T.tocsr()
     gt_mat = g_mat.T.tocsr()
+    kkt = _KKT(a_mat, g_mat, cone, opts.regularization)
 
     x = np.zeros(n)
     y = np.zeros(p)
@@ -291,26 +404,27 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
         float(np.max(np.abs(h), initial=0.0)),
     )
     trace: list[dict] = []
-    reg = opts.regularization
 
-    def make_solution(status, iters, pres, dres, gap, obj):
+    def make_solution(status, pres, dres, gap, obj):
         return Solution(status, x.copy(), y.copy(), z.copy(), s.copy(),
-                        obj, gap, pres, dres, iters, trace)
+                        obj, gap, pres, dres, len(trace), trace)
 
     # best tolerance-satisfying iterate seen so far (set during polishing)
     best = None
 
     def best_solution():
-        bx, by, bz, bs, bit, bpres, bdres, bgap, bobj, _bcomp = best
+        bx, by, bz, bs, bpres, bdres, bgap, bobj, _bcomp = best
         return Solution(OPTIMAL, bx, by, bz, bs, bobj, bgap, bpres, bdres,
-                        bit, trace)
+                        len(trace), trace)
 
-    status = MAX_ITERS
+    def failure():
+        return (best_solution() if best is not None else
+                make_solution(NUMERICAL_FAILURE, pres, dres, gap, obj))
+
     pres = dres = gap = np.inf
     obj = np.nan
     stalls = 0
     recenters_left = 3
-    it = 0
     polish_left = None
     for it in range(1, opts.max_iters + 1):
         rx = at_mat @ y + gt_mat @ z + c * tau
@@ -338,12 +452,12 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             gap <= opts.tol_gap or comp <= opts.tol_gap
         )
         if ok and (best is None or comp < best[-1]):
-            best = (xs.copy(), ys.copy(), zs.copy(), ss.copy(), it,
+            best = (xs.copy(), ys.copy(), zs.copy(), ss.copy(),
                     pres, dres, gap, obj, comp)
         if ok and polish_left is None:
             polish_left = opts.polish_iters
         if polish_left is not None:
-            # converged: spend the whole polish budget, then return the best
+            # converged: spend the polish budget, then return the best
             # in-tolerance iterate.  An iterate outside tolerance does not end
             # polishing: later ones can come back with a smaller
             # complementarity and tighter Bellman binding.
@@ -356,7 +470,7 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             cert = float(np.max(np.abs(at_mat @ y + gt_mat @ z), initial=0.0))
             if cert / ct <= opts.tol_feas * scale_c:
                 y, z = y / ct, z / ct
-                return make_solution(PRIMAL_INFEASIBLE, it, pres, dres, gap, np.nan)
+                return make_solution(PRIMAL_INFEASIBLE, pres, dres, gap, np.nan)
         dt = -float(c @ x)
         if best is None and dt > 1e-10 * scale_c:
             cert = max(
@@ -365,31 +479,16 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             )
             if cert / dt <= opts.tol_feas * scale_bh:
                 x, s = x / dt, s / dt
-                return make_solution(DUAL_INFEASIBLE, it, pres, dres, gap, np.nan)
+                return make_solution(DUAL_INFEASIBLE, pres, dres, gap, np.nan)
 
-        # KKT factorization with static regularization
-        w_mat = cone.scaling_inverse(s, z, mu)
-        kkt = sp.bmat(
-            [
-                [None, at_mat, gt_mat],
-                [a_mat, None, None],
-                [g_mat, None, -w_mat],
-            ],
-            format="csc",
-        )
-        reg_vec = np.concatenate([np.full(n, reg), np.full(p, -reg), np.full(m, -reg)])
+        w = cone.scaling_inverse(s, z, mu)
         try:
-            lu = spla.splu(kkt + sp.diags(reg_vec, format="csc"))
+            kkt.factor(w)
         except RuntimeError:
-            return (best_solution() if best is not None else
-                    make_solution(NUMERICAL_FAILURE, it, pres, dres, gap, obj))
+            return failure()
 
         def kkt_solve(r1, r2, r3):
-            rhs = np.concatenate([r1, r2, r3])
-            sol = lu.solve(rhs)
-            for _ in range(2):  # refine against the unregularized system
-                resid = rhs - kkt @ sol
-                sol = sol + lu.solve(resid)
+            sol = kkt.solve(np.concatenate([r1, r2, r3]))
             return sol[:n], sol[n: n + p], sol[n + p:]
 
         dx2, dy2, dz2 = kkt_solve(-c, b, h)
@@ -397,7 +496,8 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
         def direction(sigma):
             eta = 1.0 - sigma
             psi = cone.complementarity_target(s, z, sigma, mu)
-            dx1, dy1, dz1 = kkt_solve(-eta * rx, -eta * ry, -eta * rz + w_mat @ psi)
+            dx1, dy1, dz1 = kkt_solve(-eta * rx, -eta * ry,
+                                      -eta * rz + cone.apply_scaling(w, psi))
             t1 = float(c @ dx1 + b @ dy1 + h @ dz1)
             t2 = float(c @ dx2 + b @ dy2 + h @ dz2)
             rhs4 = -eta * rtau + (kappa - sigma * mu / tau)
@@ -408,37 +508,44 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             dx = dx1 + dtau * dx2
             dy = dy1 + dtau * dy2
             dz = dz1 + dtau * dz2
-            ds = -w_mat @ (dz + psi)
+            # from the primal row, so G x + s - h tau follows its (1 - alpha
+            # eta) path exactly; -W (dz + psi) equals it only up to the
+            # solve's error, which piles up once the residual is tiny
+            ds = -eta * rz - g_mat @ dx + h * dtau
             dkappa = -(kappa - sigma * mu / tau) - (kappa / tau) * dtau
             return dx, dy, dz, ds, dtau, dkappa
 
         aff = direction(0.0)
         if aff is None:
-            return (best_solution() if best is not None else
-                    make_solution(NUMERICAL_FAILURE, it, pres, dres, gap, obj))
+            return failure()
         alpha_aff = _step_length(cone, s, aff[3], z, aff[2], tau, aff[4],
                                  kappa, aff[5], 1.0, opts.min_step)
         sigma = min(0.999, max(1e-4, (1.0 - alpha_aff) ** 3))
 
         step = direction(sigma)
         if step is None:
-            return (best_solution() if best is not None else
-                    make_solution(NUMERICAL_FAILURE, it, pres, dres, gap, obj))
+            return failure()
         dx, dy, dz, ds, dtau, dkappa = step
         alpha = _step_length(cone, s, ds, z, dz, tau, dtau, kappa, dkappa,
                              opts.frac_to_boundary, opts.min_step)
         if alpha <= opts.min_step:
             # last resort: pure centering step
-            step = direction(1.0)
+            sigma = 1.0
+            step = direction(sigma)
             if step is not None:
                 dx, dy, dz, ds, dtau, dkappa = step
                 alpha = _step_length(cone, s, ds, z, dz, tau, dtau, kappa,
                                      dkappa, opts.frac_to_boundary, opts.min_step)
             if alpha <= opts.min_step:
-                return (best_solution() if best is not None else
-                    make_solution(NUMERICAL_FAILURE, it, pres, dres, gap, obj))
+                return failure()
         stalls = stalls + 1 if alpha <= 1e-6 else 0
-        if stalls >= 2 and recenters_left > 0:
+        recenter = stalls >= 2 and polish_left is None and recenters_left > 0
+        trace[-1].update(alpha=alpha, sigma=sigma, recentered=recenter)
+        if stalls >= 2 and polish_left is not None:
+            # converged and stalled: a recenter would snap z off the polished
+            # path, so polishing ends here
+            return best_solution()
+        if recenter:
             # the dual iterate has drifted onto its cone boundary and blocks
             # every direction; snap it back to the point exactly centered
             # against s.  The feasibility residual this introduces is absorbed
@@ -456,12 +563,11 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa
         if not (np.isfinite(tau) and tau > 0 and np.isfinite(kappa)):
-            return (best_solution() if best is not None else
-                    make_solution(NUMERICAL_FAILURE, it, pres, dres, gap, obj))
+            return failure()
 
     if best is not None:
         return best_solution()
-    return make_solution(MAX_ITERS, it, pres, dres, gap, obj)
+    return make_solution(MAX_ITERS, pres, dres, gap, obj)
 
 
 def check_certificates(prog: ConicProgram, sol: Solution) -> dict:

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import scipy.sparse.linalg as spla
+
+from rlogit import core
+from rlogit.conic import builder, solver
 from rlogit.conic.program import ConicProgram, exp_cone_contains
 from rlogit.conic.solver import (
     DUAL_INFEASIBLE,
+    MAX_ITERS,
     OPTIMAL,
     PRIMAL_INFEASIBLE,
     Solution,
@@ -16,6 +21,8 @@ from rlogit.conic.solver import (
     check_certificates,
     solve,
 )
+from rlogit.generators import random_geometric_network
+from rlogit.simulate import generate_observations
 
 
 def _single_cone_program():
@@ -113,9 +120,9 @@ def test_deterministic_trace():
     np.testing.assert_array_equal(a.x, b.x)
 
 
-def test_primal_infeasible_certificate():
-    # x <= -1 and x >= 1 (as -x <= -1) has no solution; expect a Farkas ray
-    prog = ConicProgram(
+def _infeasible_lp():
+    # x <= -1 and x >= 1 (as -x <= -1) has no solution
+    return ConicProgram(
         n_vars=1,
         objective=np.array([1.0]),
         maximize=False,
@@ -126,6 +133,33 @@ def test_primal_infeasible_certificate():
         a_cone=sp.csr_matrix((0, 1)),
         b_cone=np.zeros(0),
     )
+
+
+def _pure_lp():
+    # maximize x1 + x2 s.t. x1 <= 2, x2 <= 3, x1 + x2 <= 4
+    return ConicProgram(
+        n_vars=2,
+        objective=np.array([1.0, 1.0]),
+        maximize=True,
+        a_eq=sp.csr_matrix((0, 2)),
+        b_eq=np.zeros(0),
+        a_ineq=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
+        b_ineq=np.array([2.0, 3.0, 4.0]),
+        a_cone=sp.csr_matrix((0, 2)),
+        b_cone=np.zeros(0),
+    )
+
+
+def _ecp_program():
+    net = random_geometric_network(20, 0.35, seed=4)
+    beta = np.array([-4.0, -0.1, -0.05, -0.3])
+    obs = generate_observations(net, core.UtilitySpec(beta), "o", 300, seed=4)
+    return builder.build_ecp(obs.net_by_group(), builder.group_observations(obs))[0]
+
+
+def test_primal_infeasible_certificate():
+    # expect a Farkas ray
+    prog = _infeasible_lp()
     sol = solve(prog)
     assert sol.status == PRIMAL_INFEASIBLE
     report = check_certificates(prog, sol)
@@ -151,19 +185,7 @@ def test_dual_infeasible_detected():
 
 
 def test_pure_lp_solves():
-    # maximize x1 + x2 s.t. x1 <= 2, x2 <= 3, x1 + x2 <= 4
-    prog = ConicProgram(
-        n_vars=2,
-        objective=np.array([1.0, 1.0]),
-        maximize=True,
-        a_eq=sp.csr_matrix((0, 2)),
-        b_eq=np.zeros(0),
-        a_ineq=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
-        b_ineq=np.array([2.0, 3.0, 4.0]),
-        a_cone=sp.csr_matrix((0, 2)),
-        b_cone=np.zeros(0),
-    )
-    sol = solve(prog)
+    sol = solve(_pure_lp())
     assert sol.status == OPTIMAL
     assert sol.obj_val == pytest.approx(4.0, abs=1e-7)
 
@@ -171,3 +193,111 @@ def test_pure_lp_solves():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(tol_gap=0.0)
+
+
+@pytest.mark.parametrize("prog, opts, status", [
+    (_logsumexp_program(), SolverOptions(), OPTIMAL),
+    (_logsumexp_program(), SolverOptions(max_iters=5), MAX_ITERS),
+    (_infeasible_lp(), SolverOptions(), PRIMAL_INFEASIBLE),
+])
+def test_iterations_count_every_iteration_run(prog, opts, status):
+    sol = solve(prog, opts)
+    assert sol.status == status
+    assert sol.iterations == len(sol.trace)
+
+
+def test_trace_records_step_length_and_centering():
+    sol = solve(_logsumexp_program())
+    # every iteration but the returning one searched for a step
+    for rec in sol.trace[:-1]:
+        assert 0.0 < rec["alpha"] <= 1.0
+        assert 0.0 < rec["sigma"] <= 1.0
+        assert rec["recentered"] is False
+    assert "alpha" not in sol.trace[-1]
+
+
+@pytest.mark.parametrize("forced_step", [0.0, 1e-7])
+def test_polish_ends_on_stall_without_recentering(monkeypatch, forced_step):
+    prog = _logsumexp_program()
+    opts = SolverOptions()
+    free = solve(prog, opts)
+    converged = next(r["iter"] for r in free.trace if max(r["pres"], r["dres"]) <= opts.tol_feas
+                     and r["gap"] <= opts.tol_gap)
+    # count iterations by their one scaling computation; from the first
+    # in-tolerance iterate on, every step search finds a stalled step
+    iterations = []
+    real_scaling, real_step = solver._Cone.scaling_inverse, solver._step_length
+
+    def counting_scaling(self, *args):
+        iterations.append(None)
+        return real_scaling(self, *args)
+
+    def stalled_step(*args):
+        return forced_step if len(iterations) >= converged else real_step(*args)
+
+    monkeypatch.setattr(solver._Cone, "scaling_inverse", counting_scaling)
+    monkeypatch.setattr(solver, "_step_length", stalled_step)
+    sol = solve(prog, opts)
+    assert sol.status == OPTIMAL
+    assert max(sol.pres, sol.dres) <= opts.tol_feas and sol.gap <= opts.tol_gap
+    assert all(r["recentered"] is False for r in sol.trace if "alpha" in r)
+    assert all("alpha" in r for r in sol.trace[:-1])
+    assert len(sol.trace) < len(free.trace)
+
+
+def _interior_pair(cone, rng, scale):
+    s = cone.init_point() * (1.0 + 0.05 * rng.random(cone.dim))
+    return s, -scale * cone.grad(s)
+
+
+def _bmat_kkt(prog, w_mat, reg):
+    a_mat, g_mat = prog.a_eq, prog.g_mat
+    n, p, m = prog.n_vars, a_mat.shape[0], g_mat.shape[0]
+    kkt = sp.bmat([[None, a_mat.T, g_mat.T], [a_mat, None, None], [g_mat, None, -w_mat]],
+                  format="csc")
+    reg_vec = np.concatenate([np.full(n, reg), np.full(p, -reg), np.full(m, -reg)])
+    return kkt, kkt + sp.diags(reg_vec, format="csc")
+
+
+@pytest.mark.parametrize("make_prog", [_ecp_program, _pure_lp, _logsumexp_program])
+def test_kkt_pattern_assembly_matches_block_assembly(make_prog):
+    prog = make_prog()
+    cone = solver._Cone(prog.n_ineq, prog.n_cones)
+    reg = SolverOptions().regularization
+    kkt = solver._KKT(prog.a_eq, prog.g_mat, cone, reg)
+    rows, cols = cone.scaling_pattern()
+    rng = np.random.default_rng(0)
+    for scale in (1.0, 1e-3):
+        w = cone.scaling_inverse(*_interior_pair(cone, rng, scale), scale)
+        w_mat = sp.csr_matrix((w, (rows, cols)), shape=(cone.dim, cone.dim))
+        kkt.assemble(w)
+        _, expected = _bmat_kkt(prog, w_mat, reg)
+        np.testing.assert_array_equal(kkt.mat.toarray(), expected.toarray())
+        v = rng.standard_normal(cone.dim)
+        np.testing.assert_allclose(cone.apply_scaling(w, v), w_mat @ v, rtol=1e-14, atol=1e-14)
+
+
+def test_kkt_solve_with_reused_ordering_matches_fresh_factorization():
+    prog = _ecp_program()
+    cone = solver._Cone(prog.n_ineq, prog.n_cones)
+    reg = SolverOptions().regularization
+    kkt = solver._KKT(prog.a_eq, prog.g_mat, cone, reg)
+    rows, cols = cone.scaling_pattern()
+    rng = np.random.default_rng(1)
+    kkt.factor(cone.scaling_inverse(*_interior_pair(cone, rng, 1.0), 1.0))
+    first_order = kkt.order.copy()
+    # the second factorization lays the pattern out in the first one's order
+    w = cone.scaling_inverse(*_interior_pair(cone, rng, 1e-2), 1e-2)
+    kkt.factor(w)
+    assert not np.array_equal(kkt.order, first_order)
+    rhs = rng.standard_normal(kkt.size)
+    got = kkt.solve(rhs)
+
+    w_mat = sp.csr_matrix((w, (rows, cols)), shape=(cone.dim, cone.dim))
+    plain, regularized = _bmat_kkt(prog, w_mat, reg)
+    lu = spla.splu(regularized)
+    want = lu.solve(rhs)
+    for _ in range(2):
+        want = want + lu.solve(rhs - plain @ want)
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10 * np.max(np.abs(want)))
+    assert np.max(np.abs(plain @ got - rhs)) <= 1e-8 * np.max(np.abs(rhs))

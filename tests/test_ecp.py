@@ -146,10 +146,27 @@ def trimmed_dense():
     return net, beta_sim, trim.trim_quantile(net, trim.flow_vector(net, beta_sim, "s0"), 0.9)
 
 
-@pytest.mark.parametrize("path_seed", [1, 9, 11])
+# s30 keeps a 1.1e-6 to 1.8e-6 slack on these samples: polishing stalls (2)
+# or runs out of its 25 iterations (6, 24) before complementarity is small
+# enough.  Which samples miss depends on rounding in the KKT solves: 7 of
+# path seeds 100-199 miss, with the symmetric ordering and with SuperLU's
+# default ordering and partial pivoting alike.
+_SLACK_AFTER_POLISH = pytest.mark.xfail(
+    strict=True, raises=BindingViolation,
+    reason="s30 Bellman slack above 1e-6 after the 25 polish iterations")
+
+
+@pytest.mark.parametrize("path_seed", [
+    1, pytest.param(2, marks=_SLACK_AFTER_POLISH), 4, 5,
+    pytest.param(6, marks=_SLACK_AFTER_POLISH), 7, 9, 11, 23,
+    pytest.param(24, marks=_SLACK_AFTER_POLISH), 25,
+])
 def test_trimmed_dense_instance_binds_on_first_solve(trimmed_dense, path_seed):
-    # the rarely visited state s30 kept a few-1e-6 Bellman slack on these
-    # samples while polishing stopped at the first out-of-tolerance iterate
+    # the rarely visited state s30 kept a few-1e-6 Bellman slack on 1, 9 and
+    # 11 while polishing stopped at the first out-of-tolerance iterate, and on
+    # 2, 4, 5, 6, 7, 23, 24 and 25 while each step's ds came from the
+    # complementarity row, which let the primal residual drift after
+    # convergence
     net, beta_sim, trimmed = trimmed_dense
     obs = generate_observations(net, core.UtilitySpec(beta_sim), "s0", 300, seed=path_seed)
     kept = [make_observation(trimmed, list(ob.path)) for ob in obs.observations
@@ -249,3 +266,4 @@ def test_estimate_ecp_reports_binding_retry(monkeypatch):
     assert res.iterations == solves[0].iterations + solves[1].iterations
     assert res.trace == solves[0].trace + solves[1].trace
     assert len(res.trace) == len(solves[0].trace) + len(solves[1].trace)
+    assert res.iterations == len(res.trace)
