@@ -5,6 +5,10 @@ The value function V assigns each state the expected maximum utility of
 reaching the destination, with V(destination) = 0.  Two solvers are provided:
 an exp-space linear-system solve (exact for unit scale) and plain value
 iteration.  Both report failure explicitly instead of propagating NaN.
+
+The linear solve factors I - M once and leaves the factor and z = e^V on the
+returned ValueField, where the value Jacobian finds them.  One loop,
+``iterate_values``, serves the plain and the nested (scaled) operator.
 """
 
 from __future__ import annotations
@@ -58,10 +62,15 @@ class UtilitySpec:
 
 @dataclass
 class ValueField:
-    """Vector of state values for one destination; values[destination] = 0."""
+    """Vector of state values for one destination; values[destination] = 0.
+
+    The exp-space solve also keeps its splu factor of I - M and z = e^V on
+    the non-destination rows (``None`` from the other solvers)."""
 
     values: np.ndarray
     status: str = SOLVED
+    factor: object = field(default=None, repr=False, compare=False)
+    z: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __getitem__(self, idx):
         return self.values[idx]
@@ -87,12 +96,13 @@ def utility(net: Network, spec: UtilitySpec, arc) -> float:
 
 
 def _check_successors(net: Network):
-    d = net.destination_index
-    for i in range(net.n_states):
-        if i != d and len(net.succ_arcs[i]) == 0:
-            raise EmptySuccessorSet(
-                f"non-destination state {net.states[i]!r} has no successors"
-            )
+    """Every state but the destination owns an arc segment.  The destination
+    owns none (build_network rejects its arcs), so counting owners suffices."""
+    owners = _segments(net)[2]
+    if len(owners) < net.n_states - 1:
+        missing = np.setdiff1d(np.arange(net.n_states), owners)
+        i = int(missing[missing != net.destination_index][0])
+        raise EmptySuccessorSet(f"non-destination state {net.states[i]!r} has no successors")
 
 
 def _segments(net: Network):
@@ -111,6 +121,21 @@ def _segments(net: Network):
         seg_id = np.searchsorted(starts, np.arange(len(f)), side="right") - 1
         cached = (order, starts, owners, seg_id)
     object.__setattr__(net, "_segment_cache", cached)
+    return cached
+
+
+def _free_index(net: Network):
+    """Non-destination states in index order (the rows of the exp-space
+    system) and the map state -> row, -1 at the destination.  Cached on the
+    network object."""
+    cached = getattr(net, "_free_index_cache", None)
+    if cached is None:
+        d = net.destination_index
+        rows = np.delete(np.arange(net.n_states), d)
+        row_of = np.full(net.n_states, -1)
+        row_of[rows] = np.arange(len(rows))
+        cached = (rows, row_of)
+        object.__setattr__(net, "_free_index_cache", cached)
     return cached
 
 
@@ -155,13 +180,9 @@ def _exp_space_system(net: Network, spec: UtilitySpec):
     if np.any(v > _EXP_CAP):
         return None
     ev = np.exp(v)
-    d = net.destination_index
-    rows = [i for i in range(net.n_states) if i != d]
-    # map state index -> row in the reduced system (destination dropped)
-    row_of = np.full(net.n_states, -1, dtype=int)
-    row_of[rows] = np.arange(len(rows))
+    rows, row_of = _free_index(net)
     m = len(rows)
-    to_dest = net.arc_to == d
+    to_dest = net.arc_to == net.destination_index
     b = np.zeros(m)
     np.add.at(b, row_of[net.arc_from[to_dest]], ev[to_dest])
     inner = ~to_dest
@@ -174,8 +195,10 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     """Solve the Bellman equalities via the exp-space linear system.
 
     Valid for unit scale: substituting z = e^V turns the fixed point into
-    (I - M) z = b.  Returns V = log z when the system is nonsingular and z is
-    strictly positive; any failure is mapped to SingularOrNonpositive.
+    (I - M) z = b, solved with one splu factorization that the returned
+    ValueField keeps together with z.  Returns V = log z when the system is
+    nonsingular and z is strictly positive; any failure is mapped to
+    SingularOrNonpositive.
     """
     if spec.mu != 1.0:
         raise ValueError("linear value solve requires mu = 1")
@@ -185,14 +208,11 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     if sys is None:
         return vf, SolveReport(SINGULAR, residual=np.inf)
     M, b, rows = sys
-    m = M.shape[0]
     try:
-        if m <= 200:
-            z = np.linalg.solve(np.eye(m) - M.toarray(), b)
-        else:
-            z = spla.spsolve(sp.identity(m, format="csc") - M, b)
-    except (RuntimeError, np.linalg.LinAlgError):
+        lu = spla.splu(sp.identity(len(rows), format="csc") - M)
+    except RuntimeError:
         return vf, SolveReport(SINGULAR)
+    z = lu.solve(b)
     if not np.all(np.isfinite(z)) or np.any(z <= 0):
         return vf, SolveReport(SINGULAR)
     values = np.zeros(net.n_states)
@@ -200,7 +220,7 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     residual = bellman_residual(net, spec, values)
     if not residual <= LINEAR_RESIDUAL_TOL:
         return vf, SolveReport(SINGULAR, residual=residual)
-    return ValueField(values, SOLVED), SolveReport(SOLVED, residual=residual)
+    return ValueField(values, SOLVED, factor=lu, z=z), SolveReport(SOLVED, residual=residual)
 
 
 def solve_value_iteration(
@@ -209,8 +229,21 @@ def solve_value_iteration(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> tuple[ValueField, SolveReport]:
-    """Iterate V <- T[V] from V = 0 until the sup-norm change drops below
-    ``tol``; detects divergence when values exceed the divergence bound."""
+    """Value iteration V <- T[V] with the Bellman operator; see
+    :func:`iterate_values`."""
+    return iterate_values(net, lambda values: bellman_apply(net, spec, values), tol, max_iter)
+
+
+def iterate_values(net: Network, apply, tol: float = 1e-10,
+                   max_iter: int = 10_000) -> tuple[ValueField, SolveReport]:
+    """Iterate V <- apply(V) from V = 0 until the sup-norm change drops below
+    ``tol``; detects divergence when values exceed the divergence bound.
+
+    ``apply`` is a log-sum-exp Bellman operator, plain or scaled.  Its
+    Jacobian is nonnegative and row-substochastic, so it is non-expansive in
+    sup norm and the change between sweeps does not grow beyond rounding; no
+    damping is needed.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     _check_successors(net)
@@ -218,13 +251,13 @@ def solve_value_iteration(
     history: list[float] = []
     window = 200
     for it in range(1, max_iter + 1):
-        new = bellman_apply(net, spec, values)
+        new = apply(values)
         if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > DIVERGENCE_BOUND:
             return ValueField(new, DIVERGED), SolveReport(DIVERGED, it)
         change = float(np.max(np.abs(new - values)))
         values = new
         if change <= tol:
-            res = bellman_residual(net, spec, values)
+            res = float(np.max(np.abs(values - apply(values))))
             return ValueField(values, SOLVED), SolveReport(SOLVED, it, res)
         history.append(change)
         # in log space divergence shows up as a non-shrinking step size, not

@@ -85,19 +85,19 @@ def random_geometric_network(
     origin_node = int(np.argmin(pos[:, 0]))
     dest_node = int(np.argmax(pos[:, 0]))
 
+    # all pairwise distances in one call; bitwise equal to per-pair np.hypot,
+    # so seeded networks do not change
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
     road_arcs: list[tuple[int, int]] = []
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if np.hypot(*(pos[i] - pos[j])) <= radius:
-                lo, hi = (i, j) if pos[i, 0] <= pos[j, 0] else (j, i)
-                if acyclic:
-                    road_arcs.append((lo, hi))
-                else:
-                    road_arcs.append((lo, hi))
-                    road_arcs.append((hi, lo))
+    for i, j in zip(*np.nonzero(np.triu(dist <= radius, k=1))):
+        lo, hi = (int(i), int(j)) if pos[i, 0] <= pos[j, 0] else (int(j), int(i))
+        road_arcs.append((lo, hi))
+        if not acyclic:
+            road_arcs.append((hi, lo))
 
     def length(i, j):
-        return float(np.hypot(*(pos[i] - pos[j])))
+        return float(dist[i, j])
 
     out_by_node: dict[int, list[tuple[int, int]]] = {}
     for (i, j) in road_arcs:

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import core
 from .errors import ValueSolveFailed
@@ -78,33 +76,19 @@ def _value_jacobian(net, spec, vf) -> np.ndarray:
 
     In exp-space z = (I - M)^{-1} b, so (I - M) dz/dbeta_k equals
     (dM/dbeta_k) z + db/dbeta_k with dM/dbeta_k = M * attr_k entrywise;
-    then dV_s/dbeta_k = (dz_s/dbeta_k) / z_s.  One factorization serves all
-    K right-hand sides.
+    then dV_s/dbeta_k = (dz_s/dbeta_k) / z_s.  The factor of I - M that
+    ``core.solve_value_linear`` left on ``vf`` solves all K right-hand sides
+    at once.
     """
-    system = core._exp_space_system(net, spec)
-    if system is None:
-        raise ValueSolveFailed(net.destination, "exp-space overflow")
-    M, b, rows = system
-    m = M.shape[0]
-    lu = spla.splu(sp.identity(m, format="csc") - M)
-
-    row_of = np.full(net.n_states, -1, dtype=int)
-    row_of[rows] = np.arange(m)
-
+    rows, row_of = core._free_index(net)
     # z on the full state index, with the destination pinned at e^0 = 1
     z_full = np.ones(net.n_states)
-    z_full[rows] = np.exp(vf.values[rows])
-
-    v = core.arc_utilities(net, spec)
-    w = np.exp(v) * z_full[net.arc_to]  # per-arc e^{v_a} z_{to(a)}
-    src = row_of[net.arc_from]
-
-    out = np.zeros((net.n_states, net.attrs.shape[1]))
-    for k in range(net.attrs.shape[1]):
-        rhs = np.zeros(m)
-        np.add.at(rhs, src, w * net.attrs[:, k])
-        dz = lu.solve(rhs)
-        out[rows, k] = dz / z_full[rows]
+    z_full[rows] = vf.z
+    w = np.exp(core.arc_utilities(net, spec)) * z_full[net.arc_to]  # e^{v_a} z_{to(a)}
+    rhs = np.zeros((len(rows), net.n_attributes))
+    np.add.at(rhs, row_of[net.arc_from], w[:, None] * net.attrs)
+    out = np.zeros((net.n_states, net.n_attributes))
+    out[rows] = vf.factor.solve(rhs) / vf.z[:, None]
     return out
 
 

@@ -2,9 +2,10 @@
 
 The Bellman recursion becomes V_s = mu_s log sum exp((v + V_{s'}) / mu_s);
 there is no linear-system shortcut for heterogeneous scales, so value fields
-come from damped fixed-point iteration.  The joint problem is not convex in
-(beta, V, mu), so no conic build exists here — estimation is quasi-Newton
-over (beta, log mu) with an adjoint-based analytic gradient, typically
+come from core's value-iteration loop (undamped: the scaled operator is
+non-expansive in sup norm).  The joint problem is not convex in (beta, V,
+mu), so no conic build exists here — estimation is quasi-Newton over
+(beta, log mu) with an adjoint-based analytic gradient, typically
 warm-started from a plain RL estimate.
 
 The likelihood, its gradient and the objective coefficients read the data
@@ -78,37 +79,11 @@ def nrl_bellman_apply(net: Network, beta, mu: ScaleField, values) -> np.ndarray:
 
 def solve_nrl_value(net: Network, beta, mu: ScaleField, tol: float = 1e-10,
                     max_iter: int = 10_000):
-    """Damped value iteration for the scaled recursion.
-
-    Starts undamped; halves the step when the change sequence oscillates
-    upward.  Reports Diverged on blow-up or sustained stalls.
-    """
-    values = np.zeros(net.n_states)
-    damp = 1.0
-    prev_change = np.inf
-    history: list[float] = []
-    window = 200
-    for it in range(1, max_iter + 1):
-        target = nrl_bellman_apply(net, beta, mu, values)
-        if not np.all(np.isfinite(target)) or np.max(np.abs(target)) > core.DIVERGENCE_BOUND:
-            return core.ValueField(target, core.DIVERGED), core.SolveReport(core.DIVERGED, it)
-        new = values + damp * (target - values)
-        change = float(np.max(np.abs(new - values)))
-        values = new
-        if change <= tol:
-            return (
-                core.ValueField(values, core.SOLVED),
-                core.SolveReport(core.SOLVED, it, change),
-            )
-        if change > prev_change and damp > 0.5:
-            damp = 0.5
-        prev_change = change
-        history.append(change)
-        if it > window and change > 1e3 * tol and change >= 0.99 * history[-window]:
-            return core.ValueField(values, core.DIVERGED), core.SolveReport(core.DIVERGED, it)
-    return (
-        core.ValueField(values, core.MAX_ITERATIONS),
-        core.SolveReport(core.MAX_ITERATIONS, max_iter),
+    """Value iteration for the scaled recursion in core's loop, undamped;
+    at uniform mu = 1 it is exactly ``core.solve_value_iteration``.  Reports
+    Diverged on blow-up or sustained stalls."""
+    return core.iterate_values(
+        net, lambda values: nrl_bellman_apply(net, beta, mu, values), tol, max_iter
     )
 
 
@@ -203,9 +178,7 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
 
     # adjoint solve on the non-destination block
     d = net.destination_index
-    rows = [i for i in range(net.n_states) if i != d]
-    row_of = np.full(net.n_states, -1, dtype=int)
-    row_of[rows] = np.arange(len(rows))
+    rows, row_of = core._free_index(net)
     interior = net.arc_to != d
     p_red = sp.csr_matrix(
         (

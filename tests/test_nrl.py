@@ -137,13 +137,21 @@ def test_loglik_single_forced_path(chain_net):
     )
 
 
-def test_value_solve_uniform_matches_linear():
+def test_value_solve_uniform_matches_linear(chain_net):
     net = random_geometric_network(15, 0.4, seed=2)
     beta = np.full(net.n_attributes, -1.0)
     vf, report = nrl.solve_nrl_value(net, beta, nrl.ScaleField.uniform(net))
     assert report.status == core.SOLVED
     ref, _ = core.solve_value_linear(net, core.UtilitySpec(beta))
     np.testing.assert_allclose(vf.values, ref.values, atol=1e-9)
+    # at mu = 1 the scaled operator is the plain one and both run core's one
+    # value-iteration loop: the same values to the bit and the same sweeps
+    for net, beta in ((net, beta), (chain_net, np.array([-0.3]))):
+        vf, report = nrl.solve_nrl_value(net, beta, nrl.ScaleField.uniform(net))
+        ref, ref_report = core.solve_value_iteration(net, core.UtilitySpec(beta))
+        assert report.status == ref_report.status == core.SOLVED
+        assert report.iterations == ref_report.iterations
+        assert np.array_equal(vf.values, ref.values)
 
 
 def test_gradient_matches_finite_differences():

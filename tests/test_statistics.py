@@ -2,8 +2,11 @@
 per-transition reference loops, on a pooled multi-destination set and on
 generated small DAGs."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 
 from rlogit import core, nfxp, nrl
@@ -69,6 +72,25 @@ def test_pooled_groups_resolve_against_their_own_networks(pooled):
             in_order += obs.observations[n].attr_sum
         assert np.array_equal(group.attr_total, in_order)
         assert group.n_obs == len(obs.groups[key]) == 800
+
+
+def test_one_assembly_and_factorization_per_group(pooled, monkeypatch):
+    """One NFXP evaluation assembles and factors each group's exp-space
+    system once: the value Jacobian reuses the value solve's factor."""
+    nets, obs = pooled
+    calls = Counter()
+
+    def counted(name, fn):
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return stand_in
+
+    monkeypatch.setattr(core, "_exp_space_system", counted("assemble", core._exp_space_system))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    nfxp.loglik_and_gradient(nets, core.UtilitySpec(BETA_TRUE), obs)
+    assert len(nets) == 2
+    assert calls == {"assemble": 2, "splu": 2}
 
 
 def test_pooled_ecp_matches_nfxp(pooled):

@@ -1,0 +1,65 @@
+"""The benchmark's tracing hooks and the demos, run against the package.
+
+``bench/tracing.py`` wraps package attributes by name; installing it here
+makes a renamed attribute fail in the test suite instead of in a benchmark
+run.  The benchmark files are only read."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rlogit import cli, core, generators, network, nfxp, nrl, simulate, trim
+from rlogit.conic import builder, solver
+from rlogit.generators import random_geometric_network
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = (cli, core, generators, network, nfxp, nrl, simulate, trim, builder, solver)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracing_installs_and_uninstalls():
+    net = random_geometric_network(15, 0.4, seed=1)
+    spec = core.UtilitySpec(np.array([-4.0, -0.1, -0.05, -0.3]))
+    obs = simulate.generate_observations(net, spec, "o", 50, seed=1)
+    before = [dict(vars(m)) for m in MODULES]
+    original = core.solve_value_linear
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert core.solve_value_linear is not original
+        tracer.active = True
+        nfxp.loglik_and_gradient(obs.net_by_group(), spec, obs)
+    finally:
+        tracer.uninstall()
+    # NFXP resolves the traced value solve: one per destination group
+    assert tracer.counts["nfxp.evaluation.calls"] == 1
+    assert tracer.counts["core.value_solve.calls"] == 1
+    for module, attrs in zip(MODULES, before):
+        assert vars(module).keys() == attrs.keys()
+        assert all(vars(module)[k] is v for k, v in attrs.items()), module.__name__
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
