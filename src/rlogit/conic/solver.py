@@ -14,26 +14,33 @@ cone,
 
     F(x, y, z) = -log(y log(z/y) - x) - log y - log z,
 
-with a predictor-corrector sigma heuristic.  Each step solves the
-quasi-definite KKT system
+with a predictor-corrector sigma heuristic.  Each step solves the KKT system
 
-    [[+reg I, A', G'], [A, -reg I, 0], [G, 0, -W - reg I]]
+    [[0, A', G'], [A, 0, 0], [G, 0, -H^-1]] (dx, dy, dz) = (r1, r2, r3)
 
-(static regularization as in ECOS) with SuperLU and two steps of iterative
-refinement against the unregularized matrix.  Its sparsity pattern is
-assembled once per solve, and each iteration writes only the values of the
-scaling W; the first factorization picks a symmetric minimum-degree ordering
-with near-diagonal pivoting and every later one reuses it.  The slack step
-ds is taken from the primal row, so the residual G x + s - h tau shrinks by
-the factor (1 - alpha eta) of each step, up to rounding, also after
-convergence.
+with H the scaling: diag(z/s) on the orthant and mu times the barrier
+Hessian at s on each cone.  The cone duals are eliminated, dz = H (G dx - r3),
+which leaves the normal equations N dx + A' dy = r1 + G' H r3, A dx = r2 on
+the variables alone, with N = G' H G (Andersen, Roos & Terlaky 2003).  SuperLU
+factors the quasi-definite [[N + D, A'], [A, -reg I]], whose diagonal D is reg
+plus a 1e-14 multiple of N's own diagonal (static regularization as in ECOS),
+and two steps of iterative refinement solve against the unregularized
+matrix.  N's sparsity pattern and the map from H's entries to N's are built
+once per solve, so each iteration only scatters products of H's values into
+the factored matrix; a first call picks a symmetric minimum-degree ordering,
+the pattern is laid out in it once, and every factorization then keeps it
+with diagonal pivots.  The slack step ds is taken from the primal row, so
+the residual G x + s - h tau shrinks by the factor (1 - alpha eta) of each
+step, up to rounding, also after convergence.  Before convergence, two
+stalled steps in a row, or a step search that finds no step at all, reset the
+dual iterate to z = -mu grad F(s), centred against the slack (at most three
+times a solve).
 
 Once the tolerances are first met, the solver polishes for up to
 ``polish_iters`` iterations and returns the in-tolerance iterate with the
 smallest complementarity; iterates that leave tolerance meanwhile are
-skipped, not a reason to stop, but two stalled steps end polishing (the
-recentering that rescues a stall before convergence would throw the polished
-dual iterate away).  Solves are single-threaded and bitwise deterministic.
+skipped, not a reason to stop, but two stalled steps end polishing (a
+recenter would throw the polished dual iterate away).  Solves are single-threaded and bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -212,9 +219,8 @@ class _Cone:
         return float(np.min(_exp_primal_margin(es))), float(np.min(_exp_dual_margin(ez)))
 
     def scaling_pattern(self):
-        """(rows, cols) of W's entries in the order of
-        :meth:`scaling_inverse`'s values: the orthant diagonal, then each
-        cone's 3x3 block by rows."""
+        """(rows, cols) of H's entries in the order of :meth:`scaling`'s
+        values: the orthant diagonal, then each cone's 3x3 block by rows."""
         block = self.l + 3 * np.arange(self.ne)[:, None, None]
         shape = (self.ne, 3, 3)
         rows = np.broadcast_to(block + np.arange(3)[:, None], shape).ravel()
@@ -222,29 +228,18 @@ class _Cone:
         diag = np.arange(self.l)
         return np.concatenate([diag, rows]), np.concatenate([diag, cols])
 
-    def scaling_inverse(self, s, z, mu):
-        """Values of W = H_sc^{-1}, where H_sc is diag(z/s) on the orthant
-        and mu * hess F(s) on each exponential cone."""
+    def scaling(self, s, z, mu):
+        """Values of the scaling H: diag(z/s) on the orthant and
+        mu * hess F(s) on each exponential cone."""
         lin_s, e = self.split(s)
-        lin_z, _ = self.split(z)
-        blocks = np.empty((0, 3, 3))
-        if self.ne:
-            hess = _exp_hess(e)
-            try:
-                blocks = np.linalg.inv(hess) / mu
-            except np.linalg.LinAlgError:
-                # near-boundary iterate: stabilize with a tiny diagonal shift
-                jitter = 1e-13 * np.trace(hess, axis1=1, axis2=2)
-                hess = hess + jitter[:, None, None] * np.eye(3)
-                blocks = np.linalg.inv(hess) / mu
-        return np.concatenate([lin_s / lin_z, blocks.ravel()])
+        return np.concatenate([z[: self.l] / lin_s, (mu * _exp_hess(e)).ravel()])
 
-    def apply_scaling(self, w, v):
-        """W @ v for the values ``w`` of :meth:`scaling_inverse`."""
+    def apply_scaling(self, hvals, v):
+        """H @ v for the values ``hvals`` of :meth:`scaling`."""
         out = np.empty(self.dim)
-        out[: self.l] = w[: self.l] * v[: self.l]
+        out[: self.l] = hvals[: self.l] * v[: self.l]
         if self.ne:
-            blocks = w[self.l:].reshape(self.ne, 3, 3)
+            blocks = hvals[self.l:].reshape(self.ne, 3, 3)
             out[self.l:] = (blocks @ v[self.l:].reshape(self.ne, 3, 1)).ravel()
         return out
 
@@ -288,42 +283,51 @@ def _step_length(cone, s, ds, z, dz, tau, dtau, kappa, dkappa, ftb, min_step):
     return 0.0
 
 
-# SuperLU accepts a diagonal pivot down to this fraction of its column's
-# largest entry.  Small, so the symmetric ordering survives; not zero, because
-# the nearly singular systems of infeasible and nearly converged programs
-# still need an off-diagonal pivot now and then.
-_DIAG_PIVOT_THRESH = 0.01
+# relative part of N's diagonal regularization: a diagonal entry of G'HG can
+# be 1e8 times reg, and reg alone then vanishes in rounding, leaving N
+# singular in floating point when G is rank deficient
+_REG_REL = 1e-14
+# N is quasi-definite, so any symmetric ordering admits diagonal pivots
+_PIVOTS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-class _KKT:
-    """The regularized quasi-definite KKT matrix
+def _entries(indptr, rows):
+    """(k, pos) of every stored entry in the CSR ``rows``: the index into
+    ``rows`` of its row and its position in the data array."""
+    start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
+    k = np.repeat(np.arange(len(rows)), count)
+    pos = start[k] + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return k, pos
 
-        [[+reg I, A', G'], [A, -reg I, 0], [G, 0, -W - reg I]]
 
-    on a sparsity pattern assembled once per solve.  W's pattern is fixed
-    (the orthant diagonal and the 3x3 cone blocks), so each factorization only
-    writes W's values into their CSC data slots.  The first factorization
-    picks a symmetric fill-reducing ordering (minimum degree on A' + A); the
-    pattern is then laid out in that order and every later factorization
-    keeps it, which a quasi-definite matrix allows (Vanderbei 1995).  Vectors
-    passed to and returned by :meth:`solve` are in the KKT's own order.
+class _NormalEquations:
+    """The regularized normal equations [[N + D, A'], [A, -reg I]], with
+    N = G' H G and D = reg + _REG_REL |diag N|, on a pattern assembled once
+    per solve: the coefficient G[r, j] G[c, k] and the CSC data slot of every
+    product G[r, j] H[r, c] G[c, k] are kept, so each factorization scatters
+    H's values into N with one bincount.  Vectors passed to and returned by
+    :meth:`solve` are in the program's own order.
     """
 
     def __init__(self, a_mat, g_mat, cone, reg):
         p, n = a_mat.shape
-        self.size = n + p + cone.dim
-        a, g = a_mat.tocoo(), g_mat.tocoo()
-        w_rows, w_cols = cone.scaling_pattern()
+        self.n, self.size = n, n + p
+        self.cone, self.reg = cone, reg
+        g = self.g_mat = g_mat.tocsr()
+        self.gt_mat = g.T.tocsr()
+        h_rows, h_cols = cone.scaling_pattern()
+        k, pa = _entries(g.indptr, h_rows)
+        t, pb = _entries(g.indptr, h_cols[k])
+        self._h_index, pa = k[t], pa[t]
+        self._coef = g.data[pa] * g.data[pb]
+        a = a_mat.tocoo()
         diag = np.arange(self.size)
-        off = n + p
-        self.reg = np.concatenate([np.full(n, reg), np.full(p, -reg), np.full(cone.dim, -reg)])
-        self._rows = np.concatenate([n + a.row, a.col, off + g.row, g.col, diag, off + w_rows])
-        self._cols = np.concatenate([a.col, n + a.row, g.col, off + g.row, diag, off + w_cols])
-        self._static_vals = np.concatenate([a.data, a.data, g.data, g.data, self.reg])
-        # KKT row and column at each position of the factored matrix
+        self._rows = np.concatenate([diag, n + a.row, a.col, g.indices[pa]])
+        self._cols = np.concatenate([diag, a.col, n + a.row, g.indices[pb]])
+        self._static_vals = np.concatenate([np.zeros(n), np.full(p, -reg), a.data, a.data])
+        # program row and column at each position of the factored matrix
         self.order = diag
         self.lu = None
-        self._ordered = False
         self._lay_out()
 
     def _lay_out(self):
@@ -333,40 +337,50 @@ class _KKT:
         n_static = len(self._static_vals)
         self._static = np.bincount(slots[:n_static], weights=self._static_vals,
                                    minlength=len(uniq))
-        self._w_slots = slots[n_static:]
+        self._diag = slots[: self.n]
+        self._h_slots = slots[n_static:]
         indptr = np.searchsorted(uniq // self.size, np.arange(self.size + 1))
         self.mat = sp.csc_matrix((self._static.copy(), uniq % self.size, indptr),
                                  shape=(self.size, self.size))
 
-    def assemble(self, w):
-        """Write the values ``w`` of W (in the cone's scaling pattern order)."""
-        data = self.mat.data
-        data[:] = self._static
-        data[self._w_slots] -= w
+    def assemble(self, hvals):
+        """Write N + D for the values ``hvals`` of H (in the cone's scaling
+        pattern order); ``diag_reg`` keeps the regularization in the factored
+        matrix's order."""
+        self.hvals = hvals
+        n0 = np.bincount(self._h_slots, weights=self._coef * hvals[self._h_index],
+                         minlength=len(self._static))
+        delta = self.reg + _REG_REL * np.abs(n0[self._diag])
+        self.mat.data[:] = self._static + n0
+        self.mat.data[self._diag] += delta
+        reg = np.concatenate([delta, np.full(self.size - self.n, -self.reg)])
+        self.diag_reg = reg[self.order]
 
-    def factor(self, w):
+    def factor(self, hvals):
         """Assemble and factor; raises RuntimeError on a singular matrix."""
-        if self.lu is not None and not self._ordered:
-            self.order = self.order[np.argsort(self.lu.perm_c)]
-            self._ordered = True
+        if self.lu is None:
+            self.assemble(hvals)
+            first = spla.splu(self.mat, permc_spec="MMD_AT_PLUS_A", **_PIVOTS)
+            self.order = np.argsort(first.perm_c)
             self._lay_out()
-        self.assemble(w)
-        self.lu = spla.splu(self.mat, permc_spec="NATURAL" if self._ordered else "MMD_AT_PLUS_A",
-                            diag_pivot_thresh=_DIAG_PIVOT_THRESH,
-                            options=dict(SymmetricMode=True))
+        self.assemble(hvals)
+        self.lu = spla.splu(self.mat, permc_spec="NATURAL", **_PIVOTS)
 
-    def solve(self, rhs):
-        """Solve against the unregularized matrix: a regularized solve and two
-        steps of iterative refinement."""
+    def solve(self, r1, r2, hr3):
+        """(dx, dy, dz) solving the unregularized KKT system for the
+        right-hand side (r1, r2, r3), given ``hr3`` = H r3: a regularized
+        solve of the normal equations, two steps of iterative refinement
+        against N, then dz = H G dx - H r3, which meets the cone row exactly."""
         q = self.order
-        r = rhs[q]
-        reg = self.reg[q]
-        sol = self.lu.solve(r)
+        rhs = np.concatenate([r1 + self.gt_mat @ hr3, r2])[q]
+        sol = self.lu.solve(rhs)
         for _ in range(2):
-            sol = sol + self.lu.solve(r - (self.mat @ sol - reg * sol))
+            sol = sol + self.lu.solve(rhs - (self.mat @ sol - self.diag_reg * sol))
         out = np.empty_like(sol)
         out[q] = sol
-        return out
+        dx = out[: self.n]
+        dz = self.cone.apply_scaling(self.hvals, self.g_mat @ dx) - hr3
+        return dx, out[self.n:], dz
 
 
 def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
@@ -387,8 +401,8 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
     p = len(b)
     cone = _Cone(prog.n_ineq, prog.n_cones)
     at_mat = a_mat.T.tocsr()
-    gt_mat = g_mat.T.tocsr()
-    kkt = _KKT(a_mat, g_mat, cone, opts.regularization)
+    kkt = _NormalEquations(a_mat, g_mat, cone, opts.regularization)
+    gt_mat = kkt.gt_mat
 
     x = np.zeros(n)
     y = np.zeros(p)
@@ -481,23 +495,20 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
                 x, s = x / dt, s / dt
                 return make_solution(DUAL_INFEASIBLE, pres, dres, gap, np.nan)
 
-        w = cone.scaling_inverse(s, z, mu)
+        hvals = cone.scaling(s, z, mu)
         try:
-            kkt.factor(w)
+            kkt.factor(hvals)
         except RuntimeError:
             return failure()
+        h_rz = cone.apply_scaling(hvals, rz)
 
-        def kkt_solve(r1, r2, r3):
-            sol = kkt.solve(np.concatenate([r1, r2, r3]))
-            return sol[:n], sol[n: n + p], sol[n + p:]
-
-        dx2, dy2, dz2 = kkt_solve(-c, b, h)
+        dx2, dy2, dz2 = kkt.solve(-c, b, cone.apply_scaling(hvals, h))
 
         def direction(sigma):
             eta = 1.0 - sigma
             psi = cone.complementarity_target(s, z, sigma, mu)
-            dx1, dy1, dz1 = kkt_solve(-eta * rx, -eta * ry,
-                                      -eta * rz + cone.apply_scaling(w, psi))
+            # H r3 for r3 = -eta rz + H^-1 psi
+            dx1, dy1, dz1 = kkt.solve(-eta * rx, -eta * ry, -eta * h_rz + psi)
             t1 = float(c @ dx1 + b @ dy1 + h @ dz1)
             t2 = float(c @ dx2 + b @ dy2 + h @ dz2)
             rhs4 = -eta * rtau + (kappa - sigma * mu / tau)
@@ -509,7 +520,7 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
             dy = dy1 + dtau * dy2
             dz = dz1 + dtau * dz2
             # from the primal row, so G x + s - h tau follows its (1 - alpha
-            # eta) path exactly; -W (dz + psi) equals it only up to the
+            # eta) path exactly; -H^-1 (dz + psi) equals it only up to the
             # solve's error, which piles up once the residual is tiny
             ds = -eta * rz - g_mat @ dx + h * dtau
             dkappa = -(kappa - sigma * mu / tau) - (kappa / tau) * dtau
@@ -536,9 +547,10 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
                 dx, dy, dz, ds, dtau, dkappa = step
                 alpha = _step_length(cone, s, ds, z, dz, tau, dtau, kappa,
                                      dkappa, opts.frac_to_boundary, opts.min_step)
-            if alpha <= opts.min_step:
+            if alpha <= opts.min_step and (polish_left is not None or recenters_left == 0):
                 return failure()
-        stalls = stalls + 1 if alpha <= 1e-6 else 0
+        # no step at all, before convergence, is rescued by a recenter at once
+        stalls = 2 if alpha <= opts.min_step else stalls + 1 if alpha <= 1e-6 else 0
         recenter = stalls >= 2 and polish_left is None and recenters_left > 0
         trace[-1].update(alpha=alpha, sigma=sigma, recentered=recenter)
         if stalls >= 2 and polish_left is not None:

@@ -22,7 +22,8 @@ from rlogit.conic.solver import (
     solve,
 )
 from rlogit.generators import random_geometric_network
-from rlogit.simulate import generate_observations
+from rlogit.network import build_network
+from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
 
 def _single_cone_program():
@@ -226,7 +227,7 @@ def test_polish_ends_on_stall_without_recentering(monkeypatch, forced_step):
     # count iterations by their one scaling computation; from the first
     # in-tolerance iterate on, every step search finds a stalled step
     iterations = []
-    real_scaling, real_step = solver._Cone.scaling_inverse, solver._step_length
+    real_scaling, real_step = solver._Cone.scaling, solver._step_length
 
     def counting_scaling(self, *args):
         iterations.append(None)
@@ -235,7 +236,7 @@ def test_polish_ends_on_stall_without_recentering(monkeypatch, forced_step):
     def stalled_step(*args):
         return forced_step if len(iterations) >= converged else real_step(*args)
 
-    monkeypatch.setattr(solver._Cone, "scaling_inverse", counting_scaling)
+    monkeypatch.setattr(solver._Cone, "scaling", counting_scaling)
     monkeypatch.setattr(solver, "_step_length", stalled_step)
     sol = solve(prog, opts)
     assert sol.status == OPTIMAL
@@ -245,59 +246,139 @@ def test_polish_ends_on_stall_without_recentering(monkeypatch, forced_step):
     assert len(sol.trace) < len(free.trace)
 
 
+def test_blocked_step_before_convergence_recenters(monkeypatch):
+    # no step at all in the third iteration, centering step included: the
+    # dual iterate is recentered at once instead of ending the solve
+    iterations = []
+    real_scaling, real_step = solver._Cone.scaling, solver._step_length
+
+    def counting_scaling(self, *args):
+        iterations.append(None)
+        return real_scaling(self, *args)
+
+    def blocked_step(*args):
+        return 0.0 if len(iterations) == 3 else real_step(*args)
+
+    monkeypatch.setattr(solver._Cone, "scaling", counting_scaling)
+    monkeypatch.setattr(solver, "_step_length", blocked_step)
+    sol = solve(_logsumexp_program())
+    assert sol.status == OPTIMAL
+    assert sol.trace[2]["alpha"] == 0.0 and sol.trace[2]["recentered"] is True
+    assert abs(sol.x[0] - math.log(math.e + math.e ** 2)) <= 1e-6
+
+
 def _interior_pair(cone, rng, scale):
     s = cone.init_point() * (1.0 + 0.05 * rng.random(cone.dim))
     return s, -scale * cone.grad(s)
 
 
-def _bmat_kkt(prog, w_mat, reg):
+def _scaling_matrix(cone, hvals):
+    rows, cols = cone.scaling_pattern()
+    return sp.csr_matrix((hvals, (rows, cols)), shape=(cone.dim, cone.dim))
+
+
+def _normal_matrix(prog, h_mat, reg):
+    """[[N, A'], [A, 0]] and its regularized form, with N = G' H G, by scipy."""
     a_mat, g_mat = prog.a_eq, prog.g_mat
-    n, p, m = prog.n_vars, a_mat.shape[0], g_mat.shape[0]
-    kkt = sp.bmat([[None, a_mat.T, g_mat.T], [a_mat, None, None], [g_mat, None, -w_mat]],
-                  format="csc")
-    reg_vec = np.concatenate([np.full(n, reg), np.full(p, -reg), np.full(m, -reg)])
-    return kkt, kkt + sp.diags(reg_vec, format="csc")
+    n0 = (g_mat.T @ h_mat @ g_mat).tocsc()
+    plain = sp.bmat([[n0, a_mat.T], [a_mat, sp.csc_matrix((a_mat.shape[0],) * 2)]],
+                    format="csc")
+    delta = np.concatenate([reg + solver._REG_REL * np.abs(n0.diagonal()),
+                            np.full(a_mat.shape[0], -reg)])
+    return plain, (plain + sp.diags(delta)).tocsc()
 
 
-@pytest.mark.parametrize("make_prog", [_ecp_program, _pure_lp, _logsumexp_program])
+_PROGRAMS = [_ecp_program, _pure_lp, _logsumexp_program]
+
+
+@pytest.mark.parametrize("make_prog", _PROGRAMS)
 def test_kkt_pattern_assembly_matches_block_assembly(make_prog):
     prog = make_prog()
     cone = solver._Cone(prog.n_ineq, prog.n_cones)
     reg = SolverOptions().regularization
-    kkt = solver._KKT(prog.a_eq, prog.g_mat, cone, reg)
-    rows, cols = cone.scaling_pattern()
+    kkt = solver._NormalEquations(prog.a_eq, prog.g_mat, cone, reg)
     rng = np.random.default_rng(0)
     for scale in (1.0, 1e-3):
-        w = cone.scaling_inverse(*_interior_pair(cone, rng, scale), scale)
-        w_mat = sp.csr_matrix((w, (rows, cols)), shape=(cone.dim, cone.dim))
-        kkt.assemble(w)
-        _, expected = _bmat_kkt(prog, w_mat, reg)
-        np.testing.assert_array_equal(kkt.mat.toarray(), expected.toarray())
+        hvals = cone.scaling(*_interior_pair(cone, rng, scale), scale)
+        h_mat = _scaling_matrix(cone, hvals)
+        kkt.assemble(hvals)
+        _, expected = _normal_matrix(prog, h_mat, reg)
+        # equal up to the order in which products are summed
+        np.testing.assert_allclose(kkt.mat.toarray(), expected.toarray(), rtol=1e-15, atol=0)
         v = rng.standard_normal(cone.dim)
-        np.testing.assert_allclose(cone.apply_scaling(w, v), w_mat @ v, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(cone.apply_scaling(hvals, v), h_mat @ v,
+                                   rtol=1e-14, atol=1e-14)
 
 
 def test_kkt_solve_with_reused_ordering_matches_fresh_factorization():
-    prog = _ecp_program()
-    cone = solver._Cone(prog.n_ineq, prog.n_cones)
     reg = SolverOptions().regularization
-    kkt = solver._KKT(prog.a_eq, prog.g_mat, cone, reg)
-    rows, cols = cone.scaling_pattern()
-    rng = np.random.default_rng(1)
-    kkt.factor(cone.scaling_inverse(*_interior_pair(cone, rng, 1.0), 1.0))
-    first_order = kkt.order.copy()
-    # the second factorization lays the pattern out in the first one's order
-    w = cone.scaling_inverse(*_interior_pair(cone, rng, 1e-2), 1e-2)
-    kkt.factor(w)
-    assert not np.array_equal(kkt.order, first_order)
-    rhs = rng.standard_normal(kkt.size)
-    got = kkt.solve(rhs)
+    for make_prog in _PROGRAMS:
+        prog = make_prog()
+        n, p = prog.n_vars, prog.a_eq.shape[0]
+        cone = solver._Cone(prog.n_ineq, prog.n_cones)
+        kkt = solver._NormalEquations(prog.a_eq, prog.g_mat, cone, reg)
+        rng = np.random.default_rng(1)
+        kkt.factor(cone.scaling(*_interior_pair(cone, rng, 1.0), 1.0))
+        first_order = kkt.order.copy()
+        assert make_prog is not _ecp_program or not np.array_equal(first_order, np.arange(n))
+        # the first factorization laid the pattern out in its minimum-degree
+        # order; the second keeps that layout
+        hvals = cone.scaling(*_interior_pair(cone, rng, 1e-2), 1e-2)
+        kkt.factor(hvals)
+        np.testing.assert_array_equal(kkt.order, first_order)
+        h_mat = _scaling_matrix(cone, hvals)
+        r1, r2, r3 = rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(cone.dim)
+        dx, dy, dz = kkt.solve(r1, r2, h_mat @ r3)
 
-    w_mat = sp.csr_matrix((w, (rows, cols)), shape=(cone.dim, cone.dim))
-    plain, regularized = _bmat_kkt(prog, w_mat, reg)
-    lu = spla.splu(regularized)
-    want = lu.solve(rhs)
-    for _ in range(2):
-        want = want + lu.solve(rhs - plain @ want)
-    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10 * np.max(np.abs(want)))
-    assert np.max(np.abs(plain @ got - rhs)) <= 1e-8 * np.max(np.abs(rhs))
+        plain, regularized = _normal_matrix(prog, h_mat, reg)
+        rhs = np.concatenate([r1 + prog.g_mat.T @ (h_mat @ r3), r2])
+        lu = spla.splu(regularized)
+        want = lu.solve(rhs)
+        for _ in range(2):
+            want = want + lu.solve(rhs - plain @ want)
+        np.testing.assert_allclose(np.concatenate([dx, dy]), want, rtol=1e-8,
+                                   atol=1e-10 * np.max(np.abs(want)))
+
+        # (dx, dy, dz) solves the unregularized KKT system with W = H^-1
+        w_mat = np.linalg.inv(h_mat.toarray())
+        full = sp.bmat([[None, prog.a_eq.T, prog.g_mat.T], [prog.a_eq, None, None],
+                        [prog.g_mat, None, -w_mat]], format="csr")
+        full_rhs = np.concatenate([r1, r2, r3])
+        residual = full @ np.concatenate([dx, dy, dz]) - full_rhs
+        assert np.max(np.abs(residual)) <= 1e-8 * np.max(np.abs(full_rhs))
+
+
+def _one_arc_program():
+    # one state, one arc: G has rank 2 on 3 variables
+    net = build_network(["s0", "d"], "d", [("s0", "d", [2.0])], ["cost"])
+    obs = ObservationSet(net, [make_observation(net, ["s0", "d"])])
+    return builder.build_ecp(net, builder.group_observations(obs))[0]
+
+
+class _CountingLinalg:
+    """Stands in for ``scipy.sparse.linalg`` in the solver module and keeps
+    the shape of every matrix passed to ``splu``."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def splu(self, mat, *args, **kwargs):
+        self.shapes.append(mat.shape)
+        return spla.splu(mat, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+@pytest.mark.parametrize("make_prog", [_one_arc_program, _logsumexp_program])
+def test_factored_system_has_one_row_per_variable_and_equality(monkeypatch, make_prog):
+    prog = make_prog()
+    linalg = _CountingLinalg()
+    monkeypatch.setattr(solver, "spla", linalg)
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    size = prog.n_vars + prog.a_eq.shape[0]
+    assert set(linalg.shapes) == {(size, size)}
+    # the minimum-degree ordering call, then one factorization per iteration
+    # that searched for a step
+    assert len(linalg.shapes) == 1 + sum("alpha" in r for r in sol.trace)

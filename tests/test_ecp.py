@@ -1,9 +1,12 @@
 """ECP builder: program shape, exactness, recovery, monotone tightening."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rlogit import core, trim
+from rlogit import core, nfxp, trim
 from rlogit.conic import builder
 from rlogit.conic.solver import OPTIMAL, PRIMAL_INFEASIBLE, solve
 from rlogit.errors import (
@@ -12,10 +15,10 @@ from rlogit.errors import (
     UnreachableStateWithoutFix,
 )
 from rlogit.generators import random_geometric_network
-from rlogit.network import build_network, ensure_connectivity
+from rlogit.network import build_network, ensure_connectivity, enumerate_paths
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
-from conftest import _dense_cyclic_instance, make_infeasible_net
+from conftest import _dense_cyclic_instance, dag_samples, make_infeasible_net
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 
@@ -146,21 +149,11 @@ def trimmed_dense():
     return net, beta_sim, trim.trim_quantile(net, trim.flow_vector(net, beta_sim, "s0"), 0.9)
 
 
-# s30 keeps a 1.1e-6 to 1.8e-6 slack on these samples: polishing stalls (2)
-# or runs out of its 25 iterations (6, 24) before complementarity is small
-# enough.  Which samples miss depends on rounding in the KKT solves: 7 of
-# path seeds 100-199 miss, with the symmetric ordering and with SuperLU's
-# default ordering and partial pivoting alike.
-_SLACK_AFTER_POLISH = pytest.mark.xfail(
-    strict=True, raises=BindingViolation,
-    reason="s30 Bellman slack above 1e-6 after the 25 polish iterations")
-
-
-@pytest.mark.parametrize("path_seed", [
-    1, pytest.param(2, marks=_SLACK_AFTER_POLISH), 4, 5,
-    pytest.param(6, marks=_SLACK_AFTER_POLISH), 7, 9, 11, 23,
-    pytest.param(24, marks=_SLACK_AFTER_POLISH), 25,
-])
+# 2, 6 and 24 kept a 1.1e-6 to 1.8e-6 slack at s30 while each step factored
+# the full KKT matrix (polishing stalled on 2 and ran out of its 25
+# iterations on 6 and 24); with the normal-equation step all three bind, as
+# do path seeds 100-199, of which 7 missed before
+@pytest.mark.parametrize("path_seed", [1, 2, 4, 5, 6, 7, 9, 11, 23, 24, 25])
 def test_trimmed_dense_instance_binds_on_first_solve(trimmed_dense, path_seed):
     # the rarely visited state s30 kept a few-1e-6 Bellman slack on 1, 9 and
     # 11 while polishing stopped at the first out-of-tolerance iterate, and on
@@ -267,3 +260,38 @@ def test_estimate_ecp_reports_binding_retry(monkeypatch):
     assert res.trace == solves[0].trace + solves[1].trace
     assert len(res.trace) == len(solves[0].trace) + len(solves[1].trace)
     assert res.iterations == len(res.trace)
+
+
+def _min_information(net, beta, obs):
+    """Smallest eigenvalue of the Fisher information per observation at
+    ``beta``: the covariance of the path attribute totals under the model,
+    averaged over the observed origins.  Near zero, the likelihood is flat in
+    some direction of beta, and two maximizers can differ while both meet
+    their tolerances."""
+    spec = core.UtilitySpec(beta)
+    vf, _ = core.solve_value_linear(net, spec)
+    info = np.zeros((net.n_attributes, net.n_attributes))
+    for origin, count in Counter(ob.origin for ob in obs.observations).items():
+        paths = list(enumerate_paths(net, origin))
+        totals = np.array([net.attrs[[net.arc_id(u, v) for u, v in zip(p[:-1], p[1:])]].sum(0)
+                           for p in paths])
+        prob = np.exp([core.path_log_prob(net, spec, vf, p) for p in paths])
+        dev = totals - prob @ totals
+        info += count * (dev.T * prob) @ dev
+    return np.linalg.eigvalsh(info / len(obs))[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples(), st.integers(0, 10**6))
+def test_ecp_matches_nfxp_on_generated_dags(sample, path_seed):
+    # the acceptance gate's tolerances, on 300 paths of a generated DAG whose
+    # likelihood is curved where NFXP ends: samples whose likelihood keeps
+    # rising towards infinite beta have no maximizer to agree on
+    net, _obs, beta, _mu = sample
+    obs = generate_observations(net, core.UtilitySpec(beta), ["s0", "s1"], 300, seed=path_seed)
+    r_nfxp = nfxp.estimate_nfxp(obs.net_by_group(), obs)
+    assume(_min_information(net, r_nfxp.beta_hat, obs) >= 0.01)
+    r_ecp = builder.estimate_ecp(obs.net_by_group(), obs)
+    assert r_nfxp.converged and r_ecp.status == OPTIMAL
+    assert abs(r_nfxp.loglik_per_obs - r_ecp.loglik_per_obs) <= 1e-4
+    assert np.max(np.abs(r_nfxp.beta_hat - r_ecp.beta_hat)) <= 1e-3
