@@ -150,8 +150,9 @@ def _estimators(methods, solver_opts):
         if name == "nfxp":
             table[name] = lambda nets, obs, b0: nfxp.estimate_nfxp(nets, obs, beta_init=b0)
         elif name == "ecp":
-            table[name] = lambda nets, obs, b0, so=solver_opts: builder.estimate_ecp(
-                nets, obs, beta_init=b0, opts=so
+            # the interior-point method takes no starting point
+            table[name] = lambda nets, obs, _b0, so=solver_opts: builder.estimate_ecp(
+                nets, obs, opts=so
             )
         elif name == "nrl":
             def run_nrl(nets, obs, b0):
@@ -384,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--network", required=True)
     e.add_argument("--observations", required=True)
     e.add_argument("--method", default="nfxp,ecp")
-    e.add_argument("--beta-init")
+    e.add_argument("--beta-init", help="comma-separated starting beta for NFXP and NRL "
+                   "(ECP takes no starting point)")
     e.add_argument("--init-from", help="warm start from a prior result JSON")
     e.add_argument("--runs", type=int, default=1)
     e.add_argument("--seed", type=int, default=0)

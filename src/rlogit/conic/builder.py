@@ -26,7 +26,7 @@ and attribute totals of the ObservationSet's sufficient statistics
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -226,39 +226,22 @@ def export_problem(prog: ConicProgram, path, fmt: str = "json") -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def estimate_ecp(net_by_group, observations, beta_init=None,
+def estimate_ecp(net_by_group, observations,
                  opts: cone_solver.SolverOptions | None = None) -> nfxp.EstimationResult:
     """One-shot conic estimation with the NFXP result interface.
 
-    ``beta_init`` is accepted for interface parity and ignored: the
-    interior-point method needs no starting parameter.  Status is Optimal on
-    success, otherwise the solver status verbatim.
-
-    When the recovered solution fails the binding check, the program is
-    solved once more with a 150-iteration polish phase.  ``iterations`` then
-    counts the iterations of both solves and ``trace`` holds both traces, the
-    first solve's records first.
+    The interior-point method needs no starting parameter.  Status is Optimal
+    on success, otherwise the solver status verbatim.  An Optimal solution
+    whose recovered value function fails the binding check raises
+    BindingViolation; the program is solved once.
     """
     start = time.perf_counter()
     groups = group_observations(observations)
     prog, layout = build_ecp(net_by_group, groups)
     sol = cone_solver.solve(prog, opts)
-    iterations, trace = sol.iterations, list(sol.trace)
     n_obs = max(len(observations), 1)
     if sol.status == cone_solver.OPTIMAL:
-        try:
-            beta_hat, values, _cert = recover_solution(prog, sol, layout, net_by_group)
-        except BindingViolation:
-            # a rarely-visited state can keep a few-1e-6 Bellman slack at the
-            # default polish budget (slack ~ complementarity / visit weight);
-            # re-solve with a longer polish phase before giving up
-            retry = replace(opts or cone_solver.SolverOptions(), polish_iters=150)
-            sol = cone_solver.solve(prog, retry)
-            iterations += sol.iterations
-            trace += sol.trace
-            if sol.status != cone_solver.OPTIMAL:
-                raise
-            beta_hat, values, _cert = recover_solution(prog, sol, layout, net_by_group)
+        beta_hat, _values, _cert = recover_solution(prog, sol, layout, net_by_group)
         loglik = sol.obj_val
     else:
         beta_hat = np.full(layout.n_beta, np.nan)
@@ -268,8 +251,8 @@ def estimate_ecp(net_by_group, observations, beta_init=None,
         loglik=loglik,
         loglik_per_obs=loglik / n_obs,
         status=sol.status,
-        iterations=iterations,
+        iterations=sol.iterations,
         gradient_norm=np.nan,
         wall_time=time.perf_counter() - start,
-        trace=trace,
+        trace=sol.trace,
     )

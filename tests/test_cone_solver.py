@@ -1,16 +1,18 @@
 """Interior-point solver: toy optima, certificates, determinism."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
 import scipy.sparse.linalg as spla
 
 from rlogit import core
 from rlogit.conic import builder, solver
-from rlogit.conic.program import ConicProgram, exp_cone_contains
+from rlogit.conic.program import ConicProgram, dual_exp_cone_contains, exp_cone_contains
 from rlogit.conic.solver import (
     DUAL_INFEASIBLE,
     MAX_ITERS,
@@ -246,6 +248,19 @@ def test_polish_ends_on_stall_without_recentering(monkeypatch, forced_step):
     assert len(sol.trace) < len(free.trace)
 
 
+def test_polish_ends_when_complementarity_stops_falling():
+    # with the primal-dual direction the complementarity reaches its rounding
+    # floor a few iterations after convergence; polishing ends there, not at
+    # the end of its budget, and not on stalled steps
+    opts = SolverOptions()
+    sol = solve(_ecp_program(), opts)
+    converged = next(r["iter"] for r in sol.trace if max(r["pres"], r["dres"]) <= opts.tol_feas
+                     and r["gap"] <= opts.tol_gap)
+    assert sol.status == OPTIMAL
+    assert sol.iterations < converged + opts.polish_iters
+    assert all(r["alpha"] > 1e-6 for r in sol.trace[converged - 1:-1])
+
+
 def test_blocked_step_before_convergence_recenters(monkeypatch):
     # no step at all in the third iteration, centering step included: the
     # dual iterate is recentered at once instead of ending the solve
@@ -268,8 +283,14 @@ def test_blocked_step_before_convergence_recenters(monkeypatch):
 
 
 def _interior_pair(cone, rng, scale):
+    # z off the central path, so the primal-dual blocks of the scaling are used
     s = cone.init_point() * (1.0 + 0.05 * rng.random(cone.dim))
-    return s, -scale * cone.grad(s)
+    return s, -scale * cone.grad(s) * (1.0 + 0.05 * rng.random(cone.dim))
+
+
+def _scaling_at(cone, rng, scale):
+    s, z = _interior_pair(cone, rng, scale)
+    return cone.scaling(solver._Barrier(cone, s), z, scale)
 
 
 def _scaling_matrix(cone, hvals):
@@ -299,7 +320,7 @@ def test_kkt_pattern_assembly_matches_block_assembly(make_prog):
     kkt = solver._NormalEquations(prog.a_eq, prog.g_mat, cone, reg)
     rng = np.random.default_rng(0)
     for scale in (1.0, 1e-3):
-        hvals = cone.scaling(*_interior_pair(cone, rng, scale), scale)
+        hvals = _scaling_at(cone, rng, scale)
         h_mat = _scaling_matrix(cone, hvals)
         kkt.assemble(hvals)
         _, expected = _normal_matrix(prog, h_mat, reg)
@@ -318,12 +339,12 @@ def test_kkt_solve_with_reused_ordering_matches_fresh_factorization():
         cone = solver._Cone(prog.n_ineq, prog.n_cones)
         kkt = solver._NormalEquations(prog.a_eq, prog.g_mat, cone, reg)
         rng = np.random.default_rng(1)
-        kkt.factor(cone.scaling(*_interior_pair(cone, rng, 1.0), 1.0))
+        kkt.factor(_scaling_at(cone, rng, 1.0))
         first_order = kkt.order.copy()
         assert make_prog is not _ecp_program or not np.array_equal(first_order, np.arange(n))
         # the first factorization laid the pattern out in its minimum-degree
         # order; the second keeps that layout
-        hvals = cone.scaling(*_interior_pair(cone, rng, 1e-2), 1e-2)
+        hvals = _scaling_at(cone, rng, 1e-2)
         kkt.factor(hvals)
         np.testing.assert_array_equal(kkt.order, first_order)
         h_mat = _scaling_matrix(cone, hvals)
@@ -382,3 +403,174 @@ def test_factored_system_has_one_row_per_variable_and_equality(monkeypatch, make
     # the minimum-degree ordering call, then one factorization per iteration
     # that searched for a step
     assert len(linalg.shapes) == 1 + sum("alpha" in r for r in sol.trace)
+
+
+# --- cone calculus ------------------------------------------------------------
+
+_log_scale = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _primal_points(draw):
+    """Interior points (x, y, z) of the exponential cone with margin
+    psi = y log(z/y) - x in [e^-5, e^2]."""
+    y, z, m = (math.exp(draw(_log_scale)), math.exp(draw(_log_scale)),
+               math.exp(draw(st.floats(-5.0, 2.0))))
+    return np.array([y * math.log(z / y) - m, y, z])
+
+
+@st.composite
+def _dual_points(draw):
+    """Interior points (u, v, w) of the dual cone with margin
+    log w + 1 - log(-u) - v/u in [e^-5, e^2]."""
+    u, w, rho = (-math.exp(draw(_log_scale)), math.exp(draw(_log_scale)),
+                 math.exp(draw(st.floats(-5.0, 2.0))))
+    return np.array([u, u * (math.log(w) + 1.0 - math.log(-u) - rho), w])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dual_points())
+def test_shadow_point_inverts_the_barrier_gradient(z):
+    s_tilde = solver._exp_shadow(z[None, :])
+    assert dual_exp_cone_contains(z) and exp_cone_contains(s_tilde[0])
+    back = -solver._Cone(0, 1).grad(s_tilde.ravel())
+    np.testing.assert_allclose(back, z, rtol=0, atol=1e-11 * np.max(np.abs(z)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_primal_points(), _dual_points(), st.floats(1e-3, 10.0))
+def test_primal_dual_scaling_maps_both_points(s, z, mu):
+    cone = solver._Cone(0, 1)
+    bar = solver._Barrier(cone, s)
+    s_tilde, z_tilde = solver._exp_shadow(z[None, :])[0], -bar.grad
+    # off the central path, where the cone keeps mu hess F(s) instead
+    assume(abs((s @ z) * (s_tilde @ z_tilde) / 9.0 - 1.0) > 1e-6)
+    h = cone.scaling(bar, z, mu).reshape(3, 3)
+    np.testing.assert_array_equal(h, h.T)
+    assert np.linalg.eigvalsh(h)[0] > 0
+    norm = np.max(np.abs(h))
+    assert np.max(np.abs(h @ s - z)) <= 1e-13 * norm * np.max(np.abs(s))
+    assert np.max(np.abs(h @ s_tilde - z_tilde)) <= 1e-13 * norm * np.max(np.abs(s_tilde))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_primal_points(), st.floats(1e-6, 10.0))
+def test_scaling_on_the_central_path_is_the_barrier_hessian(s, mu):
+    cone = solver._Cone(0, 1)
+    bar = solver._Barrier(cone, s)
+    h = cone.scaling(bar, -mu * bar.grad, mu)
+    np.testing.assert_array_equal(h, (mu * bar.hess()).ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_primal_points(), st.integers(0, 2**32 - 1))
+def test_closed_form_inverse_hessian_matches_linear_solve(s, seed):
+    bar = solver._Barrier(solver._Cone(0, 1), s)
+    hess = bar.hess()[0]
+    assume(np.linalg.cond(hess) < 1e6)
+    b = np.random.default_rng(seed).standard_normal((1, 3))
+    w = bar.hess_inv(b)[0]
+    np.testing.assert_allclose(w, np.linalg.solve(hess, b[0]), rtol=1e-9,
+                               atol=1e-9 * np.max(np.abs(w)))
+
+
+def _late_iterates(prog, count=5):
+    """The slacks of the last ``count`` iterations of a solve of ``prog``."""
+    slacks = []
+    real = solver._Barrier
+
+    def keep(cone, s):
+        slacks.append(s.copy())
+        return real(cone, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_Barrier", keep)
+        assert solve(prog).status == OPTIMAL
+    return slacks[-count:]
+
+
+def test_closed_form_inverse_hessian_at_late_iterates():
+    # late in a solve hess F's condition number is far beyond 1e12, where a
+    # numerical inverse fails; the closed form is still backward stable for
+    # the barrier's own Hessian (built from its float psi and checked in
+    # extended precision): |H w - b| <= 1e-13 (|H| |w| + |b|) on every cone
+    prog = _ecp_program()
+    cone = solver._Cone(prog.n_ineq, prog.n_cones)
+    rng = np.random.default_rng(2)
+    worst_cond = 0.0
+    for s in _late_iterates(prog):
+        bar = solver._Barrier(cone, s)
+        wide = copy.copy(bar)
+        for name, value in vars(bar).items():
+            if isinstance(value, np.ndarray):
+                setattr(wide, name, value.astype(np.longdouble))
+        hess = wide.hess()
+        worst_cond = max(worst_cond, float(np.max(np.linalg.cond(bar.hess()))))
+        b = rng.standard_normal((cone.ne, 3))
+        w = bar.hess_inv(b)
+        residual = np.einsum("nij,nj->ni", hess, w.astype(np.longdouble)) - b
+        scale = (np.max(np.sum(np.abs(hess), axis=2), axis=1) * np.max(np.abs(w), axis=1)
+                 + np.max(np.abs(b), axis=1))
+        assert np.max(np.max(np.abs(residual), axis=1) / scale) <= 1e-13
+    assert worst_cond > 1e12
+
+
+@settings(max_examples=100, deadline=None)
+@given(_primal_points(), st.integers(0, 2**32 - 1))
+def test_third_derivative_matches_differences_of_the_hessian(s, seed):
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal((2, 1, 3))
+    cone = solver._Cone(0, 1)
+    step = 1e-5 * min(1.0, float(solver._exp_primal_margin(s)))
+    diff = (solver._Barrier(cone, s + step * u[0]).hess()[0]
+            - solver._Barrier(cone, s - step * u[0]).hess()[0]) / (2 * step)
+    third = solver._Barrier(cone, s).third(u, v)[0]
+    np.testing.assert_allclose(third, diff @ v[0], rtol=0, atol=1e-4 * np.max(np.abs(third)))
+
+
+# --- step search --------------------------------------------------------------
+
+
+def _backtracking_step(cone, s, ds, z, dz, tau, dtau, kappa, dkappa, ftb, min_step):
+    """The step search as a plain backtracking loop that re-checks every
+    cone at each trial alpha *= 0.8."""
+    alpha = 1.0 / ftb
+    for val, dval in ((tau, dtau), (kappa, dkappa)):
+        if dval < 0:
+            alpha = min(alpha, -val / dval)
+    alpha = min(alpha, cone.max_linear_step(s, ds), cone.max_linear_step(z, dz))
+    alpha = min(1.0, ftb * alpha)
+    pm, dm = cone.margins(s, z)
+    while alpha > min_step:
+        p_floor = (1.0 - ftb) * pm * alpha if np.isfinite(pm) else 0.0
+        d_floor = (1.0 - ftb) * dm * alpha if np.isfinite(dm) else 0.0
+        (lin_s, es), (lin_z, ez) = cone.split(s + alpha * ds), cone.split(z + alpha * dz)
+        with np.errstate(all="ignore"):
+            if (np.all(lin_s > 0) and np.all(lin_z > 0)
+                    and np.all(es[:, 1] > 0) and np.all(es[:, 2] > 0)
+                    and np.all(solver._exp_primal_margin(es) > p_floor)
+                    and np.all(ez[:, 0] < 0) and np.all(ez[:, 2] > 0)
+                    and np.all(solver._exp_dual_margin(ez) > d_floor)):
+                return alpha
+        alpha *= 0.8
+    return 0.0
+
+
+@pytest.mark.parametrize("l, ne", [(0, 40), (6, 0), (6, 40)])
+def test_step_search_matches_backtracking_loop(l, ne):
+    cone = solver._Cone(l, ne)
+    rng = np.random.default_rng(l + ne)
+    found = set()
+    for trial in range(300):
+        s, z = _interior_pair(cone, rng, 10.0 ** rng.uniform(-6, 0))
+        scale = 10.0 ** rng.uniform(-2, 11)
+        ds, dz = scale * rng.standard_normal((2, cone.dim))
+        tau, kappa = 10.0 ** rng.uniform(-3, 1, 2)
+        dtau, dkappa = rng.standard_normal(2)
+        args = (cone, s, ds, z, dz, tau, dtau, kappa, dkappa,
+                (1.0, 0.99)[trial % 2], SolverOptions().min_step)
+        alpha = solver._step_length(*args, cone.margins(s, z))
+        assert alpha == _backtracking_step(*args)
+        found.add(alpha)
+    # short and full steps, and no step at all, were all covered
+    assert 0.0 in found and 1.0 in found and len(found) > 30

@@ -172,6 +172,29 @@ def test_trimmed_dense_instance_binds_on_first_solve(trimmed_dense, path_seed):
     assert max(float(np.max(np.abs(r))) for r in cert.values()) <= 1e-6
 
 
+def test_full_dense_instance_reaches_optimal():
+    # the whole criterion-08 dense instance, untrimmed: with the primal-only
+    # scaling mu hess F(s) the solve stopped at MaxIters after 200 iterations
+    net = _dense_cyclic_instance()
+    beta_sim = np.array([-2.2])
+    obs = generate_observations(net, core.UtilitySpec(beta_sim), "s0", 300, seed=8)
+    r_ecp = builder.estimate_ecp(obs.net_by_group(), obs)
+    r_nfxp = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=beta_sim)
+    assert r_ecp.status == OPTIMAL and r_nfxp.converged
+    assert abs(r_nfxp.loglik_per_obs - r_ecp.loglik_per_obs) <= 1e-4
+    assert np.max(np.abs(r_nfxp.beta_hat - r_ecp.beta_hat)) <= 1e-3
+
+
+def test_large_dag_solves_in_few_iterations():
+    # the 253-state DAG of the benchmark: 116 iterations with the
+    # primal-only scaling and no corrector
+    net = random_geometric_network(80, 0.18, seed=1)
+    assert net.n_states == 253
+    obs = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 3000, seed=7)
+    res = builder.estimate_ecp(obs.net_by_group(), obs)
+    assert res.status == OPTIMAL and res.iterations <= 60
+
+
 def test_infeasible_family_certified():
     for t in (0.0, 0.5, 1.0):
         net = make_infeasible_net(t)
@@ -236,30 +259,27 @@ def test_export_problem_formats(tmp_path):
         builder.export_problem(prog, tmp_path / "p.x", "mps")
 
 
-def test_estimate_ecp_reports_binding_retry(monkeypatch):
+def test_estimate_ecp_raises_binding_violation_without_retry(monkeypatch):
+    # one solve and one recovery: a binding failure is not hidden by a
+    # second, longer solve
     net = random_geometric_network(20, 0.35, seed=4)
     obs = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 300, seed=4)
     solves, recovers = [], []
-    real_solve, real_recover = builder.cone_solver.solve, builder.recover_solution
+    real_solve = builder.cone_solver.solve
 
     def counting_solve(*args, **kwargs):
         solves.append(real_solve(*args, **kwargs))
         return solves[-1]
 
-    def recover_failing_once(*args, **kwargs):
+    def failing_recover(*args, **kwargs):
         recovers.append(args)
-        if len(recovers) == 1:
-            raise BindingViolation("o", 2e-6)
-        return real_recover(*args, **kwargs)
+        raise BindingViolation("o", 2e-6)
 
     monkeypatch.setattr(builder.cone_solver, "solve", counting_solve)
-    monkeypatch.setattr(builder, "recover_solution", recover_failing_once)
-    res = builder.estimate_ecp(obs.net_by_group(), obs)
-    assert res.status == OPTIMAL and len(solves) == len(recovers) == 2
-    assert res.iterations == solves[0].iterations + solves[1].iterations
-    assert res.trace == solves[0].trace + solves[1].trace
-    assert len(res.trace) == len(solves[0].trace) + len(solves[1].trace)
-    assert res.iterations == len(res.trace)
+    monkeypatch.setattr(builder, "recover_solution", failing_recover)
+    with pytest.raises(BindingViolation):
+        builder.estimate_ecp(obs.net_by_group(), obs)
+    assert len(solves) == len(recovers) == 1 and solves[0].status == OPTIMAL
 
 
 def _min_information(net, beta, obs):
