@@ -27,6 +27,7 @@ from .network import (
     ensure_connectivity,
     enumerate_paths,
     load_network,
+    network_from_arrays,
     reachable_from,
     save_network,
 )

@@ -295,13 +295,17 @@ def validate_path(net: Network, path) -> list[int]:
         raise InvalidPath("path must contain at least one transition")
     if path[-1] != net.destination:
         raise InvalidPath(f"path must end at destination {net.destination!r}")
-    arcs = []
-    for u, w in zip(path[:-1], path[1:]):
+    try:
+        idx = [net.index[s] for s in path]
+        return [net.arc_lookup[pair] for pair in zip(idx[:-1], idx[1:])]
+    except (KeyError, TypeError):
+        pass
+    for u, w in zip(path[:-1], path[1:]):  # name the first pair that is no arc
         try:
-            arcs.append(net.arc_id(u, w))
+            net.arc_id(u, w)
         except Exception:
             raise InvalidPath(f"no arc {u!r} -> {w!r}") from None
-    return arcs
+    raise AssertionError("unreachable: some pair of the path is no arc")
 
 
 def path_attr_sum(net: Network, path) -> np.ndarray:

@@ -11,6 +11,12 @@ Three families are produced here:
 * composite-choice DAGs (binary-choice and multi-choice layouts) whose
   origin-to-destination paths are in bijection with selections of between L
   and U of m elemental alternatives.
+
+The geometric and layered generators build their arc tables as arrays (road
+arcs from ``np.nonzero``, successor blocks from one stable argsort, turn
+angles from one ``arctan2`` over all arc pairs), cut them to the
+origin-destination corridor with an index mask and hand the result to
+:func:`~rlogit.network.network_from_arrays` once.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import DisconnectedInstance, InvalidBounds, UnknownState
-from .network import Network, build_network, coreachable_to, reachable_from
+from .network import Network, _reach, build_network, network_from_arrays
 
 ROUTE_ATTRIBUTES = ("TT", "LT", "RT", "UT")
 
@@ -28,23 +34,34 @@ ORIGIN_STATE = "o"
 DEST_STATE = "d"
 
 
-def turn_indicators(angle_deg: float) -> tuple[float, float, float]:
-    """(LT, RT, UT) indicators for a signed turn angle in degrees.
+def turn_indicators(angle_deg):
+    """(LT, RT, UT) indicators for signed turn angles in degrees, a scalar or
+    an array.
 
     Left turns lie in [30, 150], right turns in [-150, -30], U-turns have
     absolute angle above 150.  Straight continuations fire nothing.
     """
-    lt = 1.0 if 30.0 <= angle_deg <= 150.0 else 0.0
-    rt = 1.0 if -150.0 <= angle_deg <= -30.0 else 0.0
-    ut = 1.0 if abs(angle_deg) > 150.0 else 0.0
+    a = np.asarray(angle_deg, dtype=float)
+    lt = ((30.0 <= a) & (a <= 150.0)).astype(float)
+    rt = ((-150.0 <= a) & (a <= -30.0)).astype(float)
+    ut = (np.abs(a) > 150.0).astype(float)
     return lt, rt, ut
 
 
-def _signed_angle_deg(v1, v2) -> float:
-    a = math.degrees(
-        math.atan2(v1[0] * v2[1] - v1[1] * v2[0], v1[0] * v2[0] + v1[1] * v2[1])
-    )
-    return a
+def _turn_angles(cross: np.ndarray, dot: np.ndarray) -> np.ndarray:
+    """Signed turn angles in degrees from the cross and dot products of
+    consecutive arc vectors.
+
+    np.arctan2 differs from math.atan2 by one ulp on some inputs, which can
+    flip an indicator at exactly +-30 or +-150 degrees; angles within 1e-9
+    degrees of a threshold are therefore recomputed with math.atan2, so the
+    indicators match the scalar computation on every input.
+    """
+    angle = np.degrees(np.arctan2(cross, dot))
+    near = np.abs(np.abs(angle)[:, None] - [30.0, 150.0]).min(axis=1, initial=np.inf) < 1e-9
+    for i in np.flatnonzero(near):
+        angle[i] = math.degrees(math.atan2(cross[i], dot[i]))
+    return angle
 
 
 def arc_state_id(i: int, j: int) -> str:
@@ -69,8 +86,9 @@ def random_geometric_network(
     zero-length arc into the origin node) and an absorbing destination state
     ``"d"``.  A transition to arc (j, k) carries TT equal to the arc length
     and LT/RT/UT turn indicators.  States not on any origin-to-destination
-    walk are dropped.  ``extra_attributes`` appends i.i.d. uniform [0, 1]
-    columns (used by parameter-count sweeps).
+    walk are dropped.  ``extra_attributes`` appends that many i.i.d. uniform
+    [0, 1] columns (used by parameter-count sweeps); it must be a
+    nonnegative integer.
 
     Raises DisconnectedInstance when the origin cannot reach the destination;
     the caller regenerates with a new seed.
@@ -79,75 +97,88 @@ def random_geometric_network(
         raise InvalidBounds("need at least 3 nodes")
     if not radius > 0:
         raise InvalidBounds("radius must be positive")
+    n_extra = int(extra_attributes)
+    if n_extra != extra_attributes or n_extra < 0:
+        raise InvalidBounds(
+            f"extra_attributes must be a nonnegative integer, got {extra_attributes!r}"
+        )
     rng = np.random.default_rng(seed)
     pos = rng.random((n_nodes, 2))
 
     origin_node = int(np.argmin(pos[:, 0]))
     dest_node = int(np.argmax(pos[:, 0]))
 
-    # all pairwise distances in one call; bitwise equal to per-pair np.hypot,
-    # so seeded networks do not change
+    # all pairwise distances in one call; bitwise equal to per-pair np.hypot
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    road_arcs: list[tuple[int, int]] = []
-    for i, j in zip(*np.nonzero(np.triu(dist <= radius, k=1))):
-        lo, hi = (int(i), int(j)) if pos[i, 0] <= pos[j, 0] else (int(j), int(i))
-        road_arcs.append((lo, hi))
-        if not acyclic:
-            road_arcs.append((hi, lo))
+    # road arcs (tail, head), edge by edge in row-major order, each oriented
+    # by x; the cyclic variant follows every arc with its reverse
+    ii, jj = np.nonzero(np.triu(dist <= radius, k=1))
+    forward = pos[ii, 0] <= pos[jj, 0]
+    lo, hi = np.where(forward, ii, jj), np.where(forward, jj, ii)
+    if acyclic:
+        tail, head = lo, hi
+    else:
+        tail, head = np.stack([lo, hi], 1).ravel(), np.stack([hi, lo], 1).ravel()
+    n_road = len(tail)
+    length = dist[tail, head]
 
-    def length(i, j):
-        return float(dist[i, j])
-
-    out_by_node: dict[int, list[tuple[int, int]]] = {}
-    for (i, j) in road_arcs:
-        out_by_node.setdefault(i, []).append((i, j))
-
-    states = [ORIGIN_STATE] + [arc_state_id(i, j) for i, j in road_arcs] + [DEST_STATE]
-    arcs = []
-    n_extra = int(extra_attributes)
-
-    def attr_vec(tt, lt, rt, ut):
-        base = [tt, lt, rt, ut]
-        if n_extra:
-            base.extend(rng.random(n_extra))
-        return np.asarray(base)
+    # road arcs leaving each node, in road order
+    out = np.argsort(tail, kind="stable")
+    out_deg = np.bincount(tail, minlength=n_nodes)
+    out_start = np.cumsum(out_deg) - out_deg
 
     # virtual origin: straight entry into each arc leaving the origin node
-    for (i, j) in out_by_node.get(origin_node, []):
-        arcs.append((ORIGIN_STATE, arc_state_id(i, j), attr_vec(length(i, j), 0, 0, 0)))
-    # arc-to-arc transitions
-    for (i, j) in road_arcs:
-        v1 = pos[j] - pos[i]
-        for (j2, k) in out_by_node.get(j, []):
-            v2 = pos[k] - pos[j]
-            ang = _signed_angle_deg(v1, v2)
-            lt, rt, ut = turn_indicators(ang)
-            arcs.append(
-                (arc_state_id(i, j), arc_state_id(j, k), attr_vec(length(j, k), lt, rt, ut))
-            )
+    entry = out[out_start[origin_node]:out_start[origin_node] + out_deg[origin_node]]
+    # arc-to-arc transitions: road arc r1 into each arc r2 leaving its head
+    fan = out_deg[head]
+    r1 = np.repeat(np.arange(n_road), fan)
+    offset = np.arange(len(r1)) - np.repeat(np.cumsum(fan) - fan, fan)
+    r2 = out[np.repeat(out_start[head], fan) + offset]
+    v1 = pos[head[r1]] - pos[tail[r1]]
+    v2 = pos[head[r2]] - pos[tail[r2]]
+    angle = _turn_angles(v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0],
+                         v1[:, 0] * v2[:, 0] + v1[:, 1] * v2[:, 1])
     # absorbing destination
-    for (i, j) in road_arcs:
-        if j == dest_node:
-            arcs.append((arc_state_id(i, j), DEST_STATE, attr_vec(0, 0, 0, 0)))
+    exits = np.flatnonzero(head == dest_node)
 
+    # state 0 is "o", road arc r is state r + 1, and "d" comes last
+    dest = n_road + 1
+    arc_from = np.concatenate([np.zeros(len(entry), dtype=int), r1 + 1, exits + 1])
+    arc_to = np.concatenate([entry + 1, r2 + 1, np.full(len(exits), dest)])
+    attrs = np.zeros((len(arc_from), 4))
+    attrs[:len(entry), 0] = length[entry]
+    turns = slice(len(entry), len(entry) + len(r1))
+    attrs[turns, 0] = length[r2]
+    attrs[turns, 1:] = np.stack(turn_indicators(angle), 1)
+    if n_extra:
+        attrs = np.hstack([attrs, rng.random((len(arc_from), n_extra))])
+
+    states = ([ORIGIN_STATE]
+              + [arc_state_id(i, j) for i, j in zip(tail.tolist(), head.tolist())]
+              + [DEST_STATE])
     names = ROUTE_ATTRIBUTES + tuple(f"X{i}" for i in range(n_extra))
-    positions = {str(i): (float(pos[i, 0]), float(pos[i, 1])) for i in range(n_nodes)}
-    net = build_network(states, DEST_STATE, arcs, names, positions)
-    return _prune_to_corridor(net, ORIGIN_STATE)
+    positions = {str(i): (x, y) for i, (x, y) in enumerate(pos.tolist())}
+    return _corridor_network(states, 0, dest, arc_from, arc_to, attrs, names, positions)
 
 
-def _prune_to_corridor(net: Network, origin) -> Network:
-    """Restrict to states reachable from origin and co-reachable to the
-    destination; raises DisconnectedInstance if that leaves no path."""
-    fwd = reachable_from(net, origin)
-    bwd = coreachable_to(net, net.destination)
-    keep = (fwd & bwd) | {net.destination}
-    if origin not in keep or len(keep) < 2:
+def _corridor_network(states, origin, dest, arc_from, arc_to, attrs, names,
+                      positions=None) -> Network:
+    """The network on the states (indices ``origin`` and ``dest`` among
+    ``states``) that lie on some origin-to-destination walk, with the arcs
+    between them; raises DisconnectedInstance if that leaves no path."""
+    n = len(states)
+    keep = (_reach(n, arc_from, arc_to, [origin])
+            & _reach(n, arc_from, arc_to, [dest], reverse=True))
+    keep[dest] = True
+    if not keep[origin] or keep.sum() < 2:
         raise DisconnectedInstance("origin cannot reach destination")
-    states = [s for s in net.states if s in keep]
-    arcs = [(u, v, vec) for u, v, vec in net.arcs() if u in keep and v in keep]
-    return build_network(states, net.destination, arcs, net.attribute_names, net.positions)
+    arcs = keep[arc_from] & keep[arc_to]
+    new_index = np.cumsum(keep) - 1
+    return network_from_arrays(
+        [s for s, k in zip(states, keep.tolist()) if k], states[dest],
+        new_index[arc_from[arcs]], new_index[arc_to[arcs]], attrs[arcs], names, positions,
+    )
 
 
 def layered_dag_from_undirected(net: Network, origin, destination=None) -> Network:
@@ -167,25 +198,17 @@ def layered_dag_from_undirected(net: Network, origin, destination=None) -> Netwo
     if origin not in net.index or destination not in net.index:
         raise UnknownState(f"unknown origin/destination {origin!r}/{destination!r}")
 
-    n_layers = net.n_states
-    zero = np.zeros(net.n_attributes)
-
-    def copy_id(s, k):
-        return f"{s}@{k}"
-
-    states = [copy_id(s, k) for k in range(n_layers) for s in net.states]
-    layered_dest = copy_id(destination, n_layers - 1)
-
-    arcs = []
-    for k in range(n_layers - 1):
-        for a in range(net.n_arcs):
-            u = net.states[net.arc_from[a]]
-            v = net.states[net.arc_to[a]]
-            arcs.append((copy_id(u, k), copy_id(v, k + 1), net.attrs[a]))
-        arcs.append((copy_id(destination, k), copy_id(destination, k + 1), zero))
-
-    layered = build_network(states, layered_dest, arcs, net.attribute_names, net.positions)
-    return _prune_to_corridor(layered, copy_id(origin, 0))
+    n = net.n_states  # also the number of layers
+    d = net.index[destination]
+    states = [f"{s}@{k}" for k in range(n) for s in net.states]
+    # layer k holds states k*n .. k*n + n-1; each layer's arcs are the
+    # network's arcs into the next layer, then the destination padding arc
+    shift = n * np.arange(n - 1)[:, None]
+    arc_from = (shift + np.append(net.arc_from, d)).ravel()
+    arc_to = (shift + n + np.append(net.arc_to, d)).ravel()
+    attrs = np.tile(np.vstack([net.attrs, np.zeros(net.n_attributes)]), (n - 1, 1))
+    return _corridor_network(states, net.index[origin], (n - 1) * n + d,
+                             arc_from, arc_to, attrs, net.attribute_names, net.positions)
 
 
 def project_layered_path(path) -> list:
@@ -282,7 +305,8 @@ def muc_dag(m: int, low: int, up: int, alt_attributes) -> Network:
                     arcs.append((name, f"m{j}_{c + 1}", alt[j - 1]))
     names = tuple(f"x{i}" for i in range(k))
     net = build_network(states, DEST_STATE, arcs, names)
-    return _prune_to_corridor(net, "m0_0")
+    return _corridor_network(net.states, net.index["m0_0"], net.destination_index,
+                             net.arc_from, net.arc_to, net.attrs, names)
 
 
 def composite_from_path(net_kind: str, path) -> frozenset[int]:

@@ -5,6 +5,13 @@ state ids, one absorbing destination, and attributed arcs between states.
 Attribute vectors all share the same length K and are stored as a dense
 ``(n_arcs, K)`` matrix.  Instances are immutable after construction and safe
 to share across threads.
+
+Every network is built by one array-level constructor,
+:func:`network_from_arrays`: it takes state indices per arc and the attribute
+matrix, runs all validity checks on whole arrays, and groups arcs by state
+with one stable argsort per direction.  :func:`build_network` is its front end
+for ``(from, to, attributes)`` triples; generators call the constructor
+directly.
 """
 
 from __future__ import annotations
@@ -55,18 +62,12 @@ class Network:
     arc_lookup: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.states)})
         n = len(self.states)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        lookup = {}
-        for a, (i, j) in enumerate(zip(self.arc_from, self.arc_to)):
-            succ[i].append(a)
-            pred[j].append(a)
-            lookup[(int(i), int(j))] = a
-        object.__setattr__(self, "succ_arcs", tuple(np.asarray(s, dtype=int) for s in succ))
-        object.__setattr__(self, "pred_arcs", tuple(np.asarray(p, dtype=int) for p in pred))
-        object.__setattr__(self, "arc_lookup", lookup)
+        object.__setattr__(self, "index", dict(zip(self.states, range(n))))
+        object.__setattr__(self, "succ_arcs", _blocks(self.arc_from, n))
+        object.__setattr__(self, "pred_arcs", _blocks(self.arc_to, n))
+        pairs = zip(self.arc_from.tolist(), self.arc_to.tolist())
+        object.__setattr__(self, "arc_lookup", dict(zip(pairs, range(len(self.arc_from)))))
 
     # --- basic queries ----------------------------------------------------
 
@@ -112,57 +113,69 @@ class Network:
             yield (self.states[self.arc_from[a]], self.states[self.arc_to[a]], self.attrs[a])
 
 
-def build_network(
+def _blocks(keys: np.ndarray, n: int) -> tuple:
+    """Arc indices grouped by state: block i lists, in ascending order, the
+    arcs whose ``keys`` entry is i."""
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return tuple(order[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+
+def network_from_arrays(
     states: Sequence[StateId],
     destination: StateId,
-    arcs: Sequence[tuple],
+    arc_from,
+    arc_to,
+    attrs,
     attribute_names: Sequence[str] | None = None,
     positions: dict | None = None,
+    arc_ids: Sequence[tuple] | None = None,
 ) -> Network:
-    """Build a validated :class:`Network`.
+    """Build a validated :class:`Network` from per-arc state indices and an
+    ``(n_arcs, K)`` attribute matrix.
 
-    ``arcs`` is a sequence of ``(from, to, attributes)`` triples.  Raises
-    :class:`DuplicateArc`, :class:`DanglingEndpoint` or
-    :class:`DestinationHasSuccessors` on invalid input.
+    Raises :class:`DuplicateArc` on repeated state ids or arcs,
+    :class:`DanglingEndpoint` on an endpoint index outside the states, a
+    destination outside the states or a mismatched attribute shape, and
+    :class:`DestinationHasSuccessors` on an arc leaving the destination.  The
+    checks run on whole arrays; of several invalid arcs the first in arc
+    order is reported, with the first of its failed checks in that order.
+    ``arc_ids`` names the arcs' endpoints in messages (default: the state ids
+    at their indices, or the index where it is out of range).
     """
     states = tuple(states)
-    state_set = set(states)
-    if len(state_set) != len(states):
+    n = len(states)
+    if len(set(states)) != n:
         raise DuplicateArc("duplicate state ids")
-    if destination not in state_set:
+    if destination not in states:
         raise DanglingEndpoint(f"destination {destination!r} not in states")
+    arc_from = np.asarray(arc_from, dtype=np.intp)
+    arc_to = np.asarray(arc_to, dtype=np.intp)
+    attrs = np.asarray(attrs, dtype=float)
+    m = len(arc_from)
+    if attrs.ndim != 2 or attrs.shape[0] != m or arc_to.shape != (m,):
+        raise DanglingEndpoint("attrs must be an (n_arcs, K) matrix, one row per arc")
 
-    index = {s: i for i, s in enumerate(states)}
-    seen = set()
-    n_arcs = len(arcs)
-    if n_arcs == 0:
-        k = len(attribute_names) if attribute_names else 0
-        attrs = np.zeros((0, k))
-        arc_from = np.zeros(0, dtype=int)
-        arc_to = np.zeros(0, dtype=int)
-    else:
-        k = len(np.atleast_1d(arcs[0][2]))
-        arc_from = np.empty(n_arcs, dtype=int)
-        arc_to = np.empty(n_arcs, dtype=int)
-        attrs = np.empty((n_arcs, k))
-        for a, (u, v, vec) in enumerate(arcs):
-            if u not in state_set or v not in state_set:
-                raise DanglingEndpoint(f"arc ({u!r}, {v!r}) references unknown state")
-            if u == destination:
-                raise DestinationHasSuccessors(
-                    f"destination {destination!r} has outgoing arc to {v!r}"
-                )
-            if (u, v) in seen:
-                raise DuplicateArc(f"duplicate arc ({u!r}, {v!r})")
-            seen.add((u, v))
-            vec = np.atleast_1d(np.asarray(vec, dtype=float))
-            if vec.shape != (k,):
-                raise DanglingEndpoint(
-                    f"arc ({u!r}, {v!r}) attribute length {vec.shape} != ({k},)"
-                )
-            arc_from[a] = index[u]
-            arc_to[a] = index[v]
-            attrs[a] = vec
+    dangling = (arc_from < 0) | (arc_from >= n) | (arc_to < 0) | (arc_to >= n)
+    from_dest = arc_from == states.index(destination)
+    # a repeated (from, to) pair flags every occurrence after the first;
+    # dangling arcs get keys of their own
+    key = np.where(dangling, -1 - np.arange(m), arc_from * n + arc_to)
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(m, dtype=bool)
+    repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    bad = dangling | from_dest | repeat
+    if bad.any():
+        a = int(np.argmax(bad))
+        u, v = arc_ids[a] if arc_ids is not None else (
+            states[i] if 0 <= i < n else i for i in (int(arc_from[a]), int(arc_to[a])))
+        if dangling[a]:
+            raise DanglingEndpoint(f"arc ({u!r}, {v!r}) references unknown state")
+        if from_dest[a]:
+            raise DestinationHasSuccessors(
+                f"destination {destination!r} has outgoing arc to {v!r}"
+            )
+        raise DuplicateArc(f"duplicate arc ({u!r}, {v!r})")
 
     if attribute_names is None:
         attribute_names = tuple(f"attr{i}" for i in range(attrs.shape[1]))
@@ -182,15 +195,77 @@ def build_network(
     )
 
 
+def build_network(
+    states: Sequence[StateId],
+    destination: StateId,
+    arcs: Sequence[tuple],
+    attribute_names: Sequence[str] | None = None,
+    positions: dict | None = None,
+) -> Network:
+    """Build a validated :class:`Network` from ``(from, to, attributes)``
+    triples.
+
+    Maps the ids to state indices and stacks the attribute vectors, then
+    hands them to :func:`network_from_arrays`, which checks them and raises
+    :class:`DuplicateArc`, :class:`DanglingEndpoint` or
+    :class:`DestinationHasSuccessors` on invalid input.
+    """
+    states = tuple(states)
+    index = dict(zip(states, range(len(states))))
+    ids = [(u, v) for u, v, _ in arcs]
+    arc_from = np.array([index.get(u, -1) for u, _ in ids], dtype=np.intp)
+    arc_to = np.array([index.get(v, -1) for _, v in ids], dtype=np.intp)
+    if not ids:
+        attrs = np.zeros((0, len(attribute_names) if attribute_names else 0))
+    else:
+        attrs, b = _attribute_matrix([vec for _, _, vec in arcs])
+        if b is not None:
+            # arc b's vector has the wrong length: report that unless an
+            # earlier arc or b's own endpoints fail first
+            network_from_arrays(states, destination, arc_from[:b + 1], arc_to[:b + 1],
+                                np.zeros((b + 1, attrs.shape[1])), arc_ids=ids[:b + 1])
+            shape = np.atleast_1d(np.asarray(arcs[b][2], dtype=float)).shape
+            raise DanglingEndpoint(f"arc ({ids[b][0]!r}, {ids[b][1]!r}) attribute length "
+                                   f"{shape} != ({attrs.shape[1]},)")
+    return network_from_arrays(states, destination, arc_from, arc_to, attrs,
+                               attribute_names, positions, arc_ids=ids)
+
+
+def _attribute_matrix(vectors: list) -> tuple[np.ndarray, int | None]:
+    """Per-arc attribute vectors (scalars count as length one) stacked into
+    an ``(n_arcs, K)`` matrix, K being the first vector's length, and None;
+    or, when some vector has another length, an empty ``(0, K)`` matrix and
+    the index of the first such vector."""
+    k = len(np.atleast_1d(vectors[0]))
+    try:
+        attrs = np.asarray(vectors, dtype=float)
+    except ValueError:  # ragged
+        attrs = np.zeros(0)
+    if attrs.ndim == 1 and k == 1 and len(attrs) == len(vectors):
+        attrs = attrs[:, None]
+    if attrs.shape == (len(vectors), k):
+        return attrs, None
+    rows = [np.atleast_1d(np.asarray(vec, dtype=float)) for vec in vectors]
+    bad = [b for b, row in enumerate(rows) if row.shape != (k,)]
+    if bad:
+        return np.zeros((0, k)), bad[0]
+    return np.array(rows), None
+
+
 def _reachable(net: Network, starts, reverse: bool = False, allowed=None) -> np.ndarray:
     """Boolean state mask of everything reachable from the ``starts``
     indices (included), walking arcs backwards when ``reverse`` and, when an
     ``allowed`` mask is given, only through allowed states."""
-    src, dst = (net.arc_to, net.arc_from) if reverse else (net.arc_from, net.arc_to)
+    return _reach(net.n_states, net.arc_from, net.arc_to, starts, reverse, allowed)
+
+
+def _reach(n_states, arc_from, arc_to, starts, reverse=False, allowed=None) -> np.ndarray:
+    """:func:`_reachable` on bare arc arrays, for arcs not yet in a network."""
+    src, dst = (arc_to, arc_from) if reverse else (arc_from, arc_to)
     if allowed is not None:
         usable = allowed[src] & allowed[dst]
         src, dst = src[usable], dst[usable]
-    seen = np.zeros(net.n_states, dtype=bool)
+    seen = np.zeros(n_states, dtype=bool)
     seen[np.asarray(starts, dtype=int)] = True
     frontier = seen.copy()
     while frontier.any():

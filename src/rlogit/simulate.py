@@ -11,6 +11,13 @@ single counter-based stream per dataset, so output is byte-for-byte
 reproducible per seed; ``sample_path`` is the one-at-a-time variant used for
 spot checks.  Cyclic ground truth goes through the layered-DAG conversion
 (``generate_observations_via_layered``) so sampled walks have bounded length.
+
+The batch sampler returns index paths as CSR arrays (start states, the arc
+taken at each step, path lengths), and one helper turns such arrays into
+:class:`Observation` objects, summing attributes per path-length group.
+Sampled paths follow the network's own arcs and are not re-validated; paths
+that come from outside (``make_observation``, ``load_observations``, the
+projections of layered walks) are checked by ``core.validate_path``.
 """
 
 from __future__ import annotations
@@ -143,39 +150,84 @@ def sample_path(
     raise StepCapExceeded(f"no arrival within {cap} steps from {origin!r}")
 
 
-def _sample_paths_batch(net, probs, start_states, rng) -> list[list[int]]:
+def _sample_paths_batch(net, probs, start_states, rng):
     """Vectorized sequential sampling for many paths at once.
 
     Per step one uniform is drawn for every still-active path (ascending
-    path order), so results are deterministic for a given stream.
+    path order), so results are deterministic for a given stream.  Like
+    ``sample_path``, a walk may take up to 10 x |states| transitions.
+
+    Returns CSR arrays ``(starts, arcs, lengths)``: walk n starts at state
+    index ``starts[n]`` and takes the ``lengths[n]`` arcs that follow those of
+    walks 0..n-1 in ``arcs``.
     """
     dest = net.destination_index
     cap = STEP_CAP_FACTOR * net.n_states
-    cum_by_state = [None] * net.n_states
-    for i in range(net.n_states):
-        arcs = net.succ_arcs[i]
-        if len(arcs):
-            c = np.cumsum(probs[arcs])
-            cum_by_state[i] = (c / c[-1], net.arc_to[arcs])
-    n = len(start_states)
-    cur = np.asarray(start_states, dtype=int)
-    paths = [[int(s)] for s in cur]
+    # each state's arcs as one block of ``order``; within a block the
+    # normalized cumulative probabilities, summed in block order exactly as
+    # np.cumsum does
+    order = np.argsort(net.arc_from, kind="stable")
+    deg = np.bincount(net.arc_from, minlength=net.n_states)
+    first = np.cumsum(deg) - deg
+    p = probs[order]
+    cum = p.copy()
+    rank = np.arange(len(order)) - np.repeat(first, deg)
+    for k in range(1, int(deg.max(initial=0))):
+        at = np.flatnonzero(rank == k)
+        cum[at] = cum[at - 1] + p[at]
+    cum /= np.repeat(cum[(first + deg - 1)[deg > 0]], deg[deg > 0])
+
+    starts = np.array(start_states, dtype=np.intp)
+    cur = starts.copy()
     active = np.flatnonzero(cur != dest)
+    walks, taken = [active[:0]], [active[:0]]
     for _ in range(cap):
         if len(active) == 0:
-            return paths
+            break
         u = rng.random(len(active))
-        nxt = np.empty(len(active), dtype=int)
-        states_here = cur[active]
-        for s in np.unique(states_here):
-            mask = states_here == s
-            c, targets = cum_by_state[s]
-            nxt[mask] = targets[np.minimum(np.searchsorted(c, u[mask]), len(c) - 1)]
-        for pos, i in enumerate(active):
-            paths[i].append(int(nxt[pos]))
-        cur[active] = nxt
-        active = active[nxt != dest]
-    raise StepCapExceeded(f"{len(active)} walks still active after {cap} steps")
+        here_first, here_last = first[cur[active]], deg[cur[active]] - 1
+        # searchsorted(block, u): the number of block entries below u; the
+        # last entry is 1 and never counts
+        pick = np.zeros(len(active), dtype=np.intp)
+        for k in range(int(here_last.max())):
+            inside = k < here_last
+            pick += inside & (cum[here_first + np.where(inside, k, 0)] < u)
+        arc = order[here_first + pick]
+        walks.append(active)
+        taken.append(arc)
+        cur[active] = net.arc_to[arc]
+        active = active[cur[active] != dest]
+    if len(active):
+        raise StepCapExceeded(f"{len(active)} walks still active after {cap} steps")
+    walk_of_step = np.concatenate(walks)
+    arcs = np.concatenate(taken)[np.argsort(walk_of_step, kind="stable")]
+    return starts, arcs, np.bincount(walk_of_step, minlength=len(starts))
+
+
+def _observations(net: Network, starts, arcs, lengths) -> list[Observation]:
+    """Observations of the index paths in CSR form (see
+    ``_sample_paths_batch``), which must follow ``net``'s arcs.
+
+    Attribute sums are taken per path-length group as
+    ``attrs[arcs[steps]].sum(axis=1)``, bitwise equal to the per-path
+    ``attrs[path_arcs].sum(axis=0)`` of ``make_observation``.
+    """
+    if np.any(lengths == 0):
+        raise InvalidPath("path must contain at least one transition")
+    n = len(lengths)
+    ends = np.cumsum(lengths)
+    attr_sum = np.empty((n, net.n_attributes))
+    for length in np.unique(lengths):
+        group = np.flatnonzero(lengths == length)
+        steps = (ends[group] - length)[:, None] + np.arange(length)
+        attr_sum[group] = net.attrs[arcs[steps]].sum(axis=1)
+    # state sequences: each path's start followed by the heads of its arcs
+    flat = np.insert(net.arc_to[arcs], ends - lengths, starts)
+    ids = np.array(net.states, dtype=object)[flat].tolist()
+    bounds = (ends + np.arange(1, n + 1)).tolist()
+    dest = net.destination
+    return [Observation(ids[a], dest, tuple(ids[a:b]), row)
+            for a, b, row in zip([0] + bounds[:-1], bounds, attr_sum)]
 
 
 def generate_observations(
@@ -198,9 +250,7 @@ def generate_observations(
     probs = core.choice_probabilities(net, spec, vf)
     rng = np.random.Generator(np.random.Philox(seed))
     starts = origin_idx[rng.integers(0, len(origin_idx), size=n_obs)]
-    paths = _sample_paths_batch(net, probs, starts, rng)
-    obs = [make_observation(net, [net.states[i] for i in p]) for p in paths]
-    return ObservationSet(net, obs)
+    return ObservationSet(net, _observations(net, *_sample_paths_batch(net, probs, starts, rng)))
 
 
 def generate_observations_via_layered(
@@ -220,11 +270,8 @@ def generate_observations_via_layered(
     origin = origins[0]
     layered = layered_dag_from_undirected(net, origin)
     layered_set = generate_observations(layered, spec, layered_origin(origin), n_obs, seed)
-    obs = []
-    for ob in layered_set.observations:
-        path = project_layered_path(ob.path)
-        obs.append(make_observation(net, path))
-    return ObservationSet(net, obs)
+    return _checked_observations(net, (project_layered_path(ob.path)
+                                       for ob in layered_set.observations))
 
 
 # --- JSON Lines serialization ---------------------------------------------
@@ -239,16 +286,31 @@ def save_observations(obs: ObservationSet, path) -> None:
 
 
 def load_observations(path, net: Network) -> ObservationSet:
-    """Load observations; attribute sums are recomputed against ``net`` and
-    paths re-validated (InvalidPath on mismatch)."""
-    obs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if doc["dest"] != net.destination:
-                raise InvalidPath(f"destination {doc['dest']!r} not this network's")
-            obs.append(make_observation(net, doc["path"]))
-    return ObservationSet(net, obs)
+    """Load observations; paths are re-validated against ``net`` line by
+    line (InvalidPath on the first mismatch) and attribute sums recomputed."""
+
+    def paths():
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                doc = json.loads(line)
+                if doc["dest"] != net.destination:
+                    raise InvalidPath(f"destination {doc['dest']!r} not this network's")
+                yield doc["path"]
+
+    return _checked_observations(net, paths())
+
+
+def _checked_observations(net: Network, paths) -> ObservationSet:
+    """ObservationSet of state-id paths from outside the sampler, each
+    checked by ``core.validate_path`` in turn."""
+    arcs, lengths = [], []
+    for p in paths:
+        arcs.extend(core.validate_path(net, p))
+        lengths.append(len(p) - 1)
+    arcs = np.array(arcs, dtype=np.intp)
+    lengths = np.array(lengths, dtype=np.intp)
+    starts = net.arc_from[arcs[np.cumsum(lengths) - lengths]]
+    return ObservationSet(net, _observations(net, starts, arcs, lengths))

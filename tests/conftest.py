@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from rlogit import core, nrl
+from rlogit.errors import DisconnectedInstance
+from rlogit.generators import random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import generate_observations
 
@@ -110,6 +112,18 @@ def dag_samples(draw):
                                 draw(st.integers(1, 40)), seed=draw(st.integers(0, 10**6)))
     mu = nrl.ScaleField([draw(st.floats(0.5, 2.0)) for _ in range(n)])
     return net, obs, beta, mu
+
+
+@st.composite
+def cyclic_geometric_networks(draw):
+    """Connected cyclic random geometric networks at the two criterion-06
+    sizes, from generator seeds 10,000-10,199."""
+    n_nodes, radius = draw(st.sampled_from([(20, 0.35), (30, 0.3)]))
+    seed = draw(st.integers(10_000, 10_199))
+    try:
+        return random_geometric_network(n_nodes, radius, seed=seed, acyclic=False)
+    except DisconnectedInstance:
+        assume(False)
 
 
 def _dense_cyclic_instance(n_states=200, out_degree=6, seed=21):

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from rlogit import core
@@ -25,7 +26,7 @@ from rlogit.generators import bic_dag, random_geometric_network
 from rlogit.network import build_network, enumerate_paths
 from rlogit.simulate import ObservationSet, make_observation
 
-from conftest import make_infeasible_net
+from conftest import cyclic_geometric_networks, dag_samples, make_infeasible_net
 
 CYCLE_V_S0 = math.log(0.8 / 0.68)
 
@@ -229,3 +230,28 @@ def test_mu_scaling(two_route_net):
     assert vf[two_route_net.state_index("o")] == pytest.approx(
         0.5 * math.log(2 * math.exp(-2 / 0.5))
     )
+
+
+def _assert_monotone(net, beta, data):
+    """V <= W componentwise implies T V <= T W componentwise."""
+    n = net.n_states
+    values = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)))
+    raise_by = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                                           min_size=n, max_size=n)))
+    s = core.UtilitySpec(beta)
+    lower = core.bellman_apply(net, s, values)
+    upper = core.bellman_apply(net, s, values + raise_by)
+    assert np.all(lower <= upper + 1e-12 * (1.0 + np.abs(upper)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dag_samples(), st.data())
+def test_bellman_operator_monotone_on_generated_dags(sample, data):
+    net, _obs, beta, _mu = sample
+    _assert_monotone(net, beta, data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cyclic_geometric_networks(), st.data())
+def test_bellman_operator_monotone_on_cyclic_networks(net, data):
+    _assert_monotone(net, np.array([-8.0, -0.2, -0.1, -0.6]), data)

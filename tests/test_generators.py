@@ -1,13 +1,16 @@
 """Generator oracles: turn indicators, geometric route networks, layered
 unrollings and the composite-choice DAG bijection."""
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from rlogit.errors import InvalidBounds
+from rlogit.errors import DisconnectedInstance, InvalidBounds
 from rlogit.generators import (
+    _turn_angles,
     DEST_STATE,
     ORIGIN_STATE,
     bic_dag,
@@ -19,7 +22,13 @@ from rlogit.generators import (
     random_geometric_network,
     turn_indicators,
 )
-from rlogit.network import build_network, enumerate_paths, reachable_from
+from rlogit.network import (
+    build_network,
+    canonical_json,
+    enumerate_paths,
+    network_to_dict,
+    reachable_from,
+)
 
 
 @pytest.mark.parametrize(
@@ -39,6 +48,27 @@ from rlogit.network import build_network, enumerate_paths, reachable_from
 )
 def test_turn_indicators(angle, expected):
     assert turn_indicators(angle) == expected
+
+
+# (cross, dot) products whose angle np.arctan2 puts one ulp past a turn
+# threshold and math.atan2 one ulp short of it
+_THRESHOLD_CASES = [
+    ("0x1.48cd4672045dap-2", "0x1.1cc031d2d4418p-1"),
+    ("0x1.94604245c8dfcp-3", "0x1.5e332c8ae0bf5p-2"),
+    ("-0x1.e179f4229c7ffp-2", "0x1.a0f884e29064ep-1"),
+    ("-0x1.5f7cabbf398d8p-2", "0x1.30658bfd88adep-1"),
+]
+
+
+def test_turn_angles_match_scalar_atan2_at_thresholds():
+    rng = np.random.default_rng(0)
+    cross = np.r_[[float.fromhex(c) for c, _ in _THRESHOLD_CASES], rng.standard_normal(500)]
+    dot = np.r_[[float.fromhex(d) for _, d in _THRESHOLD_CASES], rng.standard_normal(500)]
+    scalar = [math.degrees(math.atan2(c, d)) for c, d in zip(cross.tolist(), dot.tolist())]
+    angle = _turn_angles(cross, dot)
+    np.testing.assert_array_equal(np.stack(turn_indicators(angle), 1),
+                                  [turn_indicators(a) for a in scalar])
+    assert angle[:len(_THRESHOLD_CASES)].tolist() == scalar[:len(_THRESHOLD_CASES)]
 
 
 def test_geometric_network_deterministic_and_valid():
@@ -83,6 +113,17 @@ def test_geometric_network_extra_attributes():
     extra = net.attrs[:, 4:]
     assert extra.shape[1] == 2
     assert np.all((extra >= 0) & (extra <= 1))
+
+
+@pytest.mark.parametrize("extra", [-1, 2.7, 0.5])
+def test_extra_attributes_must_be_a_nonnegative_integer(extra):
+    with pytest.raises(InvalidBounds):
+        random_geometric_network(15, 0.4, seed=2, extra_attributes=extra)
+
+
+def test_integral_extra_attributes_accepted():
+    net = random_geometric_network(15, 0.4, seed=2, extra_attributes=2.0)
+    assert net.n_attributes == 6
 
 
 def test_geometric_cyclic_variant_has_both_directions():
@@ -165,3 +206,68 @@ def test_invalid_bounds_rejected():
         muc_dag(3, 0, 4, np.zeros((3, 1)))
     with pytest.raises(InvalidBounds):
         bic_dag(3, 0, 2, np.zeros((2, 1)))
+
+
+# --- golden digests ---------------------------------------------------------
+#
+# sha256 of the canonical JSON of seeded networks.  They pin every state id,
+# arc order, attribute bit and position, including the turn indicators at the
+# +-30 / +-150 degree thresholds, so a change to how networks are built must
+# leave them byte-identical.
+
+
+def _digest(net) -> str:
+    return hashlib.sha256(canonical_json(network_to_dict(net)).encode()).hexdigest()
+
+
+def _geometric_digest(*args, **kwargs) -> str:
+    try:
+        return _digest(random_geometric_network(*args, **kwargs))
+    except DisconnectedInstance:
+        return "disconnected"
+
+
+def test_cyclic_scan_golden_digest():
+    # the (30, 0.3) cyclic scan of the benchmark's cyclic-two-stage workload
+    h = hashlib.sha256()
+    for seed in range(10_000, 10_048):
+        h.update(_geometric_digest(30, 0.3, seed=seed, acyclic=False).encode())
+    assert h.hexdigest() == "bfb9f9307286411b43acd151ecb709e0f1da6d57b6785519f1c324becee5099e"
+
+
+@pytest.mark.parametrize("n_nodes, radius, seed, acyclic, digest", [
+    # criterion-06 instances of the benchmark
+    (20, 0.35, 29, False, "7eaa91a56c81ba1b23c723cb70490f44479eda6f2d81e7d5822db87cc1ac2204"),
+    (30, 0.3, 2274, False, "9b7c6f2940b02a7799d1114b51fcfdbebfc003376d33672c8d8499873379349a"),
+    (30, 0.3, 6769, False, "bb3d4e9414c3d3ba1913ec641759c04f0b9d58feea210f039a186878aeaba0b6"),
+    # benchmark DAGs
+    (30, 0.3, 1, True, "9be8181e5e0308a854d1eab0066fedd59f87eb88b732a9c112b72b9b7c37df3e"),
+    (50, 0.22, 1, True, "a28feef867daeccf344a11f114984a3c521ec5648f9bcfbc66edf216526985b5"),
+    (80, 0.18, 1, True, "00f7e5f6f55015e5822ddeb96ae71f6eddfa509639d1cce31c1d2ec961d3350c"),
+    (80, 0.18, 4, True, "6adc829dfca4b375ada9874172486a64d54f1dcde7cd3d170afa321f947d7737"),
+    (50, 0.22, 2, True, "ee77daba8951806a289673c8e5e349f091ef9648492c2e53cf63f5f281856c51"),
+    (50, 0.22, 4, True, "aa8482b1739a81d411e4d9e3ba8265d0fec21c8a78d506cfe1413634b6905bba"),
+    (50, 0.22, 5, True, "91562b078864b2ee214b77a993bac6e89bbea1c42b3ef3de9a2a70226f9a9a0b"),
+])
+def test_geometric_network_golden_digest(n_nodes, radius, seed, acyclic, digest):
+    assert _geometric_digest(n_nodes, radius, seed=seed, acyclic=acyclic) == digest
+
+
+@pytest.mark.parametrize("n_nodes, radius, seed, acyclic, digest", [
+    (15, 0.4, 2, True, "811222f58f036bfdf871a370bbe260ae5052bfafb729a72560234281b9c8a846"),
+    (20, 0.35, 29, False, "41abb5d466229de3274f272ac944472a3db609de96a2c0947724f899ab7d4d97"),
+])
+def test_extra_attributes_golden_digest(n_nodes, radius, seed, acyclic, digest):
+    net = random_geometric_network(n_nodes, radius, seed=seed, acyclic=acyclic,
+                                   extra_attributes=3)
+    assert _digest(net) == digest
+
+
+def test_layered_unrolling_golden_digest(cycle_net):
+    layered = layered_dag_from_undirected(cycle_net, "s0")
+    assert _digest(layered) == "babecd5ea85feb0ec0001bb91a3821a116049d636e74104cffba342db3de60e3"
+
+
+def test_muc_dag_golden_digest():
+    net = muc_dag(6, 1, 4, np.arange(12.0).reshape(6, 2) / 7)
+    assert _digest(net) == "bc34961b93863b6148cc2d76c10f7bd66f42cb0d264789982b6d1324c1319381"

@@ -23,6 +23,7 @@ from rlogit.network import (
     ensure_connectivity,
     enumerate_paths,
     load_network,
+    network_from_arrays,
     network_from_dict,
     network_to_dict,
     reachable_from,
@@ -58,6 +59,96 @@ def test_destination_must_be_absorbing():
 def test_attribute_length_mismatch_rejected():
     with pytest.raises(DanglingEndpoint):
         build_network(["a", "b", "d"], "d", [("a", "b", [1.0]), ("b", "d", [1.0, 2.0])])
+
+
+def _reference_validation(states, destination, arcs):
+    """The per-arc validation loop that predates the array checks: the
+    exception (class, message) of the first invalid arc, or None."""
+    state_set = set(states)
+    if len(state_set) != len(states):
+        return DuplicateArc, "duplicate state ids"
+    if destination not in state_set:
+        return DanglingEndpoint, f"destination {destination!r} not in states"
+    seen = set()
+    k = len(np.atleast_1d(arcs[0][2])) if arcs else 0
+    for u, v, vec in arcs:
+        if u not in state_set or v not in state_set:
+            return DanglingEndpoint, f"arc ({u!r}, {v!r}) references unknown state"
+        if u == destination:
+            return (DestinationHasSuccessors,
+                    f"destination {destination!r} has outgoing arc to {v!r}")
+        if (u, v) in seen:
+            return DuplicateArc, f"duplicate arc ({u!r}, {v!r})"
+        seen.add((u, v))
+        shape = np.atleast_1d(np.asarray(vec, dtype=float)).shape
+        if shape != (k,):
+            return DanglingEndpoint, f"arc ({u!r}, {v!r}) attribute length {shape} != ({k},)"
+    return None
+
+
+_IDS = ["a", "b", "c", "d", "zzz"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(_IDS[:4]), min_size=1, max_size=5),
+    st.sampled_from(_IDS),
+    st.lists(st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS),
+                       st.sampled_from([[1.0], 2.0, [1.0, 2.0], [[3.0]]])), max_size=8),
+)
+def test_array_checks_raise_as_per_arc_loop(states, destination, arcs):
+    expected = _reference_validation(states, destination, arcs)
+    if expected is None:
+        net = build_network(states, destination, arcs)
+        assert net.n_arcs == len(arcs)
+        return
+    with pytest.raises(expected[0]) as info:
+        build_network(states, destination, arcs)
+    assert str(info.value) == expected[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 2), st.integers(0, n - 1)), unique=True),
+)))
+def test_arc_groups_match_per_arc_loop(case):
+    n, pairs = case
+    states = [f"s{i}" for i in range(n)]
+    net = network_from_arrays(states, states[-1], [i for i, _ in pairs], [j for _, j in pairs],
+                              np.ones((len(pairs), 1)))
+    succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, (i, j) in enumerate(pairs):
+        succ[i].append(a)
+        pred[j].append(a)
+        assert net.arc_lookup[(i, j)] == a
+    assert len(net.arc_lookup) == len(pairs)
+    assert [list(b) for b in net.succ_arcs] == succ
+    assert [list(b) for b in net.pred_arcs] == pred
+    assert net.index == {s: i for i, s in enumerate(states)}
+
+
+def test_array_constructor_checks():
+    states = ["a", "b", "d"]
+    ones = np.ones((2, 1))
+    with pytest.raises(DanglingEndpoint, match="references unknown state"):
+        network_from_arrays(states, "d", [0, 1], [1, 3], ones)
+    with pytest.raises(DanglingEndpoint):
+        network_from_arrays(states, "d", [0, -1], [1, 2], ones)
+    with pytest.raises(DestinationHasSuccessors):
+        network_from_arrays(states, "d", [0, 2], [2, 1], ones)
+    with pytest.raises(DuplicateArc):
+        network_from_arrays(states, "d", [0, 0], [2, 2], ones)
+    with pytest.raises(DuplicateArc):
+        network_from_arrays(["a", "a", "d"], "d", [0], [2], ones[:1])
+    with pytest.raises(DanglingEndpoint):
+        network_from_arrays(states, "x", [0], [2], ones[:1])
+    with pytest.raises(DanglingEndpoint):
+        network_from_arrays(states, "d", [0, 1], [1, 2], np.ones((3, 1)))
+    with pytest.raises(DanglingEndpoint):
+        network_from_arrays(states, "d", [0, 1], [1, 2], ones, ["x", "y"])
+    net = network_from_arrays(states, "d", [0, 1], [1, 2], ones, ["cost"])
+    assert net.arc_id("a", "b") == 0 and net.successors("b") == ["d"]
 
 
 def test_unknown_state_and_arc(chain_net):

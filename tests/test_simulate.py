@@ -1,5 +1,6 @@
 """Path sampling: reproducibility, empirical frequencies, serialization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 from scipy import stats
 
 from rlogit import core
-from rlogit.errors import InvalidPath
-from rlogit.generators import bic_dag
-from rlogit.network import enumerate_paths
+from rlogit.errors import InvalidPath, StepCapExceeded
+from rlogit.generators import bic_dag, random_geometric_network
+from rlogit.network import build_network, enumerate_paths
 from rlogit.simulate import (
+    STEP_CAP_FACTOR,
     generate_observations,
     generate_observations_via_layered,
     load_observations,
+    make_observation,
     sample_path,
     save_observations,
 )
@@ -118,7 +121,86 @@ def test_load_rejects_broken_path(tmp_path, two_route_net):
         load_observations(f, two_route_net)
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"origin": "o", "dest": "d", "path": ["o"]}', "at least one transition"),
+    ('{"origin": "o", "dest": "d", "path": ["o", "a"]}', "must end at destination 'd'"),
+    ('{"origin": "o", "dest": "d", "path": ["o", "zz", "d"]}', "no arc 'o' -> 'zz'"),
+    ('{"origin": "o", "dest": "d", "path": ["o", "a", "b", "d"]}', "no arc 'a' -> 'b'"),
+    ('{"origin": "o", "dest": "x", "path": ["o", "a", "d"]}', "destination 'x'"),
+])
+def test_load_reports_first_bad_line(tmp_path, two_route_net, line, message):
+    good = '{"origin": "o", "dest": "d", "path": ["o", "b", "d"]}'
+    later_bad = '{"origin": "o", "dest": "d", "path": ["o", "d"]}'
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([good, line, later_bad]) + "\n")
+    with pytest.raises(InvalidPath, match=message):
+        load_observations(f, two_route_net)
+
+
+def test_loaded_attribute_sums_match_make_observation(tmp_path):
+    net = random_geometric_network(30, 0.3, seed=1)
+    obs = generate_observations(net, spec(-4.0, -0.1, -0.05, -0.3), "o", 300, seed=2)
+    f = tmp_path / "obs.jsonl"
+    save_observations(obs, f)
+    loaded = load_observations(f, net)
+    for ob in loaded.observations:
+        one = make_observation(net, list(ob.path))
+        assert ob.path == one.path and ob.origin == one.origin
+        assert ob.attr_sum.tobytes() == one.attr_sum.tobytes()
+
+
+def _self_loop_net():
+    # P(stay at o) = e^-0.1 = 0.905 at beta = -1; the step cap is 2 x 10 = 20
+    return build_network(["o", "d"], "d", [("o", "o", [0.1]), ("o", "d", [2.2])])
+
+
+def test_walk_reaching_destination_on_the_last_allowed_step():
+    net = _self_loop_net()
+    # at this seed the walk arrives on exactly the 20th transition
+    obs = generate_observations(net, spec(-1.0), "o", 1, seed=148)
+    (ob,) = obs.observations
+    assert len(ob.path) - 1 == STEP_CAP_FACTOR * net.n_states
+    assert ob.path[-1] == "d" and set(ob.path[:-1]) == {"o"}
+    assert ob.attr_sum[0] == pytest.approx(19 * 0.1 + 2.2)
+
+
+def test_walk_beyond_the_step_cap_raises():
+    with pytest.raises(StepCapExceeded):
+        generate_observations(_self_loop_net(), spec(-1.0), "o", 1, seed=1)
+
+
 def test_grouping_by_destination(two_route_net):
     obs = generate_observations(two_route_net, spec(-1.0), "o", 10, seed=0)
     assert list(obs.groups) == ["d"]
     assert sorted(obs.groups["d"]) == list(range(10))
+
+
+# --- golden digests ---------------------------------------------------------
+#
+# sha256 over every sampled path and the bytes of its attribute sum, pinned
+# so that a change to the sampler or to how observations are assembled must
+# leave the data bit-identical.
+
+
+def _obs_digest(obs) -> str:
+    h = hashlib.sha256()
+    for ob in obs.observations:
+        h.update(repr(ob.path).encode())
+        h.update(ob.attr_sum.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n_nodes, radius, n_obs, digest", [
+    # the 32- and 253-state benchmark DAGs
+    (30, 0.3, 5000, "933f8b32a106bcd5a50109a01187517bbcbee91576ef7cb8167ec333428f25f4"),
+    (80, 0.18, 2000, "362abeecdbacd27c2db0ed7602dba81e1c98f041ea4363a4c1caae259ddccfa1"),
+])
+def test_generated_observations_golden_digest(n_nodes, radius, n_obs, digest):
+    net = random_geometric_network(n_nodes, radius, seed=1)
+    obs = generate_observations(net, spec(-4.0, -0.1, -0.05, -0.3), "o", n_obs, seed=7)
+    assert _obs_digest(obs) == digest
+
+
+def test_layered_observations_golden_digest(cycle_net):
+    obs = generate_observations_via_layered(cycle_net, spec(1.0), "s0", 500, seed=3)
+    assert _obs_digest(obs) == "7708ebc8ef0a6ab22e309d8084e8eac09d312db0107b3cd132e26631374f52a6"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from rlogit import core, nfxp, trim
 from rlogit.errors import NoFeasibleReference, OriginTrimmed
@@ -9,7 +10,7 @@ from rlogit.generators import random_geometric_network
 from rlogit.network import build_network, reachable_from
 from rlogit.simulate import generate_observations
 
-from conftest import make_infeasible_net
+from conftest import cyclic_geometric_networks, dag_samples, make_infeasible_net
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 
@@ -55,6 +56,35 @@ def test_flow_conservation():
         if s == o:
             continue
         assert abs(flow.values[s] - inflow[s]) <= 1e-8
+
+
+def _assert_flow_balance(net, beta, origin):
+    """F = e_origin + P'F at every state, to 1e-8."""
+    spec = core.UtilitySpec(beta)
+    vf, report = core.solve_value_linear(net, spec)
+    assume(report.status == core.SOLVED)
+    flow = trim.flow_vector(net, beta, origin).values
+    probs = core.choice_probabilities(net, spec, vf)
+    balance = np.zeros(net.n_states)
+    balance[net.state_index(origin)] = 1.0
+    np.add.at(balance, net.arc_to, flow[net.arc_from] * probs)
+    assert np.max(np.abs(flow - balance)) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(dag_samples())
+def test_flow_conservation_on_generated_dags(sample):
+    net, _obs, beta, _mu = sample
+    _assert_flow_balance(net, beta, "s0")
+
+
+@settings(max_examples=25, deadline=None)
+@given(cyclic_geometric_networks())
+def test_flow_conservation_on_cyclic_networks(net):
+    # the reference scale criterion 07 uses; most of these networks have no
+    # value fixed point at the criterion-06 coefficients
+    beta0 = trim.choose_reference_beta(net, [-1.0, -2.0, -4.0, -8.0])
+    _assert_flow_balance(net, beta0, "o")
 
 
 def test_choose_reference_beta_grid_scan():
