@@ -123,14 +123,13 @@ def random_geometric_network(
     n_road = len(tail)
     length = dist[tail, head]
 
-    # road arcs leaving each node, in road order
+    # virtual origin: straight entry into each arc leaving the origin node
+    entry = np.flatnonzero(tail == origin_node)
+    # arc-to-arc transitions: road arc r1 into each arc r2 leaving its head,
+    # the arcs leaving each node taken in road order
     out = np.argsort(tail, kind="stable")
     out_deg = np.bincount(tail, minlength=n_nodes)
     out_start = np.cumsum(out_deg) - out_deg
-
-    # virtual origin: straight entry into each arc leaving the origin node
-    entry = out[out_start[origin_node]:out_start[origin_node] + out_deg[origin_node]]
-    # arc-to-arc transitions: road arc r1 into each arc r2 leaving its head
     fan = out_deg[head]
     r1 = np.repeat(np.arange(n_road), fan)
     offset = np.arange(len(r1)) - np.repeat(np.cumsum(fan) - fan, fan)
