@@ -44,11 +44,16 @@ from .program import ConicProgram, save_problem, write_cbf
 from . import solver as cone_solver
 
 BINDING_TOL = 1e-6
+# estimate_ecp stops polishing once the recovered values bind this tightly,
+# a tenth of the certificate's bound
+POLISH_BINDING_TOL = 0.1 * BINDING_TOL
 
 
 @dataclass
 class GroupLayout:
-    u: dict = field(default_factory=dict)  # state id -> variable index
+    u: dict  # state id -> variable index
+    states: np.ndarray  # positions in the network of the states in u
+    cols: np.ndarray  # their program columns, in the same order
 
 
 @dataclass
@@ -118,8 +123,10 @@ def build_ecp(net, groups: dict, mu=None) -> tuple[ConicProgram, VariableLayout]
         u_col[live] = n_cols + np.arange(n - 1)
         r_col = n_cols + n - 1 + np.arange(m)
         n_cols += n - 1 + m
+        states = np.flatnonzero(live)
         layout.groups[key] = GroupLayout(
-            dict(zip(compress(gnet.states, live), u_col[live].tolist())))
+            dict(zip(compress(gnet.states, live), u_col[states].tolist())),
+            states, u_col[states])
 
         beta_obj += group.attr_total
         u_obj = np.zeros(n)
@@ -163,6 +170,26 @@ def build_ecp(net, groups: dict, mu=None) -> tuple[ConicProgram, VariableLayout]
     return prog, layout
 
 
+def group_residuals(x, layout: VariableLayout, net) -> dict:
+    """Per group, the value field V read off the program point ``x`` (zero at
+    the destination) and its Bellman residual V - T[V] under the beta in
+    ``x``: a mapping group key -> (V, residual)."""
+    nets = net if isinstance(net, dict) else {key: net for key in layout.groups}
+    spec = core.UtilitySpec(x[: layout.n_beta])
+    out = {}
+    for key, gl in layout.groups.items():
+        gnet = nets[key]
+        values = np.zeros(gnet.n_states)
+        values[gl.states] = x[gl.cols]
+        out[key] = (values, values - core.bellman_apply(gnet, spec, values))
+    return out
+
+
+def _binds(x, layout: VariableLayout, net) -> bool:
+    return all(np.max(np.abs(residual)) <= POLISH_BINDING_TOL
+               for _, residual in group_residuals(x, layout, net).values())
+
+
 def recover_solution(prog: ConicProgram, sol, layout: VariableLayout, net):
     """Read off (beta, per-group value field) and certify Theorem-1 binding.
 
@@ -175,22 +202,16 @@ def recover_solution(prog: ConicProgram, sol, layout: VariableLayout, net):
         raise ValueError(f"solution status is {sol.status}, not Optimal")
     nets = net if isinstance(net, dict) else {key: net for key in layout.groups}
     beta_hat = sol.x[: layout.n_beta].copy()
-    spec = core.UtilitySpec(beta_hat)
 
     values_by_group = {}
     certificate = {}
     worst = (None, 0.0)
-    for key, gl in layout.groups.items():
-        gnet = nets[key]
-        values = np.zeros(gnet.n_states)
-        for state, idx in gl.u.items():
-            values[gnet.state_index(state)] = sol.x[idx]
-        residual = values - core.bellman_apply(gnet, spec, values)
+    for key, (values, residual) in group_residuals(sol.x, layout, nets).items():
         values_by_group[key] = core.ValueField(values, core.SOLVED)
         certificate[key] = residual
         pos = int(np.argmax(np.abs(residual)))
         if abs(residual[pos]) > abs(worst[1]):
-            worst = (gnet.states[pos], float(residual[pos]))
+            worst = (nets[key].states[pos], float(residual[pos]))
     if abs(worst[1]) > BINDING_TOL:
         raise BindingViolation(worst[0], worst[1])
     return beta_hat, values_by_group, certificate
@@ -231,14 +252,17 @@ def estimate_ecp(net_by_group, observations,
     """One-shot conic estimation with the NFXP result interface.
 
     The interior-point method needs no starting parameter.  Status is Optimal
-    on success, otherwise the solver status verbatim.  An Optimal solution
-    whose recovered value function fails the binding check raises
-    BindingViolation; the program is solved once.
+    on success, otherwise the solver status verbatim.  Polishing after
+    convergence ends at the first best iterate whose recovered values bind
+    within POLISH_BINDING_TOL, a tenth of the binding check's bound; the
+    solver's own polishing rules and ``polish_iters`` budget still cap it.
+    An Optimal solution whose recovered value function fails the binding
+    check raises BindingViolation; the program is solved once.
     """
     start = time.perf_counter()
     groups = group_observations(observations)
     prog, layout = build_ecp(net_by_group, groups)
-    sol = cone_solver.solve(prog, opts)
+    sol = cone_solver.solve(prog, opts, accept=lambda x: _binds(x, layout, net_by_group))
     n_obs = max(len(observations), 1)
     if sol.status == cone_solver.OPTIMAL:
         beta_hat, _values, _cert = recover_solution(prog, sol, layout, net_by_group)

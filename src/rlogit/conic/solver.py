@@ -50,17 +50,23 @@ z = -mu grad F(s), centred against the slack (at most three times a solve).
 Once the tolerances are first met, the solver polishes for up to
 ``polish_iters`` iterations and returns the in-tolerance iterate with the
 smallest complementarity; iterates that leave tolerance meanwhile are
-skipped, not a reason to stop.  Two in-tolerance iterates in a row that do
-not lower the smallest complementarity end polishing (with this direction
-the complementarity reaches its rounding floor a few iterations after
+skipped, not a reason to stop.  Polishing exists for a certificate
+downstream of the solve (for the ECP, that the recovered values bind), so a
+caller can pass ``accept``: each in-tolerance iterate that becomes the new
+best, the first one included, is offered to it as the deflated x, and the
+solver returns that iterate as soon as ``accept`` holds.  Without it, or
+while it fails, two in-tolerance iterates in a row that do not lower the
+smallest complementarity end polishing (with this direction the
+complementarity reaches its rounding floor a few iterations after
 convergence), and so do two stalled steps (a recenter would throw the
-polished dual iterate away).  Solves are single-threaded and bitwise
-deterministic.
+polished dual iterate away) and the end of the budget.  Solves are
+single-threaded and bitwise deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,10 +96,10 @@ class SolverOptions:
     frac_to_boundary: float = 0.99
     regularization: float = 1e-9
     min_step: float = 1e-9
-    # extra iterations after tolerances are first met, ended early by two
-    # stalled steps or by two in-tolerance iterates in a row that do not
-    # lower the complementarity; the in-tolerance iterate with the smallest
-    # complementarity is returned.
+    # extra iterations after tolerances are first met, ended early by the
+    # caller's ``accept``, by two stalled steps or by two in-tolerance
+    # iterates in a row that do not lower the complementarity; the
+    # in-tolerance iterate with the smallest complementarity is returned.
     # This tightens downstream certificates (e.g. Bellman binding residuals).
     polish_iters: int = 25
 
@@ -511,12 +517,16 @@ class _NormalEquations:
         return dx, out[self.n:], dz
 
 
-def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
+def solve(prog: ConicProgram, opts: SolverOptions | None = None,
+          accept: Callable[[np.ndarray], bool] | None = None) -> Solution:
     """Solve a :class:`ConicProgram` on the homogeneous self-dual embedding.
 
     Returns a :class:`Solution` whose status is Optimal, PrimalInfeasible,
     DualInfeasible, MaxIters or NumericalFailure; numerical trouble is
-    reported, never raised.  Each trace record holds the iterate's ``mu``,
+    reported, never raised.  ``accept(x)``, if given, is called with the
+    deflated x of every in-tolerance iterate that becomes the best one; when
+    it returns True that iterate is returned at once, ending polishing
+    early.  Each trace record holds the iterate's ``mu``,
     residuals, ``tau`` and ``kappa``; a record of an iteration that went on
     to search also holds the step length ``alpha`` found, the centering
     parameter ``sigma`` used and whether the dual iterate was ``recentered``
@@ -595,6 +605,8 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None) -> Solution:
         improved = ok and (best is None or comp < best[-1])
         if improved:
             best = (x / tau, y / tau, z / tau, s / tau, pres, dres, gap, obj, comp)
+            if accept is not None and accept(best[0]):
+                return best_solution()
         if ok and polish_left is None:
             polish_left = opts.polish_iters
         if polish_left is not None:

@@ -158,14 +158,15 @@ def random_geometric_network(
               + [DEST_STATE])
     names = ROUTE_ATTRIBUTES + tuple(f"X{i}" for i in range(n_extra))
     positions = {str(i): (x, y) for i, (x, y) in enumerate(pos.tolist())}
-    return _corridor_network(states, 0, dest, arc_from, arc_to, attrs, names, positions)
+    return _corridor_network(states, 0, dest, arc_from, arc_to, attrs, names, positions)[0]
 
 
 def _corridor_network(states, origin, dest, arc_from, arc_to, attrs, names,
-                      positions=None) -> Network:
+                      positions=None):
     """The network on the states (indices ``origin`` and ``dest`` among
     ``states``) that lie on some origin-to-destination walk, with the arcs
-    between them; raises DisconnectedInstance if that leaves no path."""
+    between them; raises DisconnectedInstance if that leaves no path.
+    Returns (network, kept-state mask, kept-arc mask)."""
     n = len(states)
     keep = (_reach(n, arc_from, arc_to, [origin])
             & _reach(n, arc_from, arc_to, [dest], reverse=True))
@@ -174,10 +175,11 @@ def _corridor_network(states, origin, dest, arc_from, arc_to, attrs, names,
         raise DisconnectedInstance("origin cannot reach destination")
     arcs = keep[arc_from] & keep[arc_to]
     new_index = np.cumsum(keep) - 1
-    return network_from_arrays(
+    net = network_from_arrays(
         [s for s, k in zip(states, keep.tolist()) if k], states[dest],
         new_index[arc_from[arcs]], new_index[arc_to[arcs]], attrs[arcs], names, positions,
     )
+    return net, keep, arcs
 
 
 def layered_dag_from_undirected(net: Network, origin, destination=None) -> Network:
@@ -192,6 +194,13 @@ def layered_dag_from_undirected(net: Network, origin, destination=None) -> Netwo
     count.  State ids are ``"{state}@{layer}"``.  Used to generate
     bounded-length ground-truth observations on cyclic networks.
     """
+    return _layered_dag(net, origin, destination)[0]
+
+
+def _layered_dag(net: Network, origin, destination=None):
+    """:func:`layered_dag_from_undirected` with the way back to ``net``:
+    returns (layered network, the index in ``net`` of each layered state,
+    the index in ``net`` of each layered arc, -1 for destination padding)."""
     if destination is None:
         destination = net.destination
     if origin not in net.index or destination not in net.index:
@@ -206,13 +215,18 @@ def layered_dag_from_undirected(net: Network, origin, destination=None) -> Netwo
     arc_from = (shift + np.append(net.arc_from, d)).ravel()
     arc_to = (shift + n + np.append(net.arc_to, d)).ravel()
     attrs = np.tile(np.vstack([net.attrs, np.zeros(net.n_attributes)]), (n - 1, 1))
-    return _corridor_network(states, net.index[origin], (n - 1) * n + d,
-                             arc_from, arc_to, attrs, net.attribute_names, net.positions)
+    layered, keep, arcs = _corridor_network(states, net.index[origin], (n - 1) * n + d,
+                                            arc_from, arc_to, attrs, net.attribute_names,
+                                            net.positions)
+    base_arc = np.tile(np.append(np.arange(net.n_arcs), -1), n - 1)
+    return layered, np.tile(np.arange(n), n)[keep], base_arc[arcs]
 
 
 def project_layered_path(path) -> list:
     """Map a layered-DAG state sequence back to original state ids,
-    collapsing consecutive duplicates (destination padding steps)."""
+    collapsing consecutive duplicates (destination padding steps).  The ids
+    are read off the layered names, so this suits string state ids only;
+    ``generate_observations_via_layered`` maps by index instead."""
     out = []
     for s in path:
         base = s.rsplit("@", 1)[0] if isinstance(s, str) and "@" in s else s
@@ -305,7 +319,7 @@ def muc_dag(m: int, low: int, up: int, alt_attributes) -> Network:
     names = tuple(f"x{i}" for i in range(k))
     net = build_network(states, DEST_STATE, arcs, names)
     return _corridor_network(net.states, net.index["m0_0"], net.destination_index,
-                             net.arc_from, net.arc_to, net.attrs, names)
+                             net.arc_from, net.arc_to, net.attrs, names)[0]
 
 
 def composite_from_path(net_kind: str, path) -> frozenset[int]:

@@ -193,7 +193,9 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
 
         y = grad - g_new  # gradient change of the negated objective
         sy = float(s @ y)
-        if sy > 1e-10:
+        # curvature test relative to the step and gradient change: near the
+        # optimum both are tiny, and an absolute bound would skip every update
+        if sy > 1e-8 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             rho = 1.0 / sy
             left = np.eye(k) - rho * np.outer(s, y)
             h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)

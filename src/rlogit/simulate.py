@@ -15,9 +15,10 @@ spot checks.  Cyclic ground truth goes through the layered-DAG conversion
 The batch sampler returns index paths as CSR arrays (start states, the arc
 taken at each step, path lengths), and one helper turns such arrays into
 :class:`Observation` objects, summing attributes per path-length group.
-Sampled paths follow the network's own arcs and are not re-validated; paths
-that come from outside (``make_observation``, ``load_observations``, the
-projections of layered walks) are checked by ``core.validate_path``.
+Sampled paths follow the network's own arcs and are not re-validated, also
+when layered walks are mapped back to the cyclic network through the arc
+index of the unrolling; paths that come from outside (``make_observation``,
+``load_observations``) are checked by ``core.validate_path``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import core
 from .errors import InvalidPath, StepCapExceeded, UnknownState, ValueSolveFailed
-from .generators import layered_dag_from_undirected, layered_origin, project_layered_path
+from .generators import _layered_dag, layered_origin
 from .network import Network, canonical_json
 
 STEP_CAP_FACTOR = 10
@@ -244,13 +245,19 @@ def generate_observations(
     origin_idx = np.asarray([net.state_index(o) for o in origins], dtype=int)
     if n_obs == 0:
         return ObservationSet(net, [])
+    return ObservationSet(net, _observations(net, *_sample(net, spec, origin_idx, n_obs, seed)))
+
+
+def _sample(net: Network, spec: core.UtilitySpec, origin_idx, n_obs: int, seed: int):
+    """Index paths in CSR form (see ``_sample_paths_batch``) of ``n_obs``
+    walks from origins drawn uniformly from ``origin_idx``."""
     vf, report = core.solve_value_linear(net, spec)
     if report.status != core.SOLVED:
         raise ValueSolveFailed(net.destination, f"status {report.status}")
     probs = core.choice_probabilities(net, spec, vf)
     rng = np.random.Generator(np.random.Philox(seed))
     starts = origin_idx[rng.integers(0, len(origin_idx), size=n_obs)]
-    return ObservationSet(net, _observations(net, *_sample_paths_batch(net, probs, starts, rng)))
+    return _sample_paths_batch(net, probs, starts, rng)
 
 
 def generate_observations_via_layered(
@@ -261,17 +268,23 @@ def generate_observations_via_layered(
     seed: int,
 ) -> ObservationSet:
     """Ground truth for cyclic networks: sample on the layered-DAG unrolling
-    and project paths back to the original state ids.  The returned set is
-    bound to ``net``."""
+    and map the walks back to ``net``'s states and arcs by index, dropping
+    the destination padding steps.  The returned set is bound to ``net``."""
     if isinstance(origins, (str, int)):
         origins = [origins]
     if len(set(origins)) != 1:
         raise UnknownState("layered generation expects a single origin")
     origin = origins[0]
-    layered = layered_dag_from_undirected(net, origin)
-    layered_set = generate_observations(layered, spec, layered_origin(origin), n_obs, seed)
-    return _checked_observations(net, (project_layered_path(ob.path)
-                                       for ob in layered_set.observations))
+    layered, base_state, base_arc = _layered_dag(net, origin)
+    if n_obs == 0:
+        return ObservationSet(net, [])
+    origin_idx = np.array([layered.state_index(layered_origin(origin))])
+    starts, arcs, lengths = _sample(layered, spec, origin_idx, n_obs, seed)
+    arcs = base_arc[arcs]
+    real = arcs >= 0
+    path_of = np.repeat(np.arange(n_obs), lengths)
+    lengths = np.bincount(path_of[real], minlength=n_obs)
+    return ObservationSet(net, _observations(net, base_state[starts], arcs[real], lengths))
 
 
 # --- JSON Lines serialization ---------------------------------------------

@@ -261,6 +261,33 @@ def test_polish_ends_when_complementarity_stops_falling():
     assert all(r["alpha"] > 1e-6 for r in sol.trace[converged - 1:-1])
 
 
+def test_accept_returns_the_first_in_tolerance_iterate():
+    opts = SolverOptions()
+    free = solve(_ecp_program(), opts)
+    converged = next(r["iter"] for r in free.trace if max(r["pres"], r["dres"]) <= opts.tol_feas
+                     and r["gap"] <= opts.tol_gap)
+    sol = solve(_ecp_program(), opts, accept=lambda x: True)
+    assert sol.status == OPTIMAL and sol.iterations == converged < free.iterations
+    assert sol.trace[:-1] == free.trace[:converged - 1]
+    assert "alpha" not in sol.trace[-1]
+
+
+def test_rejecting_accept_leaves_the_solve_unchanged():
+    offered = []
+
+    def reject(x):
+        offered.append(x.copy())
+        return False
+
+    free = solve(_ecp_program())
+    sol = solve(_ecp_program(), accept=reject)
+    assert sol.trace == free.trace
+    np.testing.assert_array_equal(sol.x, free.x)
+    # the returned iterate is the last one offered
+    assert len(offered) >= 1
+    np.testing.assert_array_equal(offered[-1], sol.x)
+
+
 def test_blocked_step_before_convergence_recenters(monkeypatch):
     # no step at all in the third iteration, centering step included: the
     # dual iterate is recentered at once instead of ending the solve

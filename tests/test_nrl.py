@@ -211,6 +211,21 @@ def test_warm_start_does_not_hurt():
     assert warm.iterations <= max(cold.iterations, 1)
 
 
+def test_warm_start_near_the_optimum_keeps_curvature_updates():
+    # criterion-06 instance 6769, started at an ECP estimate of beta: the
+    # log-mu gradient there is just above tolerance, and the BFGS steps are
+    # about 1e-7 long; with an absolute curvature bound (s'y > 1e-10) every
+    # update was skipped and the search took 34 iterations
+    net = random_geometric_network(30, 0.3, seed=6769, acyclic=False)
+    beta_sim = np.array([-8.0, -0.2, -0.1, -0.6])
+    obs = generate_observations(net, core.UtilitySpec(beta_sim), "o", 300, seed=9)
+    beta0 = np.array([-8.369450777256642, -0.140542419190975,
+                      -0.050793709111071214, -0.5265617644598547])
+    res = nrl.estimate_nrl_nfxp(net, obs, beta_init=beta0, mu_mode="shared")
+    assert res.converged
+    assert res.iterations <= 8
+
+
 def test_per_state_serialization():
     net = random_geometric_network(15, 0.4, seed=1)
     obs = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 200, seed=8)

@@ -89,6 +89,35 @@ def test_layered_generation_on_cyclic_network(cycle_net):
     assert abs(frac - 0.5) < 0.1
 
 
+def test_layered_generation_with_integer_state_ids(cycle_net):
+    # the two-loop network with states 0-3 in place of s0, s1, s2, d: the
+    # layered walks map back by index, so the draws give the same paths
+    ids = {"s0": 0, "s1": 1, "s2": 2, "d": 3}
+    int_net = build_network(
+        [0, 1, 2, 3], 3,
+        [(ids[cycle_net.states[a]], ids[cycle_net.states[b]], row)
+         for a, b, row in zip(cycle_net.arc_from, cycle_net.arc_to, cycle_net.attrs.tolist())],
+        cycle_net.attribute_names,
+    )
+    named = generate_observations_via_layered(cycle_net, spec(1.0), "s0", 200, seed=3)
+    numbered = generate_observations_via_layered(int_net, spec(1.0), 0, 200, seed=3)
+    assert len(numbered) == 200
+    for a, b in zip(named.observations, numbered.observations):
+        assert [ids[s] for s in a.path] == list(b.path)
+        np.testing.assert_array_equal(a.attr_sum, b.attr_sum)
+
+
+def test_layered_generation_keeps_self_loops():
+    # o -> o is a transition of the network, not destination padding
+    net = build_network(["o", "a", "d"], "d",
+                        [("o", "o", [0.1]), ("o", "a", [0.1]), ("o", "d", [0.1]),
+                         ("a", "d", [0.1])], ["c"])
+    obs = generate_observations_via_layered(net, spec(1.0), "o", 50, seed=1)
+    assert any(ob.path == ("o", "o", "d") for ob in obs.observations)
+    for ob in obs.observations:
+        core.validate_path(net, list(ob.path))
+
+
 def test_zero_observations(two_route_net):
     obs = generate_observations(two_route_net, spec(-1.0), "o", 0, seed=0)
     assert len(obs) == 0
