@@ -236,7 +236,7 @@ def cmd_trim(args) -> int:
     protected = set()
     if args.observations:
         obs = load_observations(_require_file(args.observations), net)
-        protected = {s for ob in obs.observations for s in ob.path}
+        protected = {obs.state_ids[c] for c in np.unique(obs.flat).tolist()}
     try:
         beta0 = (_parse_vector(args.beta0) if args.beta0
                  else trim.choose_reference_beta(net, [-1.0, -2.0, -4.0]))

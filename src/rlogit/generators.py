@@ -222,19 +222,6 @@ def _layered_dag(net: Network, origin, destination=None):
     return layered, np.tile(np.arange(n), n)[keep], base_arc[arcs]
 
 
-def project_layered_path(path) -> list:
-    """Map a layered-DAG state sequence back to original state ids,
-    collapsing consecutive duplicates (destination padding steps).  The ids
-    are read off the layered names, so this suits string state ids only;
-    ``generate_observations_via_layered`` maps by index instead."""
-    out = []
-    for s in path:
-        base = s.rsplit("@", 1)[0] if isinstance(s, str) and "@" in s else s
-        if not out or out[-1] != base:
-            out.append(base)
-    return out
-
-
 def layered_origin(origin) -> str:
     return f"{origin}@0"
 

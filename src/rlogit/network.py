@@ -108,6 +108,21 @@ class Network:
         except KeyError:
             raise UnknownArc(f"no arc {from_state!r} -> {to_state!r}") from None
 
+    def arc_indices(self, from_idx, to_idx) -> np.ndarray:
+        """Arc index of each (from, to) pair of state-index arrays, -1 where
+        the pair is no arc or an index is -1.  The sorted pair keys, ended
+        by a key no pair has, are cached on the network object."""
+        if getattr(self, "_arc_keys", None) is None:
+            keys = self.arc_from * self.n_states + self.arc_to
+            order = np.argsort(keys)
+            object.__setattr__(self, "_arc_keys",
+                               (np.append(keys[order], -1), np.append(order, -1)))
+        keys, order = self._arc_keys
+        from_idx, to_idx = np.asarray(from_idx), np.asarray(to_idx)
+        query = np.where((from_idx < 0) | (to_idx < 0), -2, from_idx * self.n_states + to_idx)
+        pos = np.searchsorted(keys[:-1], query)
+        return np.where(keys[pos] == query, order[pos], -1)
+
     def arcs(self) -> Iterable[tuple[StateId, StateId, np.ndarray]]:
         for a in range(self.n_arcs):
             yield (self.states[self.arc_from[a]], self.states[self.arc_to[a]], self.attrs[a])
@@ -282,12 +297,6 @@ def reachable_from(net: Network, origin: StateId) -> set[StateId]:
     return {net.states[i] for i in np.flatnonzero(mask)}
 
 
-def coreachable_to(net: Network, target: StateId) -> set[StateId]:
-    """States from which ``target`` is reachable (target included)."""
-    mask = _reachable(net, [net.state_index(target)], reverse=True)
-    return {net.states[i] for i in np.flatnonzero(mask)}
-
-
 def enumerate_paths(net: Network, origin: StateId, max_paths: int = 1_000_000):
     """Enumerate origin-to-destination paths by depth-first search.
 
@@ -332,16 +341,6 @@ def ensure_connectivity(net: Network, origin: StateId, penalty: float) -> Networ
         vec[0] = penalty
         arcs.append((origin, s, vec))
     return build_network(net.states, net.destination, arcs, net.attribute_names, net.positions)
-
-
-def default_connectivity_penalty(net: Network, beta) -> float:
-    """Penalty scale for artificial arcs: 10x the largest arc-cost magnitude
-    at the reference coefficients."""
-    beta = np.asarray(beta, dtype=float)
-    if net.n_arcs == 0:
-        return 10.0
-    costs = np.abs(net.attrs @ beta)
-    return 10.0 * max(float(costs.max()), 1.0)
 
 
 # --- JSON serialization ---------------------------------------------------

@@ -103,15 +103,6 @@ def check_mu_monotone(net: Network, mu: ScaleField):
     return len(violations) == 0, violations
 
 
-def _arc_counts(net: Network, obs) -> np.ndarray:
-    """How often each arc of ``net`` is traversed by the observed paths, from
-    the transition counts of the observations' sufficient statistics."""
-    counts = np.zeros(net.n_arcs)
-    for (u, v), n in obs.statistics.transitions.items():
-        counts[net.arc_id(u, v)] = n
-    return counts
-
-
 def _value_coefficients(net: Network, weight: np.ndarray) -> np.ndarray:
     """Net coefficient of each V_s when arc a carries ``weight[a]``: + on the
     arc's head, - on its tail; V_d is pinned, not a variable."""
@@ -129,7 +120,7 @@ def nrl_objective_coefficients(obs, mu: ScaleField) -> np.ndarray:
     monotonicity all coefficients are <= 0.
     """
     net = obs.network
-    return _value_coefficients(net, _arc_counts(net, obs) / mu.values[net.arc_from])
+    return _value_coefficients(net, obs.arc_counts(net) / mu.values[net.arc_from])
 
 
 def _value_or_raise(net, beta, mu, tol=1e-10):
@@ -150,7 +141,7 @@ def nrl_log_likelihood(net: Network, beta, mu: ScaleField, obs,
     vf = _value_or_raise(net, beta, mu, tol=value_tol)
     v = net.attrs @ beta
     step = (v + vf.values[net.arc_to] - vf.values[net.arc_from]) / mu.values[net.arc_from]
-    return float(_arc_counts(net, obs) @ step)
+    return float(obs.arc_counts(net) @ step)
 
 
 def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
@@ -169,7 +160,7 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
     step = (w - values[net.arc_from]) / mu.values[net.arc_from]  # log P(arc)
     probs = np.exp(step)
 
-    counts = _arc_counts(net, obs)
+    counts = obs.arc_counts(net)
     weight = counts / mu.values[net.arc_from]
     loglik = float(counts @ step)
     dbeta = net.attrs.T @ weight

@@ -60,6 +60,23 @@ def test_simulate_deterministic(workspace, tmp_path):
     assert sum(1 for _ in open(out)) == 300
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"origin": "o", "dest": "d", "path": ["o"', "line 2: malformed JSON"),
+    ('{"origin": "o", "path": ["o", "d"]}', 'line 2: expected an object with "origin", "dest"'),
+])
+def test_estimate_on_malformed_observations_prints_one_error(workspace, tmp_path, capsys,
+                                                             line, message):
+    first = (workspace / "train.jsonl").read_text().splitlines()[0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(first + "\n" + line + "\n")
+    code = run("estimate", "--network", str(workspace / "nets" / "net_dag_20_0.json"),
+               "--observations", str(bad), "--method", "nfxp", "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_ESTIMATION_FAILED
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidPath: line 2: ")
+    assert message in err[0]
+
+
 def test_estimate_both_methods(workspace, tmp_path):
     net_path = workspace / "nets" / "net_dag_20_0.json"
     code = run("estimate", "--network", str(net_path),

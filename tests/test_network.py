@@ -18,8 +18,6 @@ from rlogit.network import (
     _reachable,
     build_network,
     canonical_json,
-    coreachable_to,
-    default_connectivity_penalty,
     ensure_connectivity,
     enumerate_paths,
     load_network,
@@ -160,7 +158,8 @@ def test_unknown_state_and_arc(chain_net):
 
 def test_reachability(partial_net):
     assert reachable_from(partial_net, "o") == {"o", "s1", "d"}
-    assert coreachable_to(partial_net, "d") == {"o", "s1", "s2", "d"}
+    coreachable = _reachable(partial_net, [partial_net.state_index("d")], reverse=True)
+    assert {partial_net.states[i] for i in np.flatnonzero(coreachable)} == {"o", "s1", "s2", "d"}
 
 
 def _bfs(net, start, reverse, allowed):
@@ -222,11 +221,6 @@ def test_ensure_connectivity_adds_penalty_arc(partial_net):
 def test_ensure_connectivity_rejects_bad_penalty(partial_net):
     with pytest.raises(InvalidPenalty):
         ensure_connectivity(partial_net, "o", penalty=0.0)
-
-
-def test_default_connectivity_penalty(chain_net):
-    # largest |cost * beta| is 3 * 2 = 6 -> penalty 60
-    assert default_connectivity_penalty(chain_net, [-2.0]) == pytest.approx(60.0)
 
 
 def test_canonical_json_floats():

@@ -10,9 +10,10 @@ from scipy import stats
 from rlogit import core
 from rlogit.errors import InvalidPath, StepCapExceeded
 from rlogit.generators import bic_dag, random_geometric_network
-from rlogit.network import build_network, enumerate_paths
+from rlogit.network import build_network, canonical_json, enumerate_paths
 from rlogit.simulate import (
     STEP_CAP_FACTOR,
+    ObservationSet,
     generate_observations,
     generate_observations_via_layered,
     load_observations,
@@ -164,6 +165,102 @@ def test_load_reports_first_bad_line(tmp_path, two_route_net, line, message):
     f.write_text("\n".join([good, line, later_bad]) + "\n")
     with pytest.raises(InvalidPath, match=message):
         load_observations(f, two_route_net)
+
+
+@pytest.mark.parametrize("origin", ['"nonexistent-state"', '"a"', "3"])
+def test_load_rejects_an_origin_that_is_not_the_first_state(tmp_path, two_route_net, origin):
+    f = tmp_path / "bad.jsonl"
+    f.write_text('{"origin": "o", "dest": "d", "path": ["o", "b", "d"]}\n'
+                 f'{{"origin": {origin}, "dest": "d", "path": ["o", "a", "d"]}}\n')
+    with pytest.raises(InvalidPath, match="line 2: origin .* is not the path's first state 'o'"):
+        load_observations(f, two_route_net)
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"origin": "o", "dest": "d", "path": ["o", "a"', "line 3: malformed JSON"),
+    ('{"origin": "o", "dest": "d", "path": ["o", "a", "d"]} {}', "line 3: malformed JSON: Extra"),
+    ('{"origin": "o", "path": ["o", "a", "d"]}', "line 3: expected an object"),
+    ('["o", "a", "d"]', "line 3: expected an object"),
+    ('{"origin": "o", "dest": "d", "path": "oad"}', "line 3: expected an object"),
+    ('{"origin": "o", "dest": "x", "path": ["o", "a", "d"]}', "line 3: destination 'x'"),
+])
+def test_load_names_the_file_line_of_a_malformed_observation(tmp_path, two_route_net, line,
+                                                             message):
+    good = '{"origin": "o", "dest": "d", "path": ["o", "b", "d"]}'
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([good, "", line, good]) + "\n")
+    with pytest.raises(InvalidPath, match=message):
+        load_observations(f, two_route_net)
+
+
+NO_ARC = '{"origin": "o", "dest": "d", "path": ["o", "a", "b", "d"]}'
+TRUNCATED = '{"origin": "o", "dest": "d", "path": ["o", "a"'
+FOREIGN_ORIGIN = '{"origin": "b", "dest": "d", "path": ["o", "a", "d"]}'
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([NO_ARC, TRUNCATED, FOREIGN_ORIGIN], "no arc 'a' -> 'b'"),
+    ([TRUNCATED, NO_ARC], "line 1: malformed JSON"),
+    ([FOREIGN_ORIGIN, NO_ARC], "line 1: origin 'b'"),
+    # a line's path is checked before its origin
+    (['{"origin": "b", "dest": "d", "path": ["o", "d"]}', TRUNCATED], "no arc 'o' -> 'd'"),
+    (['{"origin": "o", "dest": "d", "path": ["o", ["x"], "d"]}', NO_ARC], "no arc 'o' -> \\['x'\\]"),
+])
+def test_load_error_names_the_first_bad_line(tmp_path, two_route_net, lines, message):
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidPath, match=message):
+        load_observations(f, two_route_net)
+
+
+def _numbered(net):
+    """Copy of ``net`` whose state ids are the state indices."""
+    arcs = [(int(i), int(j), row) for i, j, row in zip(net.arc_from, net.arc_to, net.attrs)]
+    return build_network(range(net.n_states), net.destination_index, arcs,
+                         net.attribute_names)
+
+
+@pytest.fixture(params=["string ids", "integer ids", "layered"])
+def sampled(request, cycle_net):
+    """(network, sampled set) with string ids, integer ids, or from the
+    layered unrolling of a cyclic network."""
+    if request.param == "layered":
+        return cycle_net, generate_observations_via_layered(cycle_net, spec(1.0), "s0", 500,
+                                                            seed=3)
+    net, origin = random_geometric_network(30, 0.3, seed=1), "o"
+    if request.param == "integer ids":
+        net, origin = _numbered(net), net.state_index("o")
+    return net, generate_observations(net, spec(-4.0, -0.1, -0.05, -0.3), origin, 2000, seed=7)
+
+
+def _canonical_lines(obs) -> bytes:
+    """The JSON Lines file rendered one ``canonical_json`` object per line."""
+    return "".join(canonical_json({"origin": ob.origin, "dest": ob.destination,
+                                   "path": list(ob.path)}) + "\n"
+                   for ob in obs.observations).encode()
+
+
+def test_saved_lines_are_canonical_json(tmp_path, sampled):
+    net, obs = sampled
+    f = tmp_path / "obs.jsonl"
+    save_observations(obs, f)
+    assert f.read_bytes() == _canonical_lines(obs)
+    # a set converted from Observation objects writes the same bytes
+    save_observations(ObservationSet(net, obs.observations), f)
+    assert f.read_bytes() == _canonical_lines(obs)
+
+
+def test_save_load_save_is_byte_identical(tmp_path, sampled):
+    net, obs = sampled
+    p1, p2 = tmp_path / "obs1.jsonl", tmp_path / "obs2.jsonl"
+    save_observations(obs, p1)
+    loaded = load_observations(p1, net)
+    save_observations(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    # loading rebuilds the sampler's arrays
+    np.testing.assert_array_equal(loaded.flat, obs.flat)
+    np.testing.assert_array_equal(loaded.ptr, obs.ptr)
+    assert loaded.attr_sums.tobytes() == obs.attr_sums.tobytes()
 
 
 def test_loaded_attribute_sums_match_make_observation(tmp_path):

@@ -1,6 +1,6 @@
 """Sufficient statistics of an ObservationSet against per-observation and
-per-transition reference loops, on a pooled multi-destination set and on
-generated small DAGs."""
+per-transition reference loops, on a pooled multi-destination set, on a
+20,000-path set and on generated small DAGs."""
 
 from collections import Counter
 
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from rlogit import core, nfxp, nrl
 from rlogit.conic import builder
 from rlogit.conic.solver import OPTIMAL
+from rlogit.errors import UnknownArc, UnknownState
 from rlogit.generators import random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations
@@ -98,9 +99,45 @@ def test_pooled_ecp_matches_nfxp(pooled):
     r_nfxp = nfxp.estimate_nfxp(nets, obs)
     r_ecp = builder.estimate_ecp(nets, obs)
     assert r_nfxp.converged and r_ecp.status == OPTIMAL
-    assert "transitions" not in vars(obs.statistics)  # only NRL counts them
+    assert obs._arc_counts is None  # only NRL counts arcs
     assert abs(r_nfxp.loglik_per_obs - r_ecp.loglik_per_obs) <= 1e-4
     assert np.max(np.abs(r_nfxp.beta_hat - r_ecp.beta_hat)) <= 1e-3
+
+
+def _in_order_sum(observations, k):
+    """Attribute total added up one observation at a time."""
+    total = np.zeros(k)
+    for ob in observations:
+        total += ob.attr_sum
+    return total
+
+
+def _counter_arc_counts(net, obs):
+    """Per-arc counts through a Counter of (from id, to id) pairs."""
+    transitions = Counter(pair for ob in obs.observations for pair in zip(ob.path, ob.path[1:]))
+    counts = np.zeros(net.n_arcs)
+    for (u, v), n in transitions.items():
+        counts[net.arc_id(u, v)] = n
+    return counts
+
+
+def test_attr_total_is_bitwise_the_in_order_sum(pooled):
+    net = random_geometric_network(30, 0.3, seed=1)
+    large = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 20_000, seed=7)
+    for obs in (large, pooled[1]):
+        for key, group in obs.statistics.groups.items():
+            members = [ob for ob in obs.observations if ob.destination == key]
+            assert group.attr_total.tobytes() == _in_order_sum(members, 4).tobytes()
+
+
+def test_arc_counts_of_pooled_members_match_transition_counter(pooled):
+    nets, obs = pooled
+    for key, net in nets.items():
+        members = ObservationSet(net, [ob for ob in obs.observations if ob.destination == key])
+        np.testing.assert_array_equal(members.arc_counts(net), _counter_arc_counts(net, members))
+    # the pooled set also holds the other network's paths
+    with pytest.raises((UnknownState, UnknownArc)):
+        obs.arc_counts(nets["d0"])
 
 
 # --- generated small DAGs ----------------------------------------------------
@@ -185,3 +222,10 @@ def test_builder_attr_total_is_in_order_sum(sample):
     for ob in obs.observations:
         counts[ob.origin] = counts.get(ob.origin, 0) + 1
     assert list(group.origin_counts.items()) == list(counts.items())
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples())
+def test_arc_counts_match_transition_counter(sample):
+    net, obs, _beta, _mu = sample
+    np.testing.assert_array_equal(obs.arc_counts(net), _counter_arc_counts(net, obs))
