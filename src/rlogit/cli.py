@@ -26,7 +26,6 @@ from .conic.solver import SolverOptions
 from .errors import DisconnectedInstance, NoFeasibleReference, OriginTrimmed, RLogitError
 from .generators import (
     bic_dag,
-    layered_dag_from_undirected,
     muc_dag,
     random_geometric_network,
 )

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,20 +117,18 @@ def build_ecp(net, groups: dict, mu=None) -> tuple[ConicProgram, VariableLayout]
         _check_assumption_coverage(gnet, key, starts)
         n, m, d = gnet.n_states, gnet.n_arcs, gnet.destination_index
         src, dst = gnet.arc_from, gnet.arc_to
-        live = np.arange(n) != d
-        u_col = np.full(n, -1)
-        u_col[live] = n_cols + np.arange(n - 1)
+        states = gnet.free_states
+        u_col = np.where(gnet.free_row < 0, -1, n_cols + gnet.free_row)
         r_col = n_cols + n - 1 + np.arange(m)
         n_cols += n - 1 + m
-        states = np.flatnonzero(live)
         layout.groups[key] = GroupLayout(
-            dict(zip(compress(gnet.states, live), u_col[states].tolist())),
+            dict(zip([gnet.states[i] for i in states.tolist()], u_col[states].tolist())),
             states, u_col[states])
 
         beta_obj += group.attr_total
         u_obj = np.zeros(n)
         u_obj[starts] = -counts
-        group_obj += [u_obj[live], np.zeros(m)]
+        group_obj += [u_obj[states], np.zeros(m)]
 
         # cone of arc a: (attrs[a] . beta + u_to - u_from, 1, r_a); the
         # destination never leaves, and arriving there adds u_d = 0
@@ -147,9 +144,8 @@ def build_ecp(net, groups: dict, mu=None) -> tuple[ConicProgram, VariableLayout]
         n_cones += m
 
         # one mass row per state with successors: sum of its arcs' r <= 1
-        out_states, out_row = np.unique(src, return_inverse=True)
-        mass_parts.append((n_mass + out_row, r_col))
-        n_mass += len(out_states)
+        mass_parts.append((n_mass + gnet.tail_segment, r_col[gnet.tail_order]))
+        n_mass += len(gnet.tail_owners)
     layout.total = n_cols
 
     cone_rows, cone_cols, cone_vals = (np.concatenate(p) for p in zip(*cone_parts))

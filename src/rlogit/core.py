@@ -6,6 +6,9 @@ reaching the destination, with V(destination) = 0.  Two solvers are provided:
 an exp-space linear-system solve (exact for unit scale) and plain value
 iteration.  Both report failure explicitly instead of propagating NaN.
 
+The Bellman operator and the choice probabilities run segment-wise on the
+network's tail layout (``Network.tail_order``), with no per-state loop.
+
 The linear solve factors I - M once and leaves the factor and z = e^V on the
 returned ValueField, where the value Jacobian finds them.  One loop,
 ``iterate_values``, serves the plain and the nested (scaled) operator.
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import logsumexp
 
 from .errors import (
     EmptySuccessorSet,
@@ -98,58 +100,28 @@ def utility(net: Network, spec: UtilitySpec, arc) -> float:
 def _check_successors(net: Network):
     """Every state but the destination owns an arc segment.  The destination
     owns none (build_network rejects its arcs), so counting owners suffices."""
-    owners = _segments(net)[2]
-    if len(owners) < net.n_states - 1:
-        missing = np.setdiff1d(np.arange(net.n_states), owners)
+    if len(net.tail_owners) < net.n_states - 1:
+        missing = np.setdiff1d(np.arange(net.n_states), net.tail_owners)
         i = int(missing[missing != net.destination_index][0])
         raise EmptySuccessorSet(f"non-destination state {net.states[i]!r} has no successors")
 
 
-def _segments(net: Network):
-    """Arcs grouped contiguously by from-state: (order, starts, owners,
-    segment ids).  Cached on the network object."""
-    cached = getattr(net, "_segment_cache", None)
-    if cached is not None:
-        return cached
-    order = np.argsort(net.arc_from, kind="stable")
-    f = net.arc_from[order]
-    if len(f) == 0:
-        cached = (order, np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-    else:
-        starts = np.flatnonzero(np.r_[True, f[1:] != f[:-1]])
-        owners = f[starts]
-        seg_id = np.searchsorted(starts, np.arange(len(f)), side="right") - 1
-        cached = (order, starts, owners, seg_id)
-    object.__setattr__(net, "_segment_cache", cached)
-    return cached
-
-
-def _free_index(net: Network):
-    """Non-destination states in index order (the rows of the exp-space
-    system) and the map state -> row, -1 at the destination.  Cached on the
-    network object."""
-    cached = getattr(net, "_free_index_cache", None)
-    if cached is None:
-        d = net.destination_index
-        rows = np.delete(np.arange(net.n_states), d)
-        row_of = np.full(net.n_states, -1)
-        row_of[rows] = np.arange(len(rows))
-        cached = (rows, row_of)
-        object.__setattr__(net, "_free_index_cache", cached)
-    return cached
+def _segment_exp(net: Network, per_arc: np.ndarray):
+    """An arc-indexed quantity in the network's tail order, shifted by its
+    maximum per tail segment and exponentiated: (segment maxima, shifted
+    exponentials per sorted arc, their segment sums)."""
+    w = per_arc[net.tail_order]
+    mx = np.maximum.reduceat(w, net.tail_starts)
+    e = np.exp(w - mx[net.tail_segment])
+    return mx, e, np.add.reduceat(e, net.tail_starts)
 
 
 def grouped_logsumexp(net: Network, per_arc: np.ndarray) -> np.ndarray:
     """Per-state log-sum-exp of an arc-indexed quantity over each state's
     successor arcs; states without successors get 0."""
-    order, starts, owners, seg_id = _segments(net)
+    mx, _, sums = _segment_exp(net, per_arc)
     out = np.zeros(net.n_states)
-    if len(order) == 0:
-        return out
-    w = per_arc[order]
-    mx = np.maximum.reduceat(w, starts)
-    sums = np.add.reduceat(np.exp(w - mx[seg_id]), starts)
-    out[owners] = mx + np.log(sums)
+    out[net.tail_owners] = mx + np.log(sums)
     return out
 
 
@@ -180,7 +152,7 @@ def _exp_space_system(net: Network, spec: UtilitySpec):
     if np.any(v > _EXP_CAP):
         return None
     ev = np.exp(v)
-    rows, row_of = _free_index(net)
+    rows, row_of = net.free_states, net.free_row
     m = len(rows)
     to_dest = net.arc_to == net.destination_index
     b = np.zeros(m)
@@ -274,18 +246,9 @@ def choice_probabilities(net: Network, spec: UtilitySpec, vf: ValueField) -> np.
     if vf.status != SOLVED:
         raise UnsolvedValueField(f"value field status is {vf.status}")
     v = arc_utilities(net, spec)
+    _, e, sums = _segment_exp(net, (v + vf.values[net.arc_to]) / spec.mu)
     p = np.zeros(net.n_arcs)
-    d = net.destination_index
-    for i in range(net.n_states):
-        if i == d:
-            continue
-        a = net.succ_arcs[i]
-        if len(a) == 0:
-            continue
-        w = (v[a] + vf.values[net.arc_to[a]]) / spec.mu
-        w -= w.max()
-        e = np.exp(w)
-        p[a] = e / e.sum()
+    p[net.tail_order] = e / sums[net.tail_segment]
     return p
 
 

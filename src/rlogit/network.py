@@ -8,16 +8,20 @@ to share across threads.
 
 Every network is built by one array-level constructor,
 :func:`network_from_arrays`: it takes state indices per arc and the attribute
-matrix, runs all validity checks on whole arrays, and groups arcs by state
-with one stable argsort per direction.  :func:`build_network` is its front end
-for ``(from, to, attributes)`` triples; generators call the constructor
-directly.
+matrix and runs all validity checks on whole arrays.  :func:`build_network`
+is its front end for ``(from, to, attributes)`` triples; generators call the
+constructor directly.
+
+Indices derived from the arc arrays (the CSR grouping of arcs by tail state,
+the free rows of the value system, the sorted pair keys) are computed once,
+on the network, and every consumer reads them there.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +49,9 @@ class Network:
         attrs: (n_arcs, K) attribute matrix.
         attribute_names: K column names.
         positions: optional mapping node -> (x, y), carried by generators.
+
+    Derived indices are cached on first use; the arrays among them are
+    read-only.
     """
 
     states: tuple[StateId, ...]
@@ -55,19 +62,63 @@ class Network:
     attribute_names: tuple[str, ...]
     positions: dict | None = None
 
-    # derived, filled in __post_init__
-    index: dict = field(default_factory=dict, compare=False, repr=False)
-    succ_arcs: tuple = field(default=(), compare=False, repr=False)
-    pred_arcs: tuple = field(default=(), compare=False, repr=False)
-    arc_lookup: dict = field(default_factory=dict, compare=False, repr=False)
+    # --- derived indices --------------------------------------------------
 
-    def __post_init__(self):
-        n = len(self.states)
-        object.__setattr__(self, "index", dict(zip(self.states, range(n))))
-        object.__setattr__(self, "succ_arcs", _blocks(self.arc_from, n))
-        object.__setattr__(self, "pred_arcs", _blocks(self.arc_to, n))
+    @cached_property
+    def index(self) -> dict:
+        return dict(zip(self.states, range(len(self.states))))
+
+    @cached_property
+    def arc_lookup(self) -> dict:
         pairs = zip(self.arc_from.tolist(), self.arc_to.tolist())
-        object.__setattr__(self, "arc_lookup", dict(zip(pairs, range(len(self.arc_from)))))
+        return dict(zip(pairs, range(self.n_arcs)))
+
+    @cached_property
+    def tail_order(self) -> np.ndarray:
+        """Arc indices sorted stably by tail state: each state's out-arcs
+        form one contiguous segment, in ascending arc order."""
+        return _read_only(np.argsort(self.arc_from, kind="stable"))
+
+    @cached_property
+    def tail_offsets(self) -> np.ndarray:
+        """State i's out-arcs are ``tail_order[tail_offsets[i]:tail_offsets[i + 1]]``."""
+        counts = np.bincount(self.arc_from, minlength=self.n_states)
+        return _read_only(np.concatenate([[0], np.cumsum(counts)]))
+
+    @cached_property
+    def tail_owners(self) -> np.ndarray:
+        """States with at least one out-arc, ascending: the segment owners."""
+        return _read_only(np.flatnonzero(np.diff(self.tail_offsets)))
+
+    @cached_property
+    def tail_starts(self) -> np.ndarray:
+        """Start of each owner's segment in ``tail_order``."""
+        return _read_only(self.tail_offsets[self.tail_owners])
+
+    @cached_property
+    def tail_segment(self) -> np.ndarray:
+        """Segment index of each arc of ``tail_order``."""
+        sizes = np.diff(self.tail_offsets)[self.tail_owners]
+        return _read_only(np.repeat(np.arange(len(sizes)), sizes))
+
+    @cached_property
+    def free_states(self) -> np.ndarray:
+        """Non-destination states: the rows of the exp-space value system."""
+        return _read_only(np.delete(np.arange(self.n_states), self.destination_index))
+
+    @cached_property
+    def free_row(self) -> np.ndarray:
+        """Row of each state in ``free_states``, -1 at the destination."""
+        row = np.full(self.n_states, -1)
+        row[self.free_states] = np.arange(len(self.free_states))
+        return _read_only(row)
+
+    @cached_property
+    def _arc_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted keys from * n_states + to, ended by -1, and their arcs."""
+        keys = self.arc_from * self.n_states + self.arc_to
+        order = np.argsort(keys)
+        return _read_only(np.append(keys[order], -1)), _read_only(np.append(order, -1))
 
     # --- basic queries ----------------------------------------------------
 
@@ -93,13 +144,17 @@ class Network:
         except KeyError:
             raise UnknownState(f"unknown state {state!r}") from None
 
+    def out_arcs(self, idx: int) -> np.ndarray:
+        """Arcs leaving state index ``idx``, ascending."""
+        return self.tail_order[self.tail_offsets[idx]:self.tail_offsets[idx + 1]]
+
     def successors(self, state: StateId) -> list[StateId]:
         idx = self.state_index(state)
-        return [self.states[self.arc_to[a]] for a in self.succ_arcs[idx]]
+        return [self.states[j] for j in self.arc_to[self.out_arcs(idx)].tolist()]
 
     def predecessors(self, state: StateId) -> list[StateId]:
         idx = self.state_index(state)
-        return [self.states[self.arc_from[a]] for a in self.pred_arcs[idx]]
+        return [self.states[i] for i in self.arc_from[self.arc_to == idx].tolist()]
 
     def arc_id(self, from_state: StateId, to_state: StateId) -> int:
         key = (self.state_index(from_state), self.state_index(to_state))
@@ -110,13 +165,7 @@ class Network:
 
     def arc_indices(self, from_idx, to_idx) -> np.ndarray:
         """Arc index of each (from, to) pair of state-index arrays, -1 where
-        the pair is no arc or an index is -1.  The sorted pair keys, ended
-        by a key no pair has, are cached on the network object."""
-        if getattr(self, "_arc_keys", None) is None:
-            keys = self.arc_from * self.n_states + self.arc_to
-            order = np.argsort(keys)
-            object.__setattr__(self, "_arc_keys",
-                               (np.append(keys[order], -1), np.append(order, -1)))
+        the pair is no arc or an index is -1."""
         keys, order = self._arc_keys
         from_idx, to_idx = np.asarray(from_idx), np.asarray(to_idx)
         query = np.where((from_idx < 0) | (to_idx < 0), -2, from_idx * self.n_states + to_idx)
@@ -128,12 +177,9 @@ class Network:
             yield (self.states[self.arc_from[a]], self.states[self.arc_to[a]], self.attrs[a])
 
 
-def _blocks(keys: np.ndarray, n: int) -> tuple:
-    """Arc indices grouped by state: block i lists, in ascending order, the
-    arcs whose ``keys`` entry is i."""
-    order = np.argsort(keys, kind="stable")
-    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
-    return tuple(order[a:b] for a, b in zip([0] + ends[:-1], ends))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def network_from_arrays(
@@ -315,8 +361,7 @@ def enumerate_paths(net: Network, origin: StateId, max_paths: int = 1_000_000):
                 raise RuntimeError(f"more than {max_paths} paths")
             yield [net.states[i] for i in path]
             continue
-        for a in net.succ_arcs[node]:
-            j = int(net.arc_to[a])
+        for j in net.arc_to[net.out_arcs(node)].tolist():
             if j != dest and j in path:
                 continue  # skip cycles
             stack.append((j, path + [j]))

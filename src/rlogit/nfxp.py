@@ -80,7 +80,7 @@ def _value_jacobian(net, spec, vf) -> np.ndarray:
     ``core.solve_value_linear`` left on ``vf`` solves all K right-hand sides
     at once.
     """
-    rows, row_of = core._free_index(net)
+    rows, row_of = net.free_states, net.free_row
     # z on the full state index, with the destination pinned at e^0 = 1
     z_full = np.ones(net.n_states)
     z_full[rows] = vf.z

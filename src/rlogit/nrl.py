@@ -16,7 +16,7 @@ transition counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,13 +93,9 @@ def check_mu_monotone(net: Network, mu: ScaleField):
     Returns (ok, violating (from, to) state pairs).  Within any directed
     cycle the condition forces mu to be constant.
     """
-    violations = []
-    for a in range(net.n_arcs):
-        i, j = int(net.arc_from[a]), int(net.arc_to[a])
-        if j == net.destination_index:
-            continue
-        if mu.values[i] < mu.values[j]:
-            violations.append((net.states[i], net.states[j]))
+    i, j = net.arc_from, net.arc_to
+    bad = (j != net.destination_index) & (mu.values[i] < mu.values[j])
+    violations = [(net.states[u], net.states[v]) for u, v in zip(i[bad].tolist(), j[bad].tolist())]
     return len(violations) == 0, violations
 
 
@@ -169,7 +165,7 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
 
     # adjoint solve on the non-destination block
     d = net.destination_index
-    rows, row_of = core._free_index(net)
+    rows, row_of = net.free_states, net.free_row
     interior = net.arc_to != d
     p_red = sp.csr_matrix(
         (

@@ -11,12 +11,14 @@ attribute total and size) and, for NRL, its per-arc counts on a network.
 step, from one counter-based stream per dataset, so output is byte-for-byte
 reproducible per seed.  Cyclic ground truth goes through the layered-DAG
 conversion (``generate_observations_via_layered``), which bounds walk length.
-The sampler returns index paths as CSR arrays (start states, the arc taken
-at each step, path lengths); one helper turns them into a set, summing
-attributes per path-length group.  Sampled paths follow the network's arcs
-and are not re-validated.  ``load_observations`` checks a file's paths in
-one array pass and builds its set through the same helper;
-``make_observation`` checks one path with ``core.validate_path``.
+The sampler picks each step's arc within the current state's segment of the
+network's tail layout (``Network.tail_order``) and returns index paths as CSR
+arrays (start states, the arc taken at each step, path lengths); one helper
+turns them into a set, summing attributes per path-length group.  Sampled
+paths follow the network's arcs and are not re-validated.
+``load_observations`` checks a file's paths in one array pass and builds its
+set through the same helper; ``make_observation`` checks one path with
+``core.validate_path``.
 ``save_observations`` renders each state id once and joins the lines.
 """
 
@@ -210,19 +212,17 @@ def _sample_paths_batch(net, probs, start_states, rng):
     """
     dest = net.destination_index
     cap = STEP_CAP_FACTOR * net.n_states
-    # each state's arcs as one block of ``order``; within a block the
-    # normalized cumulative probabilities, summed in block order exactly as
-    # np.cumsum does
-    order = np.argsort(net.arc_from, kind="stable")
-    deg = np.bincount(net.arc_from, minlength=net.n_states)
-    first = np.cumsum(deg) - deg
+    # each state's arcs as one segment of the network's tail order; within a
+    # segment the normalized cumulative probabilities, summed in segment
+    # order exactly as np.cumsum does
+    order, first, deg = net.tail_order, net.tail_offsets[:-1], np.diff(net.tail_offsets)
     p = probs[order]
     cum = p.copy()
-    rank = np.arange(len(order)) - np.repeat(first, deg)
+    rank = np.arange(len(order)) - net.tail_starts[net.tail_segment]
     for k in range(1, int(deg.max(initial=0))):
         at = np.flatnonzero(rank == k)
         cum[at] = cum[at - 1] + p[at]
-    cum /= np.repeat(cum[(first + deg - 1)[deg > 0]], deg[deg > 0])
+    cum /= cum[net.tail_offsets[net.tail_owners + 1] - 1][net.tail_segment]
 
     starts = np.array(start_states, dtype=np.intp)
     cur = starts.copy()
@@ -233,8 +233,8 @@ def _sample_paths_batch(net, probs, start_states, rng):
             break
         u = rng.random(len(active))
         here_first, here_last = first[cur[active]], deg[cur[active]] - 1
-        # searchsorted(block, u): the number of block entries below u; the
-        # last entry is 1 and never counts
+        # searchsorted(segment, u): the number of segment entries below u;
+        # the last entry is 1 and never counts
         pick = np.zeros(len(active), dtype=np.intp)
         for k in range(int(here_last.max())):
             inside = k < here_last

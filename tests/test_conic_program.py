@@ -1,5 +1,6 @@
 """Cone membership and program serialization round-trips."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 
+from rlogit import core
 from rlogit.conic import builder
 from rlogit.conic.program import (
     ConicProgram,
@@ -19,6 +21,8 @@ from rlogit.conic.program import (
     save_problem,
     write_cbf,
 )
+from rlogit.generators import random_geometric_network
+from rlogit.simulate import generate_observations
 
 from conftest import dag_samples
 
@@ -176,3 +180,17 @@ def test_ecp_program_round_trips(tmp_path_factory, sample):
                                       getattr(prog, name).toarray())
     for name in ("b_eq", "b_ineq", "b_cone"):
         np.testing.assert_array_equal(getattr(back, name), getattr(prog, name))
+
+
+# sha256 of the exported JSON of one seeded ECP program: it pins every cone
+# row, the mass rows (one per state with out-arcs) and the column layout
+ECP_PROGRAM_DIGEST = "01086697ee13a7b87e1ff0a18dfeda4ae2e183f20582f71b07b42a851976c5b6"
+
+
+def test_ecp_program_golden_digest(tmp_path):
+    net = random_geometric_network(20, 0.35, seed=1)  # arcs not sorted by tail
+    obs = generate_observations(net, core.UtilitySpec(np.array([-4.0, -0.1, -0.05, -0.3])),
+                                "o", 200, seed=3)
+    prog, _ = builder.build_ecp(net, builder.group_observations(obs))
+    builder.export_problem(prog, tmp_path / "p.json")
+    assert hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest() == ECP_PROGRAM_DIGEST

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from rlogit import core
@@ -134,8 +134,40 @@ def test_choice_probabilities_normalize(two_route_net):
     for st in two_route_net.states:
         if st == "d":
             continue
-        row = p[two_route_net.succ_arcs[two_route_net.state_index(st)]]
+        row = p[two_route_net.out_arcs(two_route_net.state_index(st))]
         assert row.sum() == pytest.approx(1.0)
+
+
+def _softmax_per_state(net, s, vf):
+    """Choice probabilities by one softmax per state over its out-arcs."""
+    v = core.arc_utilities(net, s)
+    p = np.zeros(net.n_arcs)
+    for i in range(net.n_states):
+        a = np.flatnonzero(net.arc_from == i)
+        if len(a) == 0:
+            continue
+        w = (v[a] + vf.values[net.arc_to[a]]) / s.mu
+        w -= w.max()
+        e = np.exp(w)
+        p[a] = e / e.sum()
+    return p
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(
+    dag_samples().map(lambda sample: (sample[0], sample[2])),
+    cyclic_geometric_networks().map(lambda net: (net, np.array([-8.0, -0.2, -0.1, -0.6]))),
+))
+def test_choice_probabilities_match_per_state_softmax(case):
+    # the segment sums round differently from ndarray.sum, by about one ulp
+    net, beta = case
+    s = core.UtilitySpec(beta)
+    vf, rep = core.solve_value_linear(net, s)
+    assume(rep.status == core.SOLVED)
+    p = core.choice_probabilities(net, s, vf)
+    np.testing.assert_allclose(p, _softmax_per_state(net, s, vf), rtol=1e-15, atol=0)
+    row_sums = np.bincount(net.arc_from, p, net.n_states)
+    np.testing.assert_allclose(np.delete(row_sums, net.destination_index), 1.0, rtol=1e-15)
 
 
 def test_choice_probabilities_require_solved(two_route_net):

@@ -327,3 +327,24 @@ def test_ecp_matches_nfxp_on_generated_dags(sample, path_seed):
     assert r_nfxp.converged and r_ecp.status == OPTIMAL
     assert abs(r_nfxp.loglik_per_obs - r_ecp.loglik_per_obs) <= 1e-4
     assert np.max(np.abs(r_nfxp.beta_hat - r_ecp.beta_hat)) <= 1e-3
+
+
+@pytest.mark.xfail(strict=True, raises=BindingViolation,
+                   reason="the recovered values keep a Bellman slack of 2.1e-6 at s2, "
+                          "a state no sampled path visits")
+def test_ecp_binds_on_sparse_visit_dag():
+    # a draw of test_ecp_matches_nfxp_on_generated_dags that passes its
+    # information filter (0.043) and on which NFXP converges
+    states = [f"s{i}" for i in range(7)]
+    pairs = [(i, i + 1) for i in range(6)] + [(0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6)]
+    attrs = {(0, 1): [1.0, 0.0], (4, 5): [2.0, 2.0], (5, 6): [0.0, 2.0]}
+    net = build_network(states, "s6", [(states[i], states[j], attrs.get((i, j), [0.0, 0.0]))
+                                       for i, j in pairs])
+    obs = generate_observations(net, core.UtilitySpec(np.array([-2.0, -2.0])), ["s0", "s1"],
+                                300, seed=0)
+    r_nfxp = nfxp.estimate_nfxp(obs.net_by_group(), obs)
+    assert r_nfxp.converged
+    r_ecp = builder.estimate_ecp(obs.net_by_group(), obs)
+    assert r_ecp.status == OPTIMAL
+    assert abs(r_nfxp.loglik_per_obs - r_ecp.loglik_per_obs) <= 1e-4
+    assert np.max(np.abs(r_nfxp.beta_hat - r_ecp.beta_hat)) <= 1e-3

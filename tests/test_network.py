@@ -108,12 +108,15 @@ def test_array_checks_raise_as_per_arc_loop(states, destination, arcs):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
     st.just(n),
+    st.integers(0, n - 1),
     st.lists(st.tuples(st.integers(0, n - 2), st.integers(0, n - 1)), unique=True),
 )))
 def test_arc_groups_match_per_arc_loop(case):
-    n, pairs = case
+    n, d, drawn = case
+    # tails skip the destination d; some states draw no out-arcs
+    pairs = [(i + (i >= d), j) for i, j in drawn]
     states = [f"s{i}" for i in range(n)]
-    net = network_from_arrays(states, states[-1], [i for i, _ in pairs], [j for _, j in pairs],
+    net = network_from_arrays(states, states[d], [i for i, _ in pairs], [j for _, j in pairs],
                               np.ones((len(pairs), 1)))
     succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
     for a, (i, j) in enumerate(pairs):
@@ -121,9 +124,28 @@ def test_arc_groups_match_per_arc_loop(case):
         pred[j].append(a)
         assert net.arc_lookup[(i, j)] == a
     assert len(net.arc_lookup) == len(pairs)
-    assert [list(b) for b in net.succ_arcs] == succ
-    assert [list(b) for b in net.pred_arcs] == pred
     assert net.index == {s: i for i, s in enumerate(states)}
+
+    # the tail layout: per-state segments of one arc order
+    owners = [i for i in range(n) if succ[i]]
+    assert [net.out_arcs(i).tolist() for i in range(n)] == succ
+    assert net.tail_order.tolist() == [a for arcs in succ for a in arcs]
+    assert net.tail_offsets.tolist() == np.cumsum([0] + [len(arcs) for arcs in succ]).tolist()
+    assert net.tail_owners.tolist() == owners
+    assert net.tail_starts.tolist() == [net.tail_order.tolist().index(succ[i][0]) for i in owners]
+    assert net.tail_segment.tolist() == [k for k, i in enumerate(owners) for _ in succ[i]]
+
+    # the free rows of the value system
+    free = [i for i in range(n) if i != d]
+    assert net.free_states.tolist() == free
+    assert net.free_row.tolist() == [free.index(i) if i != d else -1 for i in range(n)]
+
+    for i, s in enumerate(states):
+        assert net.successors(s) == [states[pairs[a][1]] for a in succ[i]]
+        assert net.predecessors(s) == [states[pairs[a][0]] for a in pred[i]]
+    for derived in (net.tail_order, net.tail_offsets, net.tail_owners, net.tail_starts,
+                    net.tail_segment, net.free_states, net.free_row, *net._arc_keys):
+        assert not derived.flags.writeable
 
 
 def test_array_constructor_checks():
@@ -168,7 +190,7 @@ def _bfs(net, start, reverse, allowed):
     while frontier:
         nxt = []
         for i in frontier:
-            for a in (net.pred_arcs if reverse else net.succ_arcs)[i]:
+            for a in np.flatnonzero(net.arc_to == i) if reverse else net.out_arcs(i):
                 j = int(net.arc_from[a] if reverse else net.arc_to[a])
                 if allowed[i] and allowed[j] and j not in seen:
                     seen.add(j)
