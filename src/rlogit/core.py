@@ -3,15 +3,20 @@ solving, choice probabilities and path/dataset log-likelihood.
 
 The value function V assigns each state the expected maximum utility of
 reaching the destination, with V(destination) = 0.  Two solvers are provided:
-an exp-space linear-system solve (exact for unit scale) and plain value
-iteration.  Both report failure explicitly instead of propagating NaN.
+an exp-space linear-system solve (exact for unit scale) and
+``iterate_values``, the one iterative solver, which serves the plain and
+the nested (scaled) operator alike.  Both report failure explicitly instead
+of propagating NaN.
 
 The Bellman operator and the choice probabilities run segment-wise on the
 network's tail layout (``Network.tail_order``), with no per-state loop.
 
-The linear solve factors I - M once and leaves the factor and z = e^V on the
-returned ValueField, where the value Jacobian finds them.  One loop,
-``iterate_values``, serves the plain and the nested (scaled) operator.
+Both solvers factor a matrix I - W on the free rows, filled into one sparse
+pattern cached on the network (``Network.free_pattern``): the linear solve
+I - M with M = e^v, and the Newton steps of ``iterate_values`` I - P with P
+the choice probabilities.  Each leaves its factor on the returned
+ValueField, where the NFXP value Jacobian (I - M, with z = e^V) and the NRL
+adjoint (I - P, transposed) find it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ MAX_ITERATIONS = "MaxIterations"
 
 LINEAR_RESIDUAL_TOL = 1e-10
 DIVERGENCE_BOUND = 1e10
+
+# contraction sweeps before iterate_values' first Newton step on a cyclic
+# network
+NEWTON_AFTER = 5
 
 # exponent cap: anything above this in exp-space is treated as a failed solve
 _EXP_CAP = 500.0
@@ -67,7 +76,8 @@ class ValueField:
     """Vector of state values for one destination; values[destination] = 0.
 
     The exp-space solve also keeps its splu factor of I - M and z = e^V on
-    the non-destination rows (``None`` from the other solvers)."""
+    the non-destination rows; ``iterate_values`` keeps the factor of I - P
+    of its last Newton step (``None`` when it ended in sweeps)."""
 
     values: np.ndarray
     status: str = SOLVED
@@ -116,13 +126,25 @@ def _segment_exp(net: Network, per_arc: np.ndarray):
     return mx, e, np.add.reduceat(e, net.tail_starts)
 
 
-def grouped_logsumexp(net: Network, per_arc: np.ndarray) -> np.ndarray:
-    """Per-state log-sum-exp of an arc-indexed quantity over each state's
-    successor arcs; states without successors get 0."""
-    mx, _, sums = _segment_exp(net, per_arc)
+def scaled_bellman(net: Network, v: np.ndarray, mu: np.ndarray, values: np.ndarray):
+    """The scaled log-sum-exp operator for per-arc utilities ``v`` and
+    per-state scales ``mu``: T[V] and the segment exponentials behind it,
+    (T[V], e, sums), from which :func:`_probabilities` gives the choice
+    probabilities at V."""
+    mx, e, sums = _segment_exp(net, (v + values[net.arc_to]) / mu[net.arc_from])
     out = np.zeros(net.n_states)
-    out[net.tail_owners] = mx + np.log(sums)
-    return out
+    owners = net.tail_owners
+    out[owners] = mu[owners] * (mx + np.log(sums))
+    out[net.destination_index] = 0.0
+    return out, e, sums
+
+
+def _probabilities(net: Network, e: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Per-arc softmax from :func:`_segment_exp`'s output, indexed like
+    ``net.arcs``."""
+    p = np.zeros(net.n_arcs)
+    p[net.tail_order] = e / sums[net.tail_segment]
+    return p
 
 
 def bellman_apply(net: Network, spec: UtilitySpec, values: np.ndarray) -> np.ndarray:
@@ -132,16 +154,24 @@ def bellman_apply(net: Network, spec: UtilitySpec, values: np.ndarray) -> np.nda
     the destination pinned at 0.  Overflow-safe via max-shifting.
     """
     _check_successors(net)
-    v = arc_utilities(net, spec)
-    w = (v + values[net.arc_to]) / spec.mu
-    out = spec.mu * grouped_logsumexp(net, w)
-    out[net.destination_index] = 0.0
-    return out
+    mu = np.full(net.n_states, spec.mu)
+    return scaled_bellman(net, arc_utilities(net, spec), mu, values)[0]
 
 
 def bellman_residual(net: Network, spec: UtilitySpec, values: np.ndarray) -> float:
     """Sup-norm of V - T[V]."""
     return float(np.max(np.abs(values - bellman_apply(net, spec, values))))
+
+
+def identity_minus(net: Network, per_arc: np.ndarray) -> sp.csc_matrix:
+    """I - W on the free rows, where W_{from(a), to(a)} = per_arc[a] for the
+    arcs between free states, filled into the network's cached pattern."""
+    indptr, indices, diag, inner, slots = net.free_pattern
+    data = np.zeros(len(indices))
+    data[diag] = 1.0
+    data[slots] -= per_arc[inner]
+    m = len(net.free_states)
+    return sp.csc_matrix((data, indices, indptr), shape=(m, m))
 
 
 def _exp_space_system(net: Network, spec: UtilitySpec):
@@ -153,14 +183,10 @@ def _exp_space_system(net: Network, spec: UtilitySpec):
         return None
     ev = np.exp(v)
     rows, row_of = net.free_states, net.free_row
-    m = len(rows)
     to_dest = net.arc_to == net.destination_index
-    b = np.zeros(m)
+    b = np.zeros(len(rows))
     np.add.at(b, row_of[net.arc_from[to_dest]], ev[to_dest])
-    inner = ~to_dest
-    data, ri, ci = ev[inner], row_of[net.arc_from[inner]], row_of[net.arc_to[inner]]
-    M = sp.csc_matrix((data, (ri, ci)), shape=(m, m))
-    return M, b, rows
+    return identity_minus(net, ev), b, rows
 
 
 def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, SolveReport]:
@@ -179,9 +205,9 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     vf = ValueField(np.full(net.n_states, np.nan), status=SINGULAR)
     if sys is None:
         return vf, SolveReport(SINGULAR, residual=np.inf)
-    M, b, rows = sys
+    system, b, rows = sys
     try:
-        lu = spla.splu(sp.identity(len(rows), format="csc") - M)
+        lu = spla.splu(system)
     except RuntimeError:
         return vf, SolveReport(SINGULAR)
     z = lu.solve(b)
@@ -201,42 +227,84 @@ def solve_value_iteration(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> tuple[ValueField, SolveReport]:
-    """Value iteration V <- T[V] with the Bellman operator; see
+    """Fixed point of the Bellman operator by sweeps and Newton steps; see
     :func:`iterate_values`."""
-    return iterate_values(net, lambda values: bellman_apply(net, spec, values), tol, max_iter)
+    return iterate_values(net, arc_utilities(net, spec), np.full(net.n_states, spec.mu),
+                          tol, max_iter)
 
 
-def iterate_values(net: Network, apply, tol: float = 1e-10,
+def iterate_values(net: Network, v: np.ndarray, mu: np.ndarray, tol: float = 1e-10,
                    max_iter: int = 10_000) -> tuple[ValueField, SolveReport]:
-    """Iterate V <- apply(V) from V = 0 until the sup-norm change drops below
-    ``tol``; detects divergence when values exceed the divergence bound.
+    """Fixed point V = T[V] of the scaled log-sum-exp operator for per-arc
+    utilities ``v`` and per-state scales ``mu``, from V = 0, after Rust's
+    polyalgorithm.
 
-    ``apply`` is a log-sum-exp Bellman operator, plain or scaled.  Its
-    Jacobian is nonnegative and row-substochastic, so it is non-expansive in
-    sup norm and the change between sweeps does not grow beyond rounding; no
-    damping is needed.
+    Sweeps V <- T[V] end once the change drops below ``tol``.  On an acyclic
+    network they reach the fixed point after depth + 1 sweeps, and nothing
+    else runs.  On a cyclic network every iteration after the first
+    ``NEWTON_AFTER`` is a Newton step (I - P) dV = T[V] - V on the free rows,
+    P being the choice probabilities at V: the Jacobian of T for every scale
+    field.  T is convex and I - P an M-matrix, so from the first step on the
+    iterates rise monotonically to the fixed point.  The step bounds the
+    error of V, so the loop ends once it drops below ``tol``, and the
+    returned ValueField keeps that step's splu factor of I - P.  A Newton
+    step that cannot be taken (singular I - P, non-finite step) or that is
+    not shorter than the one before hands the rest back to sweeps.
+
+    Sweeps are non-expansive in sup norm (the Jacobian is nonnegative and
+    row-substochastic), so their change does not grow beyond rounding; in
+    log space divergence shows up as a change that stops shrinking, or as
+    values beyond the divergence bound, and is reported as Diverged.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     _check_successors(net)
+    rows = net.free_states
     values = np.zeros(net.n_states)
     history: list[float] = []
     window = 200
+    newton, last_step = not net.acyclic, np.inf
+
+    def solved(values, it, factor=None):
+        res = float(np.max(np.abs(values - scaled_bellman(net, v, mu, values)[0])))
+        return ValueField(values, SOLVED, factor=factor), SolveReport(SOLVED, it, res)
+
     for it in range(1, max_iter + 1):
-        new = apply(values)
+        new, e, sums = scaled_bellman(net, v, mu, values)
         if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > DIVERGENCE_BOUND:
             return ValueField(new, DIVERGED), SolveReport(DIVERGED, it)
         change = float(np.max(np.abs(new - values)))
+        if change <= tol and not (newton and last_step < np.inf):  # Newton stops on its step
+            return solved(new, it)
+        if newton and it > NEWTON_AFTER:
+            step, lu = _newton_step(net, e, sums, (new - values)[rows])
+            size = np.inf if step is None else float(np.max(np.abs(step)))
+            if size < last_step:
+                last_step = size
+                values[rows] += step
+                if size <= tol:
+                    return solved(values, it, lu)
+                continue
+            newton = False
         values = new
-        if change <= tol:
-            res = float(np.max(np.abs(values - apply(values))))
-            return ValueField(values, SOLVED), SolveReport(SOLVED, it, res)
         history.append(change)
-        # in log space divergence shows up as a non-shrinking step size, not
-        # a fast blow-up; flag sustained stalls well above the tolerance
-        if it > window and change > 1e3 * tol and change >= 0.99 * history[-window]:
+        # flag sustained stalls of the sweeps well above the tolerance
+        if (len(history) > window and change > 1e3 * tol
+                and change >= 0.99 * history[-window]):
             return ValueField(values, DIVERGED), SolveReport(DIVERGED, it)
     return ValueField(values, MAX_ITERATIONS), SolveReport(MAX_ITERATIONS, max_iter)
+
+
+def _newton_step(net: Network, e: np.ndarray, sums: np.ndarray, residual: np.ndarray):
+    """(dV, splu factor of I - P) solving (I - P) dV = T[V] - V on the free
+    rows, with P from :func:`scaled_bellman`'s exponentials at V; (None, None)
+    when I - P is singular or the step is not finite."""
+    try:
+        lu = spla.splu(identity_minus(net, _probabilities(net, e, sums)))
+    except RuntimeError:
+        return None, None
+    step = lu.solve(residual)
+    return (step, lu) if np.all(np.isfinite(step)) else (None, None)
 
 
 def choice_probabilities(net: Network, spec: UtilitySpec, vf: ValueField) -> np.ndarray:
@@ -247,9 +315,7 @@ def choice_probabilities(net: Network, spec: UtilitySpec, vf: ValueField) -> np.
         raise UnsolvedValueField(f"value field status is {vf.status}")
     v = arc_utilities(net, spec)
     _, e, sums = _segment_exp(net, (v + vf.values[net.arc_to]) / spec.mu)
-    p = np.zeros(net.n_arcs)
-    p[net.tail_order] = e / sums[net.tail_segment]
-    return p
+    return _probabilities(net, e, sums)
 
 
 def validate_path(net: Network, path) -> list[int]:

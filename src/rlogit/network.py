@@ -114,6 +114,33 @@ class Network:
         return _read_only(row)
 
     @cached_property
+    def acyclic(self) -> bool:
+        """Whether no directed cycle exists: peeling off, round by round, the
+        states with no arc to a state still left empties the network."""
+        left = np.ones(self.n_states, dtype=bool)
+        while left.any():
+            live = left[self.arc_from] & left[self.arc_to]
+            sinks = left & (np.bincount(self.arc_from[live], minlength=self.n_states) == 0)
+            if not sinks.any():
+                return False
+            left &= ~sinks
+        return True
+
+    @cached_property
+    def free_pattern(self) -> tuple[np.ndarray, ...]:
+        """Canonical CSC pattern of I - W on the free rows, where W has one
+        entry per arc between free states: (indptr, indices, the slot of
+        each diagonal entry, the arcs between free states, their slots).
+        A self-loop's slot is its diagonal one."""
+        m = len(self.free_states)
+        inner = np.flatnonzero(self.arc_to != self.destination_index)
+        rows = np.concatenate([np.arange(m), self.free_row[self.arc_from[inner]]])
+        cols = np.concatenate([np.arange(m), self.free_row[self.arc_to[inner]]])
+        keys, slot = np.unique(cols * m + rows, return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
+        return tuple(_read_only(a) for a in (indptr, keys % m, slot[:m], inner, slot[m:]))
+
+    @cached_property
     def _arc_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted keys from * n_states + to, ended by -1, and their arcs."""
         keys = self.arc_from * self.n_states + self.arc_to

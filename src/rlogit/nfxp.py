@@ -34,6 +34,9 @@ class EstimationOptions:
     max_iters: int = 200
     tol: float = 1e-6  # scale-aware: ||grad||_inf <= tol * max(1, |L|)
     armijo_c1: float = 1e-4
+    # backtracking factor for trials that give no likelihood to interpolate:
+    # an inner-solve failure, an invalid likelihood, or a projected step that
+    # does not ascend; Armijo rejections interpolate instead
     step_shrink: float = 0.5
     min_step: float = 1e-12
 
@@ -123,6 +126,11 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
     """BFGS ascent with Armijo backtracking, shared by the RL and nested
     estimators.
 
+    A trial step that fails the Armijo test at a valid likelihood is cut to
+    the maximizer of the quadratic through the current likelihood, its
+    slope and the trial's likelihood, kept within [0.1, 0.5] of the step;
+    a trial without a usable likelihood is cut by ``opts.step_shrink``.
+
     ``evaluate(x) -> (loglik, grad)`` may raise ValueSolveFailed at a trial
     point, which rejects the step.  ``project`` optionally clips iterates
     into box bounds.  Returns (x, loglik, gradient sup-norm, status,
@@ -184,10 +192,15 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
             except ValueSolveFailed:
                 alpha *= opts.step_shrink
                 continue
-            if _valid(l_new) and l_new >= loglik + opts.armijo_c1 * slope_eff:
+            if not _valid(l_new):
+                alpha *= opts.step_shrink
+                continue
+            if l_new >= loglik + opts.armijo_c1 * slope_eff:
                 accepted = True
                 break
-            alpha *= opts.step_shrink
+            # maximizer of the quadratic through L, the slope and the trial
+            # (Nocedal & Wright, section 3.5), kept within [0.1, 0.5] of alpha
+            alpha *= min(max(slope_eff / (2.0 * (loglik + slope_eff - l_new)), 0.1), 0.5)
         if not accepted:
             return x, loglik, grad_norm, LINE_SEARCH_FAILED, it, trace
 

@@ -2,15 +2,15 @@
 
 The Bellman recursion becomes V_s = mu_s log sum exp((v + V_{s'}) / mu_s);
 there is no linear-system shortcut for heterogeneous scales, so value fields
-come from core's value-iteration loop (undamped: the scaled operator is
-non-expansive in sup norm).  The joint problem is not convex in (beta, V,
-mu), so no conic build exists here — estimation is quasi-Newton over
-(beta, log mu) with an adjoint-based analytic gradient, typically
-warm-started from a plain RL estimate.
+come from core's ``iterate_values``: sweeps, then on a cyclic network Newton
+steps on I - P, the scaled operator's Jacobian.  The joint problem is not
+convex in (beta, V, mu), so no conic build exists here — estimation is
+quasi-Newton over (beta, log mu) with an adjoint-based analytic gradient,
+typically warm-started from a plain RL estimate.  The adjoint solves with
+the value solve's factor of I - P, transposed.
 
-The likelihood, its gradient and the objective coefficients read the data
-only through one arc-count vector, built from the ObservationSet's
-transition counts.
+The likelihood and its gradient read the data only through one arc-count
+vector, built from the ObservationSet's transition counts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import core, nfxp
@@ -70,21 +69,16 @@ class NRLResult(nfxp.EstimationResult):
 def nrl_bellman_apply(net: Network, beta, mu: ScaleField, values) -> np.ndarray:
     """One application of the scaled log-sum-exp operator."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    v = net.attrs @ beta
-    w = (v + values[net.arc_to]) / mu.values[net.arc_from]
-    out = mu.values * core.grouped_logsumexp(net, w)
-    out[net.destination_index] = 0.0
-    return out
+    return core.scaled_bellman(net, net.attrs @ beta, mu.values, values)[0]
 
 
 def solve_nrl_value(net: Network, beta, mu: ScaleField, tol: float = 1e-10,
                     max_iter: int = 10_000):
-    """Value iteration for the scaled recursion in core's loop, undamped;
-    at uniform mu = 1 it is exactly ``core.solve_value_iteration``.  Reports
-    Diverged on blow-up or sustained stalls."""
-    return core.iterate_values(
-        net, lambda values: nrl_bellman_apply(net, beta, mu, values), tol, max_iter
-    )
+    """Fixed point of the scaled recursion by core's sweeps and Newton
+    steps; at uniform mu = 1 it is exactly ``core.solve_value_iteration``.
+    Reports Diverged on blow-up or sustained stalls."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    return core.iterate_values(net, net.attrs @ beta, mu.values, tol, max_iter)
 
 
 def check_mu_monotone(net: Network, mu: ScaleField):
@@ -106,17 +100,6 @@ def _value_coefficients(net: Network, weight: np.ndarray) -> np.ndarray:
     coef = np.bincount(net.arc_to, weight, n) - np.bincount(net.arc_from, weight, n)
     coef[net.destination_index] = 0.0
     return coef
-
-
-def nrl_objective_coefficients(obs, mu: ScaleField) -> np.ndarray:
-    """Net coefficient of each V_s in the path log-likelihoods.
-
-    Every visit of state s as a current state contributes -1/mu_s; every
-    entry into s from predecessor p contributes +1/mu_p.  Under forward
-    monotonicity all coefficients are <= 0.
-    """
-    net = obs.network
-    return _value_coefficients(net, obs.arc_counts(net) / mu.values[net.arc_from])
 
 
 def _value_or_raise(net, beta, mu, tol=1e-10):
@@ -163,20 +146,12 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
     dlogmu = -np.bincount(net.arc_from, counts * step, net.n_states)
     coef = _value_coefficients(net, weight)
 
-    # adjoint solve on the non-destination block
-    d = net.destination_index
-    rows, row_of = net.free_states, net.free_row
-    interior = net.arc_to != d
-    p_red = sp.csr_matrix(
-        (
-            probs[interior],
-            (row_of[net.arc_from[interior]], row_of[net.arc_to[interior]]),
-        ),
-        shape=(len(rows), len(rows)),
-    )
-    lam = spla.spsolve(
-        (sp.identity(len(rows), format="csc") - p_red.T.tocsc()), coef[rows]
-    )
+    # adjoint solve on the non-destination block, with the value solve's
+    # factor of I - P when it ended on a Newton step (taken within the value
+    # tolerance of the fixed point) and a fresh one when sweeps converged
+    rows = net.free_states
+    lu = vf.factor if vf.factor is not None else spla.splu(core.identity_minus(net, probs))
+    lam = lu.solve(coef[rows], trans="T")
 
     # dT_s/dbeta_k and dT_s/dlog mu_s at the fixed point
     dt_beta = np.zeros((net.n_states, k))
@@ -187,7 +162,7 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
 
     dbeta += dt_beta[rows].T @ lam
     dlogmu[rows] += lam * dt_logmu[rows]
-    dlogmu[d] = 0.0
+    dlogmu[net.destination_index] = 0.0
     return loglik, dbeta, dlogmu
 
 

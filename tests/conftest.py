@@ -64,6 +64,17 @@ def cycle_net():
     )
 
 
+def objective_coefficients(obs, mu):
+    """Net coefficient of each V_s in the nested path log-likelihoods.
+
+    Every visit of state s as a current state contributes -1/mu_s; every
+    entry into s from predecessor p contributes +1/mu_p.  Under forward
+    monotonicity all coefficients are <= 0.
+    """
+    net = obs.network
+    return nrl._value_coefficients(net, obs.arc_counts(net) / mu.values[net.arc_from])
+
+
 def make_infeasible_net(t: float):
     """Two-loop network with opposed utilities +t / -t on the loops.
 

@@ -20,7 +20,7 @@ from rlogit.generators import bic_dag, composite_from_path, random_geometric_net
 from rlogit.network import enumerate_paths
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
-from conftest import _dense_cyclic_instance, make_infeasible_net
+from conftest import _dense_cyclic_instance, make_infeasible_net, objective_coefficients
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 CYCLE_V_S0 = math.log(0.8 / 0.68)
@@ -395,7 +395,7 @@ def test_criterion_11_nrl_reduction_and_monotonicity(cycle_net):
         mono = nrl.ScaleField.uniform(net, float(rng.uniform(0.5, 2.0)))
         ok, _ = nrl.check_mu_monotone(net, mono)
         assert ok
-        coef = nrl.nrl_objective_coefficients(obs, mono)
+        coef = objective_coefficients(obs, mono)
         assert np.all(coef <= 1e-12)
 
     # unequal scales on a 2-cycle always violate forward monotonicity

@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from rlogit import core
+from rlogit import core, nrl
 from rlogit.errors import (
     EmptySuccessorSet,
     InvalidPath,
@@ -104,6 +105,50 @@ def test_value_iteration_on_dag_matches_linear():
     vf_it, rep_it = core.solve_value_iteration(net, s, tol=1e-12)
     assert rep_lin.status == rep_it.status == core.SOLVED
     np.testing.assert_allclose(vf_lin.values, vf_it.values, atol=1e-9)
+
+
+BETA_CYCLIC = np.array([-8.0, -0.2, -0.1, -0.6])
+
+
+def _swept(apply, n_states, sweeps=3000):
+    """Plain value iteration: ``sweeps`` applications of ``apply`` from V = 0."""
+    values = np.zeros(n_states)
+    for _ in range(sweeps):
+        values = apply(values)
+    return values
+
+
+def test_newton_value_solve_on_a_slowly_contracting_instance():
+    # criterion-06 instance 3680 (146 states): P's spectral radius is about
+    # 0.986, and sweeps alone change by less than 1e-10 only after 1,418
+    # iterations, still 6.9e-9 away from the fixed point
+    net = random_geometric_network(30, 0.3, seed=3680, acyclic=False)
+    s = core.UtilitySpec(BETA_CYCLIC)
+    vf, rep = core.solve_value_iteration(net, s)
+    assert rep.status == core.SOLVED and rep.iterations <= 30
+    assert vf.factor is not None  # it ended on a Newton step
+    assert core.bellman_residual(net, s, vf.values) <= 1e-10
+    ref = _swept(lambda values: core.bellman_apply(net, s, values), net.n_states)
+    np.testing.assert_allclose(vf.values, ref, rtol=0, atol=1e-12)
+
+
+def test_newton_value_solve_with_per_state_scales():
+    net = random_geometric_network(30, 0.3, seed=3680, acyclic=False)
+    mu = nrl.ScaleField(np.exp(np.random.default_rng(1).uniform(-0.4, 0.0, net.n_states)))
+    vf, rep = nrl.solve_nrl_value(net, BETA_CYCLIC, mu)
+    assert rep.status == core.SOLVED and vf.factor is not None
+    ref = _swept(lambda values: nrl.nrl_bellman_apply(net, BETA_CYCLIC, mu, values),
+                 net.n_states)
+    np.testing.assert_allclose(vf.values, ref, rtol=0, atol=1e-12)
+
+
+def test_acyclic_networks_end_in_sweeps():
+    # on a DAG sweeps reach the fixed point exactly after depth + 1 of them
+    net = random_geometric_network(30, 0.3, seed=2)
+    assert net.acyclic and not random_geometric_network(30, 0.3, seed=3680, acyclic=False).acyclic
+    vf, rep = core.solve_value_iteration(net, spec(-4.0, -0.1, -0.05, -0.3))
+    assert rep.status == core.SOLVED and vf.factor is None
+    assert rep.residual == 0.0
 
 
 def test_dag_value_equals_path_logsumexp():
@@ -217,13 +262,16 @@ def test_invalid_paths_rejected(chain_net):
 
 
 def test_exp_space_system_matches_per_arc_assembly():
+    # I - M is filled into the network's cached pattern; it must equal, in
+    # values and in CSC structure, the identity minus M assembled from COO,
+    # so that splu sees the same matrix
     nets = [random_geometric_network(15, 0.4, seed=1),
             random_geometric_network(12, 0.5, seed=3, acyclic=False)]
     for net in nets:
         spec = core.UtilitySpec(np.full(net.n_attributes, -0.7))
-        M, b, rows = core._exp_space_system(net, spec)
+        system, b, rows = core._exp_space_system(net, spec)
         row_of = {s: r for r, s in enumerate(rows)}
-        dense, ref_b = np.zeros(M.shape), np.zeros(len(rows))
+        dense, ref_b = np.zeros(system.shape), np.zeros(len(rows))
         for a, ev in enumerate(np.exp(core.arc_utilities(net, spec))):
             i, j = int(net.arc_from[a]), int(net.arc_to[a])
             if j == net.destination_index:
@@ -231,7 +279,11 @@ def test_exp_space_system_matches_per_arc_assembly():
             else:
                 dense[row_of[i], row_of[j]] = ev
         assert rows.tolist() == [i for i in range(net.n_states) if i != net.destination_index]
-        assert np.array_equal(M.toarray(), dense) and np.array_equal(b, ref_b)
+        ref = sp.identity(len(rows), format="csc") - sp.csc_matrix(dense)
+        assert np.array_equal(system.toarray(), ref.toarray()) and np.array_equal(b, ref_b)
+        assert np.array_equal(system.indptr, ref.indptr)
+        assert np.array_equal(system.indices, ref.indices)
+        assert np.array_equal(system.data, ref.data)
 
 
 def test_log_likelihood_sums_path_log_probs(two_route_net):

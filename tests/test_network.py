@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rlogit import core
 from rlogit.errors import (
     DanglingEndpoint,
     DestinationHasSuccessors,
@@ -140,11 +141,36 @@ def test_arc_groups_match_per_arc_loop(case):
     assert net.free_states.tolist() == free
     assert net.free_row.tolist() == [free.index(i) if i != d else -1 for i in range(n)]
 
+    # I - W on the free rows, W holding one distinct weight per arc between
+    # free states (a self-loop's on the diagonal), in canonical CSC form
+    weight = np.arange(1.0, len(pairs) + 1)
+    dense = np.eye(n - 1)
+    for a, (i, j) in enumerate(pairs):
+        if j != d:
+            dense[free.index(i), free.index(j)] -= weight[a]
+    system = core.identity_minus(net, weight)
+    assert system.has_canonical_format and np.array_equal(system.toarray(), dense)
+
+    # a directed cycle, by depth-first search with three colours
+    colour = [0] * n
+
+    def closes_cycle(i):
+        colour[i] = 1
+        for a in succ[i]:
+            j = pairs[a][1]
+            if colour[j] == 1 or (colour[j] == 0 and closes_cycle(j)):
+                return True
+        colour[i] = 2
+        return False
+
+    assert net.acyclic == (not any(colour[i] == 0 and closes_cycle(i) for i in range(n)))
+
     for i, s in enumerate(states):
         assert net.successors(s) == [states[pairs[a][1]] for a in succ[i]]
         assert net.predecessors(s) == [states[pairs[a][0]] for a in pred[i]]
     for derived in (net.tail_order, net.tail_offsets, net.tail_owners, net.tail_starts,
-                    net.tail_segment, net.free_states, net.free_row, *net._arc_keys):
+                    net.tail_segment, net.free_states, net.free_row, *net._arc_keys,
+                    *net.free_pattern):
         assert not derived.flags.writeable
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rlogit import core, nfxp
+from rlogit.errors import ValueSolveFailed
 from rlogit.generators import bic_dag, random_geometric_network
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
@@ -106,6 +107,52 @@ def test_monotone_ascent_and_trace():
     logliks = [entry[1] for entry in res.trace]
     assert all(b >= a - 1e-12 for a, b in zip(logliks, logliks[1:]))
     assert len(res.trace) == res.iterations + 1
+
+
+def _counted(objective):
+    """``objective`` with a list of the points it was evaluated at."""
+    points = []
+
+    def evaluate(x):
+        points.append(np.array(x))
+        return objective(x)
+
+    return evaluate, points
+
+
+def _quadratic(x_star, curvature):
+    def objective(x):
+        d = x - x_star
+        return -1.0 - 0.5 * curvature * float(d @ d), -curvature * d
+    return objective
+
+
+def test_backtrack_interpolates_an_overlong_first_step():
+    # the gradient at 0 has unit sup norm, so the first trial step is 1 long
+    # while the maximizer along it lies 1e-4 away: halving needs 14 trials,
+    # the interpolated step 5 (each at least a tenth of the one before)
+    x_star = np.array([1e-4, -0.5e-4])
+    evaluate, points = _counted(_quadratic(x_star, 1e4))
+    x, _, _, status, _, _ = nfxp.bfgs_maximize(
+        evaluate, np.zeros(2), nfxp.EstimationOptions(max_iters=1))
+    assert status == nfxp.MAX_ITERATIONS
+    assert len(points) <= 6
+    np.testing.assert_allclose(x, x_star, rtol=1e-9)
+
+
+def test_backtrack_halves_after_an_inner_solve_failure():
+    quadratic = _quadratic(np.array([0.3]), 1.0)
+
+    def objective(x):
+        if x[0] > 0.2:
+            raise ValueSolveFailed("d", "status Diverged")
+        return quadratic(x)
+
+    evaluate, points = _counted(objective)
+    nfxp.bfgs_maximize(evaluate, np.zeros(1), nfxp.EstimationOptions(max_iters=1))
+    # first trial at the full step 0.3 fails, then 0.15 is tried and accepted
+    trials = [float(p[0]) for p in points[1:]]
+    assert trials == [0.3, 0.15]
 
 
 def test_result_serialization():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from rlogit import core, nfxp, nrl
 from rlogit.conic import builder
@@ -11,6 +12,8 @@ from rlogit.errors import UnsupportedHeterogeneousScale
 from rlogit.generators import random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
+
+from conftest import objective_coefficients
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 
@@ -84,7 +87,7 @@ def test_objective_coefficients_uniform_telescope(chain_net):
         chain_net,
         [make_observation(chain_net, ["o", "a", "b", "d"])] * 3,
     )
-    coef = nrl.nrl_objective_coefficients(obs, nrl.ScaleField.uniform(chain_net))
+    coef = objective_coefficients(obs, nrl.ScaleField.uniform(chain_net))
     assert coef[chain_net.state_index("o")] == pytest.approx(-3.0)
     assert coef[chain_net.state_index("a")] == pytest.approx(0.0)
     assert coef[chain_net.state_index("b")] == pytest.approx(0.0)
@@ -99,7 +102,7 @@ def test_objective_coefficients_sign_under_monotonicity():
     mu = nrl.ScaleField.uniform(net, 1.3)
     ok, _ = nrl.check_mu_monotone(net, mu)
     assert ok
-    coef = nrl.nrl_objective_coefficients(obs, mu)
+    coef = objective_coefficients(obs, mu)
     assert np.all(coef <= 1e-12)
     assert coef[net.state_index("o")] < 0
 
@@ -115,7 +118,7 @@ def test_objective_coefficient_violation_is_positive():
     mu = _chain_mu(net, {"o": 1.0, "a": 2.0})
     ok, _ = nrl.check_mu_monotone(net, mu)
     assert not ok
-    coef = nrl.nrl_objective_coefficients(obs, mu)
+    coef = objective_coefficients(obs, mu)
     # +1/mu_o - 1/mu_a = 1 - 0.5
     assert coef[net.state_index("a")] == pytest.approx(0.5)
 
@@ -183,6 +186,59 @@ def test_gradient_matches_finite_differences():
         assert abs(dlogmu[s] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+def test_gradient_on_a_cyclic_network_matches_finite_differences():
+    # the value solve ends on a Newton step here, and the adjoint reuses
+    # that step's factor of I - P
+    net = random_geometric_network(30, 0.3, seed=6769, acyclic=False)
+    beta_sim = np.array([-8.0, -0.2, -0.1, -0.6])
+    obs = generate_observations(net, core.UtilitySpec(beta_sim), "o", 200, seed=5)
+    mu = nrl.ScaleField(np.exp(np.random.default_rng(2).uniform(-0.4, 0.0, net.n_states)))
+    assert nrl.solve_nrl_value(net, beta_sim, mu)[0].factor is not None
+    _, dbeta, dlogmu = nrl.nrl_loglik_and_gradient(net, beta_sim, mu, obs)
+    h = 1e-5
+
+    def ll(b, m):
+        return nrl.nrl_log_likelihood(net, b, m, obs, value_tol=1e-13)
+
+    for k in range(len(beta_sim)):
+        e = np.zeros(len(beta_sim))
+        e[k] = h
+        fd = (ll(beta_sim + e, mu) - ll(beta_sim - e, mu)) / (2 * h)
+        assert abs(dbeta[k] - fd) <= 1e-5 * max(1.0, abs(fd))
+    logmu = np.log(mu.values)
+    for s in range(net.n_states):
+        e = np.zeros(net.n_states)
+        e[s] = h
+        fd = (ll(beta_sim, nrl.ScaleField(np.exp(logmu + e)))
+              - ll(beta_sim, nrl.ScaleField(np.exp(logmu - e)))) / (2 * h)
+        assert abs(dlogmu[s] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_adjoint_reuses_the_newton_factor(monkeypatch):
+    factorizations = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        factorizations.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+
+    def gradient_factorizations(net, beta):
+        obs = generate_observations(net, core.UtilitySpec(beta), "o", 50, seed=1)
+        del factorizations[:]
+        nrl.nrl_loglik_and_gradient(net, beta, nrl.ScaleField.uniform(net), obs)
+        return len(factorizations)
+
+    # cyclic: one factor per Newton step of the value solve, and no other
+    cyclic = random_geometric_network(30, 0.3, seed=6769, acyclic=False)
+    beta = np.array([-8.0, -0.2, -0.1, -0.6])
+    _, report = nrl.solve_nrl_value(cyclic, beta, nrl.ScaleField.uniform(cyclic))
+    assert gradient_factorizations(cyclic, beta) == report.iterations - core.NEWTON_AFTER
+    # acyclic: the sweeps leave no factor, and the adjoint factors I - P once
+    assert gradient_factorizations(random_geometric_network(15, 0.4, seed=1), BETA_TRUE) == 1
+
+
 def test_estimate_fixed_mu_matches_rl():
     net = random_geometric_network(15, 0.4, seed=1)
     obs = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 300, seed=4)
@@ -211,11 +267,21 @@ def test_warm_start_does_not_hurt():
     assert warm.iterations <= max(cold.iterations, 1)
 
 
-def test_warm_start_near_the_optimum_keeps_curvature_updates():
+def test_warm_start_near_the_optimum_keeps_curvature_updates(monkeypatch):
     # criterion-06 instance 6769, started at an ECP estimate of beta: the
     # log-mu gradient there is just above tolerance, and the BFGS steps are
     # about 1e-7 long; with an absolute curvature bound (s'y > 1e-10) every
-    # update was skipped and the search took 34 iterations
+    # update was skipped and the search took 34 iterations.  The first
+    # trial step is about 3e4 times too long in log mu: halving it took 43
+    # likelihood evaluations, the interpolating backtrack takes 7
+    evaluations = []
+    evaluate = nrl.nrl_loglik_and_gradient
+
+    def counted(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(nrl, "nrl_loglik_and_gradient", counted)
     net = random_geometric_network(30, 0.3, seed=6769, acyclic=False)
     beta_sim = np.array([-8.0, -0.2, -0.1, -0.6])
     obs = generate_observations(net, core.UtilitySpec(beta_sim), "o", 300, seed=9)
@@ -224,6 +290,7 @@ def test_warm_start_near_the_optimum_keeps_curvature_updates():
     res = nrl.estimate_nrl_nfxp(net, obs, beta_init=beta0, mu_mode="shared")
     assert res.converged
     assert res.iterations <= 8
+    assert len(evaluations) <= 10
 
 
 def test_per_state_serialization():

@@ -17,7 +17,7 @@ from rlogit.generators import random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations
 
-from conftest import dag_samples
+from conftest import dag_samples, objective_coefficients
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 
@@ -204,7 +204,7 @@ def test_nrl_statistics_match_per_transition_loop(sample):
                                                                        abs=1e-12)
     np.testing.assert_allclose(dbeta, ref_dbeta, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(dlogmu, ref_dlogmu, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(nrl.nrl_objective_coefficients(obs, mu), ref_coef,
+    np.testing.assert_allclose(objective_coefficients(obs, mu), ref_coef,
                                rtol=1e-12, atol=1e-12)
 
 
