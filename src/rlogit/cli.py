@@ -244,9 +244,7 @@ def cmd_trim(args) -> int:
             trimmed = net
             epsilon = 0.0
         else:
-            trimmed = trim.trim_quantile(net, flow, args.drop, protected=protected)
-            positive = flow.values[flow.values > 0]
-            epsilon = float(np.quantile(positive, args.drop))
+            trimmed, epsilon = trim.quantile_trim(net, flow, args.drop, protected=protected)
     except (NoFeasibleReference, OriginTrimmed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION_FAILED

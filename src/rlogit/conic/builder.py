@@ -251,7 +251,7 @@ def estimate_ecp(net_by_group, observations,
     on success, otherwise the solver status verbatim.  Polishing after
     convergence ends at the first best iterate whose recovered values bind
     within POLISH_BINDING_TOL, a tenth of the binding check's bound; the
-    solver's own polishing rules and ``polish_iters`` budget still cap it.
+    solver's own polishing rules and ``POLISH_ITERS`` budget still cap it.
     An Optimal solution whose recovered value function fails the binding
     check raises BindingViolation; the program is solved once.
     """

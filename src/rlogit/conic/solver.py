@@ -48,7 +48,7 @@ or a step search that finds no step at all, reset the dual iterate to
 z = -mu grad F(s), centred against the slack (at most three times a solve).
 
 Once the tolerances are first met, the solver polishes for up to
-``polish_iters`` iterations and returns the in-tolerance iterate with the
+``POLISH_ITERS`` iterations and returns the in-tolerance iterate with the
 smallest complementarity; iterates that leave tolerance meanwhile are
 skipped, not a reason to stop.  Polishing exists for a certificate
 downstream of the solve (for the ECP, that the recovered values bind), so a
@@ -84,6 +84,10 @@ NUMERICAL_FAILURE = "NumericalFailure"
 # central point of the exponential cone: the unique interior s with
 # -grad F(s) = s, used to initialize both primal and dual cone variables
 _EXP_CENTRAL = np.array([-1.051383945322714, 0.556409619469370, 1.258967884768947])
+FRAC_TO_BOUNDARY = 0.99  # first trial step: this fraction of the orthant's largest
+REGULARIZATION = 1e-9  # static regularization of the normal equations
+MIN_STEP = 1e-9  # shortest trial step; none above it is no step at all
+POLISH_ITERS = 25  # budget of polishing iterations (see the module docstring)
 
 
 @dataclass
@@ -93,21 +97,10 @@ class SolverOptions:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iters: int = 200
-    frac_to_boundary: float = 0.99
-    regularization: float = 1e-9
-    min_step: float = 1e-9
-    # extra iterations after tolerances are first met, ended early by the
-    # caller's ``accept``, by two stalled steps or by two in-tolerance
-    # iterates in a row that do not lower the complementarity; the
-    # in-tolerance iterate with the smallest complementarity is returned.
-    # This tightens downstream certificates (e.g. Bellman binding residuals).
-    polish_iters: int = 25
 
     def __post_init__(self):
         if not (self.tol_gap > 0 and self.tol_feas > 0):
             raise ValueError("tolerances must be positive")
-        if self.polish_iters < 0:
-            raise ValueError("polish_iters must be non-negative")
 
 
 @dataclass
@@ -539,7 +532,7 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
     p = len(b)
     cone = _Cone(prog.n_ineq, prog.n_cones)
     at_mat = a_mat.T.tocsr()
-    kkt = _NormalEquations(a_mat, g_mat, cone, opts.regularization)
+    kkt = _NormalEquations(a_mat, g_mat, cone, REGULARIZATION)
     gt_mat = kkt.gt_mat
 
     x = np.zeros(n)
@@ -608,7 +601,7 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
             if accept is not None and accept(best[0]):
                 return best_solution()
         if ok and polish_left is None:
-            polish_left = opts.polish_iters
+            polish_left = POLISH_ITERS
         if polish_left is not None:
             # converged: polish until the budget is spent or two in-tolerance
             # iterates in a row fail to lower the complementarity, then
@@ -682,7 +675,7 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
             return failure()
         margins = cone.margins(s, z)
         alpha_aff = _step_length(cone, s, aff[3], z, aff[2], tau, aff[4],
-                                 kappa, aff[5], 1.0, opts.min_step, margins)
+                                 kappa, aff[5], 1.0, MIN_STEP, margins)
         sigma = min(0.999, max(1e-4, (1.0 - alpha_aff) ** 3))
 
         # combined direction with the third-order corrector of the affine one
@@ -691,20 +684,20 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
             return failure()
         dx, dy, dz, ds, dtau, dkappa = step
         alpha = _step_length(cone, s, ds, z, dz, tau, dtau, kappa, dkappa,
-                             opts.frac_to_boundary, opts.min_step, margins)
-        if alpha <= opts.min_step:
+                             FRAC_TO_BOUNDARY, MIN_STEP, margins)
+        if alpha <= MIN_STEP:
             # last resort: pure centering step
             sigma = 1.0
             step = direction(sigma)
             if step is not None:
                 dx, dy, dz, ds, dtau, dkappa = step
                 alpha = _step_length(cone, s, ds, z, dz, tau, dtau, kappa, dkappa,
-                                     opts.frac_to_boundary, opts.min_step, margins)
-            if alpha <= opts.min_step and (polish_left is not None or recenters_left == 0):
+                                     FRAC_TO_BOUNDARY, MIN_STEP, margins)
+            if alpha <= MIN_STEP and (polish_left is not None or recenters_left == 0):
                 trace[-1].update(alpha=alpha, sigma=sigma, recentered=False)
                 return failure()
         # no step at all, before convergence, is rescued by a recenter at once
-        stalls = 2 if alpha <= opts.min_step else stalls + 1 if alpha <= 1e-6 else 0
+        stalls = 2 if alpha <= MIN_STEP else stalls + 1 if alpha <= 1e-6 else 0
         recenter = stalls >= 2 and polish_left is None and recenters_left > 0
         trace[-1].update(alpha=alpha, sigma=sigma, recentered=recenter)
         if stalls >= 2 and polish_left is not None:

@@ -15,8 +15,9 @@ Both solvers factor a matrix I - W on the free rows, filled into one sparse
 pattern cached on the network (``Network.free_pattern``): the linear solve
 I - M with M = e^v, and the Newton steps of ``iterate_values`` I - P with P
 the choice probabilities.  Each leaves its factor on the returned
-ValueField, where the NFXP value Jacobian (I - M, with z = e^V) and the NRL
-adjoint (I - P, transposed) find it.
+ValueField.  ``visit_flows``, the expected state visits (I - P)' F = w, is
+the one reader of that factor; the NFXP gradient, the NRL adjoint and flow
+trimming are all visit flows for their own weights.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class ValueField:
 
     The exp-space solve also keeps its splu factor of I - M and z = e^V on
     the non-destination rows; ``iterate_values`` keeps the factor of I - P
-    of its last Newton step (``None`` when it ended in sweeps)."""
+    of its last Newton step (``None`` when it ended in sweeps).  Only
+    :func:`visit_flows` reads them."""
 
     values: np.ndarray
     status: str = SOLVED
@@ -305,6 +307,40 @@ def _newton_step(net: Network, e: np.ndarray, sums: np.ndarray, residual: np.nda
         return None, None
     step = lu.solve(residual)
     return (step, lu) if np.all(np.isfinite(step)) else (None, None)
+
+
+def visit_flows(net: Network, vf: ValueField, probs: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """Expected state visits F of ``weights[s]`` units starting at each state
+    s under the choice probabilities ``probs`` at ``vf``: F = w + P'F, so
+    (I - P)' F = w on the free rows.  A Newton factor of I - P is reused;
+    without a factor, I - P is factored here.  The exp-space factor serves
+    through I - P = Z^-1 (I - M) Z for Z = diag(e^(V - c)) and any c; the
+    midpoint c keeps Z within e^(+-_EXP_CAP / 2) while V spans at most
+    ``_EXP_CAP`` (e^V itself may underflow), and past that I - P is factored.
+    Raises ValueSolveFailed when I - P is singular or F is not finite."""
+    rows = net.free_states
+    w, v = weights[rows], vf.values[rows]
+    hi, lo = v.max(), v.min()
+    if vf.z is not None and hi - lo <= _EXP_CAP:
+        scale = np.exp(v - 0.5 * (hi + lo))
+        free = scale * vf.factor.solve(w / scale, trans="T")
+    else:
+        lu = vf.factor if vf.z is None else None
+        if lu is None:
+            try:
+                lu = spla.splu(identity_minus(net, probs))
+            except RuntimeError:
+                raise ValueSolveFailed(net.destination, "I - P is singular") from None
+        free = lu.solve(w, trans="T")
+    if not np.isfinite(free).all():
+        raise ValueSolveFailed(net.destination, "visit flows are not finite")
+    flows = np.zeros(net.n_states)
+    flows[rows] = free
+    d = net.destination_index
+    to_d = net.arc_to == d
+    flows[d] = weights[d] + probs[to_d] @ flows[net.arc_from[to_d]]
+    return flows
 
 
 def choice_probabilities(net: Network, spec: UtilitySpec, vf: ValueField) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The outer loop is a BFGS ascent on the dataset log-likelihood; every
 evaluation solves the value system once per destination group (the inner
-fixed point) and obtains the analytic gradient by implicit differentiation of
-the exp-space linear system.  Inner-solve failures during the line search
-reject the step; persistent failure is reported through the result status,
-never raised past the API boundary.
+fixed point) and obtains the analytic gradient by implicit differentiation:
+observed minus expected attribute totals over the origins' expected state
+visits (Fosgerau, Frejinger & Karlstrom, TR-B 2013).  Inner-solve failures
+during the line search reject the step; persistent failure is reported
+through the result status, never raised past the API boundary.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ MAX_ITERATIONS = "MaxIterations"
 INVALID_LIKELIHOOD = "InvalidLikelihood"
 
 DEFAULT_BETA_INIT = -1.5
+ARMIJO_C1 = 1e-4  # sufficient increase of the Armijo test
+# backtrack factor for trials with no likelihood to interpolate (inner-solve
+# failures, invalid likelihoods, projected steps that do not ascend)
+STEP_SHRINK = 0.5
+MIN_STEP = 1e-12  # the line search gives up below this step (sup norm)
 
 
 @dataclass
@@ -33,12 +39,6 @@ class EstimationOptions:
 
     max_iters: int = 200
     tol: float = 1e-6  # scale-aware: ||grad||_inf <= tol * max(1, |L|)
-    armijo_c1: float = 1e-4
-    # backtracking factor for trials that give no likelihood to interpolate:
-    # an inner-solve failure, an invalid likelihood, or a projected step that
-    # does not ascend; Armijo rejections interpolate instead
-    step_shrink: float = 0.5
-    min_step: float = 1e-12
 
 
 @dataclass
@@ -74,30 +74,11 @@ def default_beta_init(k: int) -> np.ndarray:
     return np.full(k, DEFAULT_BETA_INIT)
 
 
-def _value_jacobian(net, spec, vf) -> np.ndarray:
-    """(n_states, K) matrix of dV_s / dbeta_k by implicit differentiation.
-
-    In exp-space z = (I - M)^{-1} b, so (I - M) dz/dbeta_k equals
-    (dM/dbeta_k) z + db/dbeta_k with dM/dbeta_k = M * attr_k entrywise;
-    then dV_s/dbeta_k = (dz_s/dbeta_k) / z_s.  The factor of I - M that
-    ``core.solve_value_linear`` left on ``vf`` solves all K right-hand sides
-    at once.
-    """
-    rows, row_of = net.free_states, net.free_row
-    # z on the full state index, with the destination pinned at e^0 = 1
-    z_full = np.ones(net.n_states)
-    z_full[rows] = vf.z
-    w = np.exp(core.arc_utilities(net, spec)) * z_full[net.arc_to]  # e^{v_a} z_{to(a)}
-    rhs = np.zeros((len(rows), net.n_attributes))
-    np.add.at(rhs, row_of[net.arc_from], w[:, None] * net.attrs)
-    out = np.zeros((net.n_states, net.n_attributes))
-    out[rows] = vf.factor.solve(rhs) / vf.z[:, None]
-    return out
-
-
 def loglik_and_gradient(net_by_group, spec: core.UtilitySpec, observations):
     """Dataset log-likelihood and its analytic beta-gradient, read from the
-    observations' sufficient statistics.
+    observations' sufficient statistics.  Each group's gradient is its
+    attribute total minus sum_a attrs_a P_a F_from(a), F being the visit
+    flows (``core.visit_flows``) of its origin counts.
 
     Raises ValueSolveFailed when any destination group's value system has no
     solution (the caller maps this to InnerSolveFailed).
@@ -109,10 +90,11 @@ def loglik_and_gradient(net_by_group, spec: core.UtilitySpec, observations):
         vf, report = core.solve_value_linear(net, spec)
         if report.status != core.SOLVED:
             raise ValueSolveFailed(group, f"status {report.status}")
-        dV = _value_jacobian(net, spec, vf)
         origins, counts = stats.origin_weights(net)
+        probs = core.choice_probabilities(net, spec, vf)
+        visits = core.visit_flows(net, vf, probs, np.bincount(origins, counts, net.n_states))
         total += float(stats.attr_total @ spec.beta - counts @ vf.values[origins]) / spec.mu
-        grad += (stats.attr_total - counts @ dV[origins]) / spec.mu
+        grad += (stats.attr_total - net.attrs.T @ (probs * visits[net.arc_from])) / spec.mu
     return total, grad
 
 
@@ -129,7 +111,7 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
     A trial step that fails the Armijo test at a valid likelihood is cut to
     the maximizer of the quadratic through the current likelihood, its
     slope and the trial's likelihood, kept within [0.1, 0.5] of the step;
-    a trial without a usable likelihood is cut by ``opts.step_shrink``.
+    a trial without a usable likelihood is cut by ``STEP_SHRINK``.
 
     ``evaluate(x) -> (loglik, grad)`` may raise ValueSolveFailed at a trial
     point, which rejects the step.  ``project`` optionally clips iterates
@@ -176,26 +158,26 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
 
         alpha = 1.0
         accepted = False
-        while alpha * float(np.max(np.abs(p))) >= opts.min_step:
+        while alpha * float(np.max(np.abs(p))) >= MIN_STEP:
             x_new = x + alpha * p
             if project is not None:
                 x_new = project(x_new)
             s = x_new - x  # effective step after projection
             slope_eff = float(grad @ s)
-            if float(np.max(np.abs(s))) < opts.min_step:
+            if float(np.max(np.abs(s))) < MIN_STEP:
                 break
             if slope_eff <= 0:
-                alpha *= opts.step_shrink
+                alpha *= STEP_SHRINK
                 continue
             try:
                 l_new, g_new = evaluate(x_new)
             except ValueSolveFailed:
-                alpha *= opts.step_shrink
+                alpha *= STEP_SHRINK
                 continue
             if not _valid(l_new):
-                alpha *= opts.step_shrink
+                alpha *= STEP_SHRINK
                 continue
-            if l_new >= loglik + opts.armijo_c1 * slope_eff:
+            if l_new >= loglik + ARMIJO_C1 * slope_eff:
                 accepted = True
                 break
             # maximizer of the quadratic through L, the slope and the trial

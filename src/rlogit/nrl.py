@@ -6,8 +6,8 @@ come from core's ``iterate_values``: sweeps, then on a cyclic network Newton
 steps on I - P, the scaled operator's Jacobian.  The joint problem is not
 convex in (beta, V, mu), so no conic build exists here — estimation is
 quasi-Newton over (beta, log mu) with an adjoint-based analytic gradient,
-typically warm-started from a plain RL estimate.  The adjoint solves with
-the value solve's factor of I - P, transposed.
+typically warm-started from a plain RL estimate.  The adjoint is a visit
+flow (``core.visit_flows``) on the value solve's factor of I - P.
 
 The likelihood and its gradient read the data only through one arc-count
 vector, built from the ObservationSet's transition counts.
@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import core, nfxp
 from .errors import ValueSolveFailed
@@ -128,10 +127,10 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
 
     The value field's sensitivity enters through one transposed linear solve
     (I - P)' lambda = c, where c collects the V-coefficients of the observed
-    paths and P is the choice-probability matrix at the fixed point.
+    paths and P is the choice-probability matrix at the fixed point: lambda
+    is the visit flow of c.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    k = len(beta)
     vf = _value_or_raise(net, beta, mu)
     values = vf.values
     v = net.attrs @ beta
@@ -146,22 +145,11 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
     dlogmu = -np.bincount(net.arc_from, counts * step, net.n_states)
     coef = _value_coefficients(net, weight)
 
-    # adjoint solve on the non-destination block, with the value solve's
-    # factor of I - P when it ended on a Newton step (taken within the value
-    # tolerance of the fixed point) and a fresh one when sweeps converged
-    rows = net.free_states
-    lu = vf.factor if vf.factor is not None else spla.splu(core.identity_minus(net, probs))
-    lam = lu.solve(coef[rows], trans="T")
-
-    # dT_s/dbeta_k and dT_s/dlog mu_s at the fixed point
-    dt_beta = np.zeros((net.n_states, k))
-    np.add.at(dt_beta, net.arc_from, probs[:, None] * net.attrs)
-    pw = np.zeros(net.n_states)
-    np.add.at(pw, net.arc_from, probs * w)
-    dt_logmu = values - pw
-
-    dbeta += dt_beta[rows].T @ lam
-    dlogmu[rows] += lam * dt_logmu[rows]
+    lam = core.visit_flows(net, vf, probs, coef)
+    # lam meets dT_s/dbeta = sum_a P_a attrs_a and dT_s/dlog mu_s =
+    # V_s - sum_a P_a w_a, over the arcs a leaving s
+    dbeta += net.attrs.T @ (probs * lam[net.arc_from])
+    dlogmu += lam * (values - np.bincount(net.arc_from, probs * w, net.n_states))
     dlogmu[net.destination_index] = 0.0
     return loglik, dbeta, dlogmu
 

@@ -2,7 +2,8 @@
 
 Under a reference parameter the expected number of visits to each state by a
 unit of flow injected at the origin solves the sparse linear system
-(I - P') F = e_o, where P is the transition matrix of the choice process.
+(I - P') F = e_o, where P is the transition matrix of the choice process;
+``core.visit_flows`` solves it with the value solve's own factor.
 States whose flow falls below a threshold are dropped together with their
 incident arcs; the trimmed network provably keeps every surviving state
 reachable from the origin, which is asserted on every output.
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import core
 from .errors import (
@@ -59,20 +58,12 @@ def flow_vector(net: Network, beta0, origin) -> FlowVector:
     vf, report = core.solve_value_linear(net, spec)
     if report.status != core.SOLVED:
         raise ValueSolveFailed(net.destination, f"status {report.status}")
-    probs = core.choice_probabilities(net, spec, vf)
-
-    n = net.n_states
-    p_mat = sp.csr_matrix(
-        (probs, (net.arc_from, net.arc_to)), shape=(n, n)
-    )
-    e_o = np.zeros(n)
+    e_o = np.zeros(net.n_states)
     e_o[net.state_index(origin)] = 1.0
     try:
-        flow = spla.spsolve(sp.identity(n, format="csc") - p_mat.T.tocsc(), e_o)
-    except RuntimeError as exc:
+        flow = core.visit_flows(net, vf, core.choice_probabilities(net, spec, vf), e_o)
+    except ValueSolveFailed as exc:
         raise SingularFlowSystem(str(exc)) from None
-    if not np.all(np.isfinite(flow)):
-        raise SingularFlowSystem("flow solve produced non-finite values")
     flow = np.where(np.abs(flow) < 1e-14, 0.0, flow)
     if np.any(flow < 0):
         raise SingularFlowSystem("negative flow component")
@@ -120,9 +111,15 @@ def trim(net: Network, flow: FlowVector, epsilon: float, protected=()) -> Networ
 
 def trim_quantile(net: Network, flow: FlowVector, drop_fraction: float,
                   protected=()) -> Network:
-    """Trim with the threshold set at the ``drop_fraction`` quantile of
-    positive state flows; backs off to smaller fractions when the cut would
-    disconnect the origin, down to no trimming at all."""
+    """The trimmed network of :func:`quantile_trim`."""
+    return quantile_trim(net, flow, drop_fraction, protected)[0]
+
+
+def quantile_trim(net: Network, flow: FlowVector, drop_fraction: float,
+                  protected=()) -> tuple[Network, float]:
+    """(trimmed network, threshold) with the threshold at the
+    ``drop_fraction`` quantile of positive state flows, backed off to smaller
+    fractions while the cut disconnects the origin, down to no trimming."""
     if not 0 <= drop_fraction < 1:
         raise ValueError("drop_fraction must lie in [0, 1)")
     positive = flow.values[flow.values > 0]
@@ -135,7 +132,7 @@ def trim_quantile(net: Network, flow: FlowVector, drop_fraction: float,
         else:
             epsilon = float(np.quantile(positive, fraction))
         try:
-            return trim(net, flow, epsilon, protected)
+            return trim(net, flow, epsilon, protected), epsilon
         except OriginTrimmed:
             if fraction <= 0:
                 raise

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from rlogit import cli
+from rlogit import cli, trim
 from rlogit.network import load_network
 
 
@@ -139,6 +139,23 @@ def test_trim_and_passthrough(workspace, tmp_path):
                "--out", str(tmp_path / "p")) == 0
     passthrough = load_network(tmp_path / "p" / "trimmed.json")
     assert passthrough.n_states == full.n_states
+
+
+def test_trim_reports_the_threshold_it_applied(tmp_path):
+    # at the default drop of 0.9 the cut of this network backs off to a
+    # smaller fraction; the report names the threshold that made the cut
+    assert run("generate", "--kind", "dag", "--nodes", "20", "--instances", "1",
+               "--seed", "1", "--out", str(tmp_path / "nets")) == 0
+    net_path = tmp_path / "nets" / "net_dag_20_0.json"
+    assert run("trim", "--network", str(net_path), "--beta0=-1,-1,-1,-1",
+               "--out", str(tmp_path / "t")) == 0
+    epsilon = json.loads((tmp_path / "t" / "trim_report.json").read_text())["epsilon"]
+    net, trimmed = load_network(net_path), load_network(tmp_path / "t" / "trimmed.json")
+    flow = trim.flow_vector(net, np.full(4, -1.0), "o")
+    assert epsilon < np.quantile(flow.values[flow.values > 0], 0.9)
+    assert trim.trim(net, flow, epsilon).states == trimmed.states
+    kept = [net.state_index(s) for s in trimmed.states if s not in ("o", net.destination)]
+    assert np.min(flow.values[kept]) >= epsilon
 
 
 def test_two_stage_init_from(workspace, tmp_path):

@@ -257,7 +257,7 @@ def test_polish_ends_when_complementarity_stops_falling():
     converged = next(r["iter"] for r in sol.trace if max(r["pres"], r["dres"]) <= opts.tol_feas
                      and r["gap"] <= opts.tol_gap)
     assert sol.status == OPTIMAL
-    assert sol.iterations < converged + opts.polish_iters
+    assert sol.iterations < converged + solver.POLISH_ITERS
     assert all(r["alpha"] > 1e-6 for r in sol.trace[converged - 1:-1])
 
 
@@ -343,7 +343,7 @@ _PROGRAMS = [_ecp_program, _pure_lp, _logsumexp_program]
 def test_kkt_pattern_assembly_matches_block_assembly(make_prog):
     prog = make_prog()
     cone = solver._Cone(prog.n_ineq, prog.n_cones)
-    reg = SolverOptions().regularization
+    reg = solver.REGULARIZATION
     kkt = solver._NormalEquations(prog.a_eq, prog.g_mat, cone, reg)
     rng = np.random.default_rng(0)
     for scale in (1.0, 1e-3):
@@ -359,7 +359,7 @@ def test_kkt_pattern_assembly_matches_block_assembly(make_prog):
 
 
 def test_kkt_solve_with_reused_ordering_matches_fresh_factorization():
-    reg = SolverOptions().regularization
+    reg = solver.REGULARIZATION
     for make_prog in _PROGRAMS:
         prog = make_prog()
         n, p = prog.n_vars, prog.a_eq.shape[0]
@@ -595,7 +595,7 @@ def test_step_search_matches_backtracking_loop(l, ne):
         tau, kappa = 10.0 ** rng.uniform(-3, 1, 2)
         dtau, dkappa = rng.standard_normal(2)
         args = (cone, s, ds, z, dz, tau, dtau, kappa, dkappa,
-                (1.0, 0.99)[trial % 2], SolverOptions().min_step)
+                (1.0, 0.99)[trial % 2], solver.MIN_STEP)
         alpha = solver._step_length(*args, cone.margins(s, z))
         assert alpha == _backtracking_step(*args)
         found.add(alpha)

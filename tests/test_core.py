@@ -13,10 +13,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from rlogit import core, nrl
+from rlogit import core, nfxp, nrl, trim
 from rlogit.errors import (
     EmptySuccessorSet,
     InvalidPath,
@@ -25,7 +26,7 @@ from rlogit.errors import (
 )
 from rlogit.generators import bic_dag, random_geometric_network
 from rlogit.network import build_network, enumerate_paths
-from rlogit.simulate import ObservationSet, make_observation
+from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
 from conftest import cyclic_geometric_networks, dag_samples, make_infeasible_net
 
@@ -149,6 +150,53 @@ def test_acyclic_networks_end_in_sweeps():
     vf, rep = core.solve_value_iteration(net, spec(-4.0, -0.1, -0.05, -0.3))
     assert rep.status == core.SOLVED and vf.factor is None
     assert rep.residual == 0.0
+
+
+def _dense_visits(net, probs, weights):
+    """F = w + P'F on every state, by a dense solve."""
+    p = np.zeros((net.n_states, net.n_states))
+    np.add.at(p, (net.arc_from, net.arc_to), probs)
+    return np.linalg.solve(np.eye(net.n_states) - p.T, weights)
+
+
+def test_visit_flows_agree_on_every_factor():
+    # the exp-space factor of I - M, the Newton factor of I - P and a fresh
+    # factor of I - P give the same visits as a dense solve
+    net = random_geometric_network(30, 0.3, seed=3680, acyclic=False)
+    s = core.UtilitySpec(BETA_CYCLIC)
+    weights = np.random.default_rng(2).uniform(0.0, 3.0, net.n_states)
+    linear, _ = core.solve_value_linear(net, s)
+    newton, _ = core.solve_value_iteration(net, s)
+    assert linear.z is not None and newton.factor is not None and newton.z is None
+    swept = core.ValueField(newton.values)
+    probs = core.choice_probabilities(net, s, linear)
+    ref = _dense_visits(net, probs, weights)
+    for vf in (linear, newton, swept):
+        np.testing.assert_allclose(core.visit_flows(net, vf, probs, weights), ref,
+                                   rtol=1e-10, atol=0)
+
+
+def test_visit_flows_reuse_the_value_factor(monkeypatch):
+    # flows and the NFXP gradient factor nothing beyond the value solve: one
+    # splu per destination group, and no spsolve
+    calls = []
+
+    def counted(name, fn):
+        def stand_in(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return stand_in
+
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    monkeypatch.setattr(spla, "spsolve", counted("spsolve", spla.spsolve))
+    net = random_geometric_network(20, 0.35, seed=2)
+    trim.flow_vector(net, np.full(net.n_attributes, -1.0), "o")
+    assert calls == ["splu"]
+    s = spec(-4.0, -0.1, -0.05, -0.3)
+    obs = generate_observations(net, s, ["o", net.states[3]], 100, seed=1)
+    del calls[:]
+    nfxp.loglik_and_gradient(obs.net_by_group(), s, obs)
+    assert calls == ["splu"]
 
 
 def test_dag_value_equals_path_logsumexp():

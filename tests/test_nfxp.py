@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from rlogit import core, nfxp
+from rlogit import core, nfxp, nrl
 from rlogit.errors import ValueSolveFailed
 from rlogit.generators import bic_dag, random_geometric_network
+from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
 from conftest import make_infeasible_net
@@ -17,6 +18,38 @@ def _instance(seed=1, n_obs=300, beta=BETA_TRUE):
     net = random_geometric_network(20, 0.35, seed=seed)
     obs = generate_observations(net, core.UtilitySpec(beta), "o", n_obs, seed=seed)
     return obs.net_by_group(), obs
+
+
+@pytest.mark.parametrize("beta", [-353.0, -356.0, -360.0])
+def test_gradient_where_exp_values_underflow(beta):
+    # V(o) = 2 beta sits near the bottom of the floating-point range, where
+    # e^V / e^V(o) scales overflow; 5 of the 55 paths take the direct arc, so
+    # the gradient is 5 * 2.5 + 50 * 2 - 55 * 2 = 2.5 up to e^(0.5 beta).
+    # e^V(o) is subnormal at beta = -360, which costs V(o) about 1e-10
+    net = build_network(["o", "a", "d"], "d",
+                        [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5])], ["cost"])
+    obs = ObservationSet(net, [make_observation(net, ["o", "a", "d"])] * 50
+                         + [make_observation(net, ["o", "d"])] * 5)
+    _, grad = nfxp.loglik_and_gradient(obs.net_by_group(), core.UtilitySpec([beta]), obs)
+    assert np.isfinite(grad[0]) and grad[0] == pytest.approx(2.5, rel=1e-9)
+
+
+def test_gradient_where_values_span_beyond_the_exp_range():
+    # V spans about 719 at beta = -360: the gradient comes from a factor of
+    # I - P and matches the log-space NRL gradient at mu = 1, up to the
+    # rounding of the subnormal e^V(o) in the exp-space value solve
+    net = build_network(["o", "a", "b", "d"], "d",
+                        [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5]),
+                         ("o", "b", [2.0]), ("b", "d", [0.001])], ["cost"])
+    paths = [["o", "a", "d"]] * 50 + [["o", "d"]] * 5 + [["o", "b", "d"]] * 5
+    obs = ObservationSet(net, [make_observation(net, p) for p in paths])
+    beta = np.array([-360.0])
+    vf, _ = core.solve_value_linear(net, core.UtilitySpec(beta))
+    assert np.ptp(vf.values) > core._EXP_CAP
+    _, grad = nfxp.loglik_and_gradient(obs.net_by_group(), core.UtilitySpec(beta), obs)
+    _, ref, _ = nrl.nrl_loglik_and_gradient(net, beta, nrl.ScaleField.uniform(net), obs)
+    assert np.all(np.isfinite(grad))
+    np.testing.assert_allclose(grad, ref, rtol=1e-9)
 
 
 def _fd_gradient(net_by_group, beta, obs, h=1e-5):

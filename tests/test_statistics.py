@@ -30,13 +30,32 @@ def _relabel(net, destination):
     return build_network(states, destination, arcs, net.attribute_names)
 
 
+def _value_jacobian(net, spec, values):
+    """(n_states, K) matrix of dV_s / dbeta_k by forward implicit
+    differentiation, dense.  In exp-space z = e^V solves (I - M) z = b, so
+    (I - M) dz/dbeta_k holds e^{v_a} z_to(a) attr_ak summed into row
+    from(a), and dV_s/dbeta_k = (dz_s/dbeta_k) / z_s."""
+    rows = net.free_states
+    z = np.exp(values)
+    ev = np.exp(core.arc_utilities(net, spec))
+    m = np.zeros((net.n_states, net.n_states))
+    np.add.at(m, (net.arc_from, net.arc_to), ev)
+    rhs = np.zeros((net.n_states, net.n_attributes))
+    np.add.at(rhs, net.arc_from, (ev * z[net.arc_to])[:, None] * net.attrs)
+    out = np.zeros_like(rhs)
+    system = np.eye(len(rows)) - m[np.ix_(rows, rows)]
+    out[rows] = np.linalg.solve(system, rhs[rows]) / z[rows, None]
+    return out
+
+
 def _reference_nfxp(nets, spec, obs):
-    """Log-likelihood and gradient summed one observation at a time."""
+    """Log-likelihood and gradient summed one observation at a time, the
+    gradient from the forward value Jacobian."""
     total, grad = 0.0, np.zeros(len(spec.beta))
     for ob in obs.observations:
         net = nets[ob.destination]
         vf, _ = core.solve_value_linear(net, spec)
-        dV = nfxp._value_jacobian(net, spec, vf)
+        dV = _value_jacobian(net, spec, vf.values)
         o = net.state_index(ob.origin)
         total += float(ob.attr_sum @ spec.beta) - vf.values[o]
         grad += ob.attr_sum - dV[o]
@@ -191,6 +210,21 @@ def test_nfxp_statistics_match_per_path_loop(sample):
     assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
     assert core.log_likelihood(nets, spec, obs) == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples())
+def test_adjoint_gradient_from_every_origin_matches_forward_jacobian(sample):
+    # the visit-flow (adjoint) gradient takes one transposed solve for all
+    # origins; the oracle differentiates V forward, one column per attribute
+    net, _obs, beta, _mu = sample
+    spec = core.UtilitySpec(beta)
+    obs = generate_observations(net, spec, list(net.states[:-1]), 60, seed=5)
+    assert len(obs.statistics.groups[net.destination].origin_counts) == net.n_states - 1
+    ll, grad = nfxp.loglik_and_gradient(obs.net_by_group(), spec, obs)
+    ref_ll, ref_grad = _reference_nfxp(obs.net_by_group(), spec, obs)
+    assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
 
 
 @settings(max_examples=15, deadline=None)

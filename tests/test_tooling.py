@@ -41,11 +41,16 @@ def test_bench_tracing_installs_and_uninstalls():
         assert core.solve_value_linear is not original
         tracer.active = True
         nfxp.loglik_and_gradient(obs.net_by_group(), spec, obs)
+        solves = tracer.counts["core.value_solve.calls"]
+        trim.flow_vector(net, spec.beta, "o")
     finally:
         tracer.uninstall()
     # NFXP resolves the traced value solve: one per destination group
     assert tracer.counts["nfxp.evaluation.calls"] == 1
-    assert tracer.counts["core.value_solve.calls"] == 1
+    assert solves == 1
+    # and flow_vector solves the value system once, reusing its factor
+    assert tracer.counts["trim.flow.calls"] == 1
+    assert tracer.counts["core.value_solve.calls"] == solves + 1
     for module, attrs in zip(MODULES, before):
         assert vars(module).keys() == attrs.keys()
         assert all(vars(module)[k] is v for k, v in attrs.items()), module.__name__
