@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rlogit",
         description="Recursive-logit estimation toolkit: generate instances, "
-        "simulate paths, estimate (quasi-Newton or conic), trim, export, report.",
+        "simulate paths, estimate (Newton or conic), trim, export, report.",
     )
     parser.add_argument("--config", help="key=value defaults file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)

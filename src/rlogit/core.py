@@ -15,9 +15,11 @@ Both solvers factor a matrix I - W on the free rows, filled into one sparse
 pattern cached on the network (``Network.free_pattern``): the linear solve
 I - M with M = e^v, and the Newton steps of ``iterate_values`` I - P with P
 the choice probabilities.  Each leaves its factor on the returned
-ValueField.  ``visit_flows``, the expected state visits (I - P)' F = w, is
-the one reader of that factor; the NFXP gradient, the NRL adjoint and flow
-trimming are all visit flows for their own weights.
+ValueField.  Two solves with I - P read that factor: ``visit_flows``, the
+expected state visits (I - P)' F = w, and ``value_jacobian``, the forward
+solve (I - P) J = R for J = dV/dbeta.  The NFXP gradient, the NRL adjoint
+and flow trimming are visit flows for their own weights; the NFXP Hessian
+adds the value Jacobian.
 """
 
 from __future__ import annotations
@@ -79,7 +81,9 @@ class ValueField:
     The exp-space solve also keeps its splu factor of I - M and z = e^V on
     the non-destination rows; ``iterate_values`` keeps the factor of I - P
     of its last Newton step (``None`` when it ended in sweeps).  Only
-    :func:`visit_flows` reads them."""
+    :func:`visit_flows` and :func:`value_jacobian` read them; where they
+    factor I - P themselves, that factor replaces these (and z becomes
+    ``None``), so the next solve on the same field reuses it."""
 
     values: np.ndarray
     status: str = SOLVED
@@ -309,38 +313,75 @@ def _newton_step(net: Network, e: np.ndarray, sums: np.ndarray, residual: np.nda
     return (step, lu) if np.all(np.isfinite(step)) else (None, None)
 
 
+def _solve_free(net: Network, vf: ValueField, probs: np.ndarray, rhs: np.ndarray,
+                trans: str) -> np.ndarray:
+    """x solving (I - P) x = rhs (``trans`` "N") or (I - P)' x = rhs ("T")
+    on the free rows, for the choice probabilities ``probs`` at ``vf`` and
+    one or more right-hand-side columns.  A Newton factor of I - P is used
+    as it stands.  The exp-space factor serves through
+    I - P = Z^-1 (I - M) Z for Z = diag(e^(V - c)) and any c; the midpoint c
+    keeps Z within e^(+-_EXP_CAP / 2) while V spans at most ``_EXP_CAP``
+    (e^V itself may underflow).  Otherwise I - P is factored here and the
+    factor kept on ``vf``.  Raises ValueSolveFailed when I - P is singular
+    or x is not finite."""
+    v = vf.values[net.free_states]
+    hi, lo = v.max(), v.min()
+    if vf.z is not None and hi - lo <= _EXP_CAP:
+        scale = np.exp(v - 0.5 * (hi + lo))
+        if rhs.ndim > 1:
+            scale = scale[:, None]
+        if trans == "T":
+            out = scale * vf.factor.solve(rhs / scale, trans="T")
+        else:
+            out = vf.factor.solve(rhs * scale) / scale
+    else:
+        if vf.z is not None or vf.factor is None:
+            try:
+                vf.factor = spla.splu(identity_minus(net, probs))
+            except RuntimeError:
+                raise ValueSolveFailed(net.destination, "I - P is singular") from None
+            vf.z = None
+        out = vf.factor.solve(rhs, trans=trans)
+    if not np.isfinite(out).all():
+        raise ValueSolveFailed(net.destination, "the I - P solve is not finite")
+    return out
+
+
 def visit_flows(net: Network, vf: ValueField, probs: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
     """Expected state visits F of ``weights[s]`` units starting at each state
     s under the choice probabilities ``probs`` at ``vf``: F = w + P'F, so
-    (I - P)' F = w on the free rows.  A Newton factor of I - P is reused;
-    without a factor, I - P is factored here.  The exp-space factor serves
-    through I - P = Z^-1 (I - M) Z for Z = diag(e^(V - c)) and any c; the
-    midpoint c keeps Z within e^(+-_EXP_CAP / 2) while V spans at most
-    ``_EXP_CAP`` (e^V itself may underflow), and past that I - P is factored.
-    Raises ValueSolveFailed when I - P is singular or F is not finite."""
+    (I - P)' F = w on the free rows, solved on the value solve's factor
+    (see :func:`_solve_free`).  Raises ValueSolveFailed when I - P is
+    singular or F is not finite."""
     rows = net.free_states
-    w, v = weights[rows], vf.values[rows]
-    hi, lo = v.max(), v.min()
-    if vf.z is not None and hi - lo <= _EXP_CAP:
-        scale = np.exp(v - 0.5 * (hi + lo))
-        free = scale * vf.factor.solve(w / scale, trans="T")
-    else:
-        lu = vf.factor if vf.z is None else None
-        if lu is None:
-            try:
-                lu = spla.splu(identity_minus(net, probs))
-            except RuntimeError:
-                raise ValueSolveFailed(net.destination, "I - P is singular") from None
-        free = lu.solve(w, trans="T")
-    if not np.isfinite(free).all():
-        raise ValueSolveFailed(net.destination, "visit flows are not finite")
     flows = np.zeros(net.n_states)
-    flows[rows] = free
+    flows[rows] = _solve_free(net, vf, probs, weights[rows], "T")
     d = net.destination_index
     to_d = net.arc_to == d
     flows[d] = weights[d] + probs[to_d] @ flows[net.arc_from[to_d]]
     return flows
+
+
+def tail_sums(net: Network, per_arc: np.ndarray) -> np.ndarray:
+    """Per-state sums of an arc-indexed array (one row per arc) over each
+    state's out-arcs, read on the network's tail layout."""
+    out = np.zeros((net.n_states,) + per_arc.shape[1:])
+    out[net.tail_owners] = np.add.reduceat(per_arc[net.tail_order], net.tail_starts, axis=0)
+    return out
+
+
+def value_jacobian(net: Network, vf: ValueField, probs: np.ndarray) -> np.ndarray:
+    """(n_states, K) matrix J = dV/dbeta at ``vf`` for the choice
+    probabilities ``probs``.  J_s = sum_a P_a (x_a + J_to(a)) over the arcs
+    leaving s and J_d = 0, so (I - P) J = R on the free rows with
+    R_s = sum_a P_a x_a: one K-column forward solve on the factor that
+    :func:`visit_flows` reads, under the same rules.  Raises
+    ValueSolveFailed when I - P is singular or J is not finite."""
+    rows = net.free_states
+    jac = np.zeros((net.n_states, net.n_attributes))
+    jac[rows] = _solve_free(net, vf, probs, tail_sums(net, probs[:, None] * net.attrs)[rows], "N")
+    return jac
 
 
 def choice_probabilities(net: Network, spec: UtilitySpec, vf: ValueField) -> np.ndarray:

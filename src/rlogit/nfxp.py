@@ -1,12 +1,18 @@
 """Nested fixed-point maximum-likelihood estimation.
 
-The outer loop is a BFGS ascent on the dataset log-likelihood; every
-evaluation solves the value system once per destination group (the inner
-fixed point) and obtains the analytic gradient by implicit differentiation:
+The outer loop is a Newton ascent on the dataset log-likelihood, which is
+concave in beta wherever the value system is solvable (Rust, Econometrica
+1987; Fosgerau, Frejinger & Karlstrom, TR-B 2013).  Every evaluation solves
+the value system once per destination group (the inner fixed point) and
+differentiates it implicitly on that solve's factor: the gradient is
 observed minus expected attribute totals over the origins' expected state
-visits (Fosgerau, Frejinger & Karlstrom, TR-B 2013).  Inner-solve failures
-during the line search reject the step; persistent failure is reported
-through the result status, never raised past the API boundary.
+visits F, and the exact Hessian -sum_s F_s Cov_s(x_a + J_to(a)) adds the
+value Jacobian J = dV/dbeta, one K-column forward solve.  Inner-solve
+failures during the line search reject the step; persistent failure is
+reported through the result status, never raised past the API boundary.
+
+``bfgs_maximize`` serves the nested-logit estimator, whose joint problem in
+(beta, log mu) is not concave; both ascents share one Armijo backtrack.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import core
 from .errors import ValueSolveFailed
@@ -31,11 +38,16 @@ ARMIJO_C1 = 1e-4  # sufficient increase of the Armijo test
 # failures, invalid likelihoods, projected steps that do not ascend)
 STEP_SHRINK = 0.5
 MIN_STEP = 1e-12  # the line search gives up below this step (sup norm)
+# an attribute has curvature of its own when its Cholesky pivot of -H keeps
+# more than this share of its diagonal entry (a share that does not depend
+# on the attributes' units)
+PIVOT_SHARE = 1e-10
 
 
 @dataclass
 class EstimationOptions:
-    """Outer-loop controls for the quasi-Newton search."""
+    """Outer-loop controls of the Newton (RL) and BFGS (nested logit)
+    ascents."""
 
     max_iters: int = 200
     tol: float = 1e-6  # scale-aware: ||grad||_inf <= tol * max(1, |L|)
@@ -75,16 +87,23 @@ def default_beta_init(k: int) -> np.ndarray:
 
 
 def loglik_and_gradient(net_by_group, spec: core.UtilitySpec, observations):
-    """Dataset log-likelihood and its analytic beta-gradient, read from the
-    observations' sufficient statistics.  Each group's gradient is its
-    attribute total minus sum_a attrs_a P_a F_from(a), F being the visit
-    flows (``core.visit_flows``) of its origin counts.
+    """Dataset log-likelihood, its analytic beta-gradient and its exact
+    beta-Hessian, read from the observations' sufficient statistics.
+
+    Each group's gradient is its attribute total minus
+    sum_a x_a P_a F_from(a), F being the visit flows (``core.visit_flows``)
+    of its origin counts, so P_a F_from(a) is the expected number of
+    traversals of arc a.  Its Hessian is -sum_a P_a F_from(a) d_a d_a',
+    where d_a = y_a - sum_b P_b y_b over the arcs b leaving from(a) and
+    y_a = x_a + J_to(a) with J = dV/dbeta (``core.value_jacobian``): minus
+    the visit-weighted covariance of y over each state's choice.  Both
+    solves run on the value solve's factor.  Requires mu = 1.
 
     Raises ValueSolveFailed when any destination group's value system has no
     solution (the caller maps this to InnerSolveFailed).
     """
-    total = 0.0
-    grad = np.zeros(len(spec.beta))
+    k = len(spec.beta)
+    total, grad, hess = 0.0, np.zeros(k), np.zeros((k, k))
     for group, stats in observations.statistics.groups.items():
         net = net_by_group[group]
         vf, report = core.solve_value_linear(net, spec)
@@ -94,8 +113,12 @@ def loglik_and_gradient(net_by_group, spec: core.UtilitySpec, observations):
         probs = core.choice_probabilities(net, spec, vf)
         visits = core.visit_flows(net, vf, probs, np.bincount(origins, counts, net.n_states))
         total += float(stats.attr_total @ spec.beta - counts @ vf.values[origins]) / spec.mu
-        grad += (stats.attr_total - net.attrs.T @ (probs * visits[net.arc_from])) / spec.mu
-    return total, grad
+        traversals = probs * visits[net.arc_from]
+        grad += (stats.attr_total - net.attrs.T @ traversals) / spec.mu
+        y = net.attrs + core.value_jacobian(net, vf, probs)[net.arc_to]
+        dev = y - core.tail_sums(net, probs[:, None] * y)[net.arc_from]
+        hess -= dev.T @ (traversals[:, None] * dev)
+    return total, grad, hess
 
 
 def _valid(loglik: float) -> bool:
@@ -104,32 +127,140 @@ def _valid(loglik: float) -> bool:
     return np.isfinite(loglik) and loglik <= 1e-8
 
 
-def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
-    """BFGS ascent with Armijo backtracking, shared by the RL and nested
-    estimators.
+def _first_evaluation(evaluate, x):
+    """(``evaluate(x)``, None), or (None, the result that ends the run) when
+    x is unusable."""
+    try:
+        out = evaluate(x)
+    except ValueSolveFailed:
+        return None, (x, np.nan, np.nan, INNER_SOLVE_FAILED, 0, [])
+    if not _valid(out[0]):
+        return None, (x, out[0], np.nan, INVALID_LIKELIHOOD, 0, [])
+    return out, None
+
+
+def _line_search(evaluate, x, loglik, grad, p, project=None):
+    """Armijo backtracking from ``x`` along the ascent direction ``p``.
 
     A trial step that fails the Armijo test at a valid likelihood is cut to
     the maximizer of the quadratic through the current likelihood, its
     slope and the trial's likelihood, kept within [0.1, 0.5] of the step;
-    a trial without a usable likelihood is cut by ``STEP_SHRINK``.
+    a trial without a usable likelihood (ValueSolveFailed, an invalid
+    likelihood, a projected step that does not ascend) is cut by
+    ``STEP_SHRINK``.  Returns (trial point, its evaluation) for the first
+    accepted trial, or None once the step falls below ``MIN_STEP``.
+    """
+    alpha = 1.0
+    while alpha * float(np.max(np.abs(p))) >= MIN_STEP:
+        x_new = x + alpha * p
+        if project is not None:
+            x_new = project(x_new)
+        s = x_new - x  # effective step after projection
+        slope = float(grad @ s)
+        if float(np.max(np.abs(s))) < MIN_STEP:
+            return None
+        out = None
+        if slope > 0:
+            try:
+                out = evaluate(x_new)
+            except ValueSolveFailed:
+                pass
+        if out is None or not _valid(out[0]):
+            alpha *= STEP_SHRINK
+            continue
+        if out[0] >= loglik + ARMIJO_C1 * slope:
+            return x_new, out
+        # maximizer of the quadratic through L, the slope and the trial
+        # (Nocedal & Wright, section 3.5), kept within [0.1, 0.5] of alpha
+        alpha *= min(max(slope / (2.0 * (loglik + slope - out[0])), 0.1), 0.5)
+    return None
+
+
+def _newton_direction(grad, hess):
+    """The Newton step (-H)^-1 g on the attributes of independent curvature,
+    through a Cholesky factor of -H.
+
+    -H is a covariance, positive semidefinite.  Attributes are taken in
+    order, and one whose Cholesky pivot keeps at most ``PIVOT_SHARE`` of its
+    diagonal entry is left out: its curvature is, numerically, none (an
+    all-zero column) or a combination of the earlier ones' (a duplicated
+    column).  The likelihood does not vary along it beyond what the kept
+    attributes cover, so it takes no step."""
+    neg = -hess
+    keep: list[int] = []
+    for i in range(len(grad)):
+        try:
+            chol = np.linalg.cholesky(neg[np.ix_(keep + [i], keep + [i])])
+        except np.linalg.LinAlgError:
+            continue
+        if chol[-1, -1] ** 2 > PIVOT_SHARE * neg[i, i]:
+            keep.append(i)
+    step = np.zeros_like(grad)
+    if keep:
+        chol = np.linalg.cholesky(neg[np.ix_(keep, keep)])
+        step[keep] = scipy.linalg.cho_solve((chol, True), grad[keep])
+    return step
+
+
+def newton_maximize(evaluate, x0, opts: EstimationOptions):
+    """Newton ascent with the Armijo backtrack of :func:`_line_search`.
+
+    ``evaluate(x) -> (loglik, grad, hess)`` may raise ValueSolveFailed at a
+    trial point, which rejects the step.  Where the Newton step is zero or
+    not finite, BFGS's first step g / max(1, ||g||_inf) stands in.
+    Converged means ||grad||_inf <= tol * max(1, |L|) and, for a Newton
+    step p at x, a predicted gain g'p / 2 of at most tol^2 * max(1, |L|) / 2:
+    along a weakly curved direction a gradient that passes the first test
+    can leave L further below its maximum, and the step that closes the gap
+    is the one quadratic convergence makes cheapest.  Returns (x, loglik,
+    gradient sup-norm, status, iterations, trace).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    out, stop = _first_evaluation(evaluate, x)
+    if stop:
+        return stop
+    loglik, grad, hess = out
+    trace: list = []
+    for it in range(1, opts.max_iters + 1):
+        grad_norm = float(np.max(np.abs(grad)))
+        trace.append((x.copy(), loglik, grad_norm))
+        p = _newton_direction(grad, hess)
+        with np.errstate(over="ignore", invalid="ignore"):
+            decrement = float(grad @ p)
+        if not decrement > 0 or not np.isfinite(decrement):
+            # no usable curvature along g: none is left, or it underflowed
+            # and the step overflows
+            p, decrement = grad / max(1.0, grad_norm), 0.0
+        scale = max(1.0, abs(loglik))
+        if grad_norm <= opts.tol * scale and decrement <= opts.tol ** 2 * scale:
+            return x, loglik, grad_norm, CONVERGED, it - 1, trace
+        step = _line_search(evaluate, x, loglik, grad, p)
+        if step is None:
+            return x, loglik, grad_norm, LINE_SEARCH_FAILED, it, trace
+        x, (loglik, grad, hess) = step
+    grad_norm = float(np.max(np.abs(grad)))
+    trace.append((x.copy(), loglik, grad_norm))
+    return x, loglik, grad_norm, MAX_ITERATIONS, opts.max_iters, trace
+
+
+def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
+    """BFGS ascent with the Armijo backtrack of :func:`_line_search`, for
+    the nested-logit estimator, whose objective is not concave.
 
     ``evaluate(x) -> (loglik, grad)`` may raise ValueSolveFailed at a trial
     point, which rejects the step.  ``project`` optionally clips iterates
-    into box bounds.  Returns (x, loglik, gradient sup-norm, status,
-    iterations, trace).
+    into box bounds; the reported gradient norm is then the projected one.
+    Returns (x, loglik, gradient sup-norm, status, iterations, trace).
     """
     x = np.asarray(x0, dtype=float).copy()
     if project is not None:
         x = project(x)
+    out, stop = _first_evaluation(evaluate, x)
+    if stop:
+        return stop
+    loglik, grad = out
     trace: list = []
     k = len(x)
-
-    try:
-        loglik, grad = evaluate(x)
-    except ValueSolveFailed:
-        return x, np.nan, np.nan, INNER_SOLVE_FAILED, 0, trace
-    if not _valid(loglik):
-        return x, loglik, np.nan, INVALID_LIKELIHOOD, 0, trace
 
     def projected_grad_norm(point, g):
         # at active box bounds the outward gradient component is not a
@@ -155,37 +286,12 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
         if not np.isfinite(slope) or slope <= 0:
             h_inv = fresh_h_inv(grad)
             p = h_inv @ grad
-
-        alpha = 1.0
-        accepted = False
-        while alpha * float(np.max(np.abs(p))) >= MIN_STEP:
-            x_new = x + alpha * p
-            if project is not None:
-                x_new = project(x_new)
-            s = x_new - x  # effective step after projection
-            slope_eff = float(grad @ s)
-            if float(np.max(np.abs(s))) < MIN_STEP:
-                break
-            if slope_eff <= 0:
-                alpha *= STEP_SHRINK
-                continue
-            try:
-                l_new, g_new = evaluate(x_new)
-            except ValueSolveFailed:
-                alpha *= STEP_SHRINK
-                continue
-            if not _valid(l_new):
-                alpha *= STEP_SHRINK
-                continue
-            if l_new >= loglik + ARMIJO_C1 * slope_eff:
-                accepted = True
-                break
-            # maximizer of the quadratic through L, the slope and the trial
-            # (Nocedal & Wright, section 3.5), kept within [0.1, 0.5] of alpha
-            alpha *= min(max(slope_eff / (2.0 * (loglik + slope_eff - l_new)), 0.1), 0.5)
-        if not accepted:
+        step = _line_search(evaluate, x, loglik, grad, p, project)
+        if step is None:
             return x, loglik, grad_norm, LINE_SEARCH_FAILED, it, trace
+        x_new, (l_new, g_new) = step
 
+        s = x_new - x
         y = grad - g_new  # gradient change of the negated objective
         sy = float(s @ y)
         # curvature test relative to the step and gradient change: near the
@@ -196,7 +302,7 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
             h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
         x, loglik, grad = x_new, l_new, g_new
 
-    grad_norm = float(np.max(np.abs(grad)))
+    grad_norm = projected_grad_norm(x, grad)
     trace.append((x.copy(), loglik, grad_norm))
     return x, loglik, grad_norm, MAX_ITERATIONS, opts.max_iters, trace
 
@@ -207,11 +313,14 @@ def estimate_nfxp(
     beta_init=None,
     opts: EstimationOptions | None = None,
 ) -> EstimationResult:
-    """Maximize the log-likelihood by BFGS with Armijo backtracking.
+    """Maximize the log-likelihood by Newton's method on its exact Hessian,
+    with Armijo backtracking (:func:`newton_maximize`).
 
-    Inner failures at trial points shrink the step; the run aborts with
-    InnerSolveFailed / InvalidLikelihood only when the initial point itself
-    is unusable, and with LineSearchFailed when no acceptable step remains.
+    Every trial point is evaluated through the module attribute
+    ``loglik_and_gradient``.  Inner failures at trial points shrink the
+    step; the run aborts with InnerSolveFailed / InvalidLikelihood only when
+    the initial point itself is unusable, and with LineSearchFailed when no
+    acceptable step remains.
     """
     opts = opts or EstimationOptions()
     k = next(iter(net_by_group.values())).n_attributes
@@ -222,7 +331,7 @@ def estimate_nfxp(
     def evaluate(beta):
         return loglik_and_gradient(net_by_group, core.UtilitySpec(beta), observations)
 
-    x, loglik, grad_norm, status, iters, trace = bfgs_maximize(evaluate, x0, opts)
+    x, loglik, grad_norm, status, iters, trace = newton_maximize(evaluate, x0, opts)
     return EstimationResult(
         beta_hat=x,
         loglik=loglik,

@@ -160,29 +160,31 @@ def estimate_nrl_nfxp(net: Network, obs, beta_init=None, mu_init: float = 1.0,
     """Quasi-Newton estimation over (beta, log mu).
 
     ``mu_mode`` selects the scale parameterization: "shared" (one mu for all
-    states), "per_state", or "fixed" (mu pinned at ``mu_init``, beta only —
-    which reduces exactly to the plain RL estimator).
+    states), "per_state", or "fixed" (mu pinned at ``mu_init``, beta only).
+    A fixed uniform mu turns the likelihood into the plain RL one at
+    beta / mu, which is concave: that mode runs the RL estimator,
+    ``nfxp.estimate_nfxp``, and scales its result back.
     """
     if mu_mode not in ("shared", "per_state", "fixed"):
         raise ValueError(f"unknown mu_mode {mu_mode!r}")
     opts = opts or nfxp.EstimationOptions()
     k = net.n_attributes
-    n = net.n_states
     beta0 = np.asarray(beta_init, dtype=float) if beta_init is not None else nfxp.default_beta_init(k)
-    n_mu = {"shared": 1, "per_state": n, "fixed": 0}[mu_mode]
-    x0 = np.concatenate([beta0, np.full(n_mu, np.log(mu_init))])
+    if mu_mode == "fixed":
+        rl = nfxp.estimate_nfxp({net.destination: net}, obs, beta0 / mu_init, opts)
+        return NRLResult(**{**vars(rl), "beta_hat": mu_init * rl.beta_hat,
+                            "gradient_norm": rl.gradient_norm / mu_init,
+                            "trace": [(mu_init * x, ll, g / mu_init) for x, ll, g in rl.trace]},
+                         mu_hat=ScaleField.uniform(net, mu_init))
+    shared = mu_mode == "shared"
+    x0 = np.concatenate([beta0, np.full(1 if shared else net.n_states, np.log(mu_init))])
     n_obs = max(len(obs), 1)
     start = time.perf_counter()
 
     def unpack(x):
-        beta = x[:k]
-        if mu_mode == "fixed":
-            mu = ScaleField.uniform(net, mu_init)
-        elif mu_mode == "shared":
-            mu = ScaleField.uniform(net, float(np.exp(x[k])))
-        else:
-            mu = ScaleField(np.exp(x[k:]))
-        return beta, mu
+        if shared:
+            return x[:k], ScaleField.uniform(net, float(np.exp(x[k])))
+        return x[:k], ScaleField(np.exp(x[k:]))
 
     def project(x):
         out = x.copy()
@@ -192,15 +194,10 @@ def estimate_nrl_nfxp(net: Network, obs, beta_init=None, mu_init: float = 1.0,
     def evaluate(x):
         beta, mu = unpack(x)
         loglik, dbeta, dlogmu = nrl_loglik_and_gradient(net, beta, mu, obs)
-        if mu_mode == "fixed":
-            return loglik, dbeta
-        if mu_mode == "shared":
-            return loglik, np.concatenate([dbeta, [float(dlogmu.sum())]])
-        return loglik, np.concatenate([dbeta, dlogmu])
+        return loglik, np.concatenate([dbeta, [float(dlogmu.sum())] if shared else dlogmu])
 
     x, loglik, grad_norm, status, iters, trace = nfxp.bfgs_maximize(
-        evaluate, x0, opts, project=project if n_mu else None
-    )
+        evaluate, x0, opts, project=project)
     beta_hat, mu_hat = unpack(x)
     return NRLResult(
         beta_hat=beta_hat,

@@ -1,15 +1,16 @@
 """Shared fixtures: small hand-built networks with known closed forms."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from rlogit import core, nrl
+from rlogit import core, nfxp, nrl
 from rlogit.errors import DisconnectedInstance
 from rlogit.generators import random_geometric_network
-from rlogit.network import build_network
+from rlogit.network import build_network, enumerate_paths
 from rlogit.simulate import generate_observations
 
 
@@ -73,6 +74,41 @@ def objective_coefficients(obs, mu):
     """
     net = obs.network
     return nrl._value_coefficients(net, obs.arc_counts(net) / mu.values[net.arc_from])
+
+
+def differenced_hessian(nets, beta, obs, h=1e-5):
+    """Central differences of the analytic NFXP gradient, one column per
+    attribute."""
+    cols = []
+    for k in range(len(beta)):
+        e = np.zeros(len(beta))
+        e[k] = h
+        plus = nfxp.loglik_and_gradient(nets, core.UtilitySpec(beta + e), obs)[1]
+        minus = nfxp.loglik_and_gradient(nets, core.UtilitySpec(beta - e), obs)[1]
+        cols.append((plus - minus) / (2 * h))
+    return np.column_stack(cols)
+
+
+def path_information(nets, beta, obs):
+    """Fisher information per observation at ``beta`` by path enumeration:
+    the covariance of the path attribute totals under the model, averaged
+    over the observations' (destination, origin) pairs.  It is -H / N for
+    the Hessian H of the log-likelihood of N observations.  Path
+    probabilities are the softmax of the path utilities, with no value
+    solve.  ``nets`` maps destination groups to acyclic networks."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    info = np.zeros((len(beta), len(beta)))
+    for (dest, origin), count in Counter((ob.destination, ob.origin)
+                                         for ob in obs.observations).items():
+        net = nets[dest]
+        totals = np.array([net.attrs[[net.arc_id(u, v) for u, v in zip(p[:-1], p[1:])]].sum(0)
+                           for p in enumerate_paths(net, origin)])
+        utils = totals @ beta
+        prob = np.exp(utils - utils.max())
+        prob /= prob.sum()
+        dev = totals - prob @ totals
+        info += count * (dev.T * prob) @ dev
+    return info / len(obs)
 
 
 def make_infeasible_net(t: float):

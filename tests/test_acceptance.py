@@ -180,7 +180,7 @@ def test_criterion_05_gradient_correctness():
         nbg = obs.net_by_group()
         for _ in range(5):
             beta = rng.uniform(-3.0, -0.1, size=net.n_attributes)
-            _, grad = nfxp.loglik_and_gradient(nbg, core.UtilitySpec(beta), obs)
+            _, grad, _ = nfxp.loglik_and_gradient(nbg, core.UtilitySpec(beta), obs)
             for k in range(len(beta)):
                 e = np.zeros(len(beta))
                 e[k] = h

@@ -1,7 +1,5 @@
 """ECP builder: program shape, exactness, recovery, monotone tightening."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,10 +13,11 @@ from rlogit.errors import (
     UnreachableStateWithoutFix,
 )
 from rlogit.generators import random_geometric_network
-from rlogit.network import build_network, ensure_connectivity, enumerate_paths
+from rlogit.network import build_network, ensure_connectivity
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
-from conftest import _dense_cyclic_instance, dag_samples, make_infeasible_net
+from conftest import (_dense_cyclic_instance, dag_samples, make_infeasible_net,
+                      path_information)
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 
@@ -294,25 +293,6 @@ def test_estimate_ecp_raises_binding_violation_without_retry(monkeypatch):
     assert len(solves) == len(recovers) == 1 and solves[0].status == OPTIMAL
 
 
-def _min_information(net, beta, obs):
-    """Smallest eigenvalue of the Fisher information per observation at
-    ``beta``: the covariance of the path attribute totals under the model,
-    averaged over the observed origins.  Near zero, the likelihood is flat in
-    some direction of beta, and two maximizers can differ while both meet
-    their tolerances."""
-    spec = core.UtilitySpec(beta)
-    vf, _ = core.solve_value_linear(net, spec)
-    info = np.zeros((net.n_attributes, net.n_attributes))
-    for origin, count in Counter(ob.origin for ob in obs.observations).items():
-        paths = list(enumerate_paths(net, origin))
-        totals = np.array([net.attrs[[net.arc_id(u, v) for u, v in zip(p[:-1], p[1:])]].sum(0)
-                           for p in paths])
-        prob = np.exp([core.path_log_prob(net, spec, vf, p) for p in paths])
-        dev = totals - prob @ totals
-        info += count * (dev.T * prob) @ dev
-    return np.linalg.eigvalsh(info / len(obs))[0]
-
-
 @settings(max_examples=15, deadline=None)
 @given(dag_samples(), st.integers(0, 10**6))
 def test_ecp_matches_nfxp_on_generated_dags(sample, path_seed):
@@ -322,7 +302,11 @@ def test_ecp_matches_nfxp_on_generated_dags(sample, path_seed):
     net, _obs, beta, _mu = sample
     obs = generate_observations(net, core.UtilitySpec(beta), ["s0", "s1"], 300, seed=path_seed)
     r_nfxp = nfxp.estimate_nfxp(obs.net_by_group(), obs)
-    assume(_min_information(net, r_nfxp.beta_hat, obs) >= 0.01)
+    # the smallest Fisher information per observation: near zero, the
+    # likelihood is flat in some direction of beta, and two maximizers can
+    # differ while both meet their tolerances
+    assume(np.linalg.eigvalsh(path_information(obs.net_by_group(), r_nfxp.beta_hat, obs))[0]
+           >= 0.01)
     r_ecp = builder.estimate_ecp(obs.net_by_group(), obs)
     assert r_nfxp.converged and r_ecp.status == OPTIMAL
     assert abs(r_nfxp.loglik_per_obs - r_ecp.loglik_per_obs) <= 1e-4

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from rlogit import core, nfxp, nrl
 from rlogit.errors import ValueSolveFailed
@@ -9,9 +10,10 @@ from rlogit.generators import bic_dag, random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
-from conftest import make_infeasible_net
+from conftest import differenced_hessian, make_infeasible_net, path_information
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
+BETA_CYCLIC = np.array([-8.0, -0.2, -0.1, -0.6])
 
 
 def _instance(seed=1, n_obs=300, beta=BETA_TRUE):
@@ -25,19 +27,26 @@ def test_gradient_where_exp_values_underflow(beta):
     # V(o) = 2 beta sits near the bottom of the floating-point range, where
     # e^V / e^V(o) scales overflow; 5 of the 55 paths take the direct arc, so
     # the gradient is 5 * 2.5 + 50 * 2 - 55 * 2 = 2.5 up to e^(0.5 beta).
-    # e^V(o) is subnormal at beta = -360, which costs V(o) about 1e-10
+    # e^V(o) is subnormal at beta = -360, which costs V(o) about 1e-10.  The
+    # Hessian, -55 * 0.25 p (1 - p) for the direct arc's p ~ e^(0.5 beta),
+    # is far below any difference quotient: path enumeration is its oracle
     net = build_network(["o", "a", "d"], "d",
                         [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5])], ["cost"])
     obs = ObservationSet(net, [make_observation(net, ["o", "a", "d"])] * 50
                          + [make_observation(net, ["o", "d"])] * 5)
-    _, grad = nfxp.loglik_and_gradient(obs.net_by_group(), core.UtilitySpec([beta]), obs)
+    nets = obs.net_by_group()
+    _, grad, hess = nfxp.loglik_and_gradient(nets, core.UtilitySpec([beta]), obs)
     assert np.isfinite(grad[0]) and grad[0] == pytest.approx(2.5, rel=1e-9)
+    assert hess[0, 0] < 0
+    np.testing.assert_allclose(hess, -55 * path_information(nets, [beta], obs), rtol=1e-9)
 
 
-def test_gradient_where_values_span_beyond_the_exp_range():
+def test_gradient_where_values_span_beyond_the_exp_range(monkeypatch):
     # V spans about 719 at beta = -360: the gradient comes from a factor of
     # I - P and matches the log-space NRL gradient at mu = 1, up to the
-    # rounding of the subnormal e^V(o) in the exp-space value solve
+    # rounding of the subnormal e^V(o) in the exp-space value solve.  The
+    # Hessian's forward solve reuses that factor: one splu for the value
+    # solve, one for I - P
     net = build_network(["o", "a", "b", "d"], "d",
                         [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5]),
                          ("o", "b", [2.0]), ("b", "d", [0.001])], ["cost"])
@@ -46,10 +55,45 @@ def test_gradient_where_values_span_beyond_the_exp_range():
     beta = np.array([-360.0])
     vf, _ = core.solve_value_linear(net, core.UtilitySpec(beta))
     assert np.ptp(vf.values) > core._EXP_CAP
-    _, grad = nfxp.loglik_and_gradient(obs.net_by_group(), core.UtilitySpec(beta), obs)
+    factors = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(1) or splu(*a, **k))
+    _, grad, hess = nfxp.loglik_and_gradient(obs.net_by_group(), core.UtilitySpec(beta), obs)
+    assert len(factors) == 2
     _, ref, _ = nrl.nrl_loglik_and_gradient(net, beta, nrl.ScaleField.uniform(net), obs)
     assert np.all(np.isfinite(grad))
     np.testing.assert_allclose(grad, ref, rtol=1e-9)
+    np.testing.assert_allclose(hess, -60 * path_information(obs.net_by_group(), beta, obs),
+                               rtol=1e-8)
+
+
+def _cyclic_instance():
+    net = random_geometric_network(30, 0.3, seed=2274, acyclic=False)
+    obs = generate_observations(net, core.UtilitySpec(BETA_CYCLIC), "o", 300, seed=1)
+    return obs.net_by_group(), obs
+
+
+@pytest.mark.parametrize("case", ["dag", "cyclic"])
+def test_hessian_matches_differenced_gradient(case):
+    if case == "dag":
+        (groups, obs), beta = _instance(seed=1, n_obs=100), np.array([-2.0, -0.4, -0.2, -0.6])
+    else:
+        (groups, obs), beta = _cyclic_instance(), 1.1 * BETA_CYCLIC
+    _, _, hess = nfxp.loglik_and_gradient(groups, core.UtilitySpec(beta), obs)
+    fd = differenced_hessian(groups, beta, obs)
+    np.testing.assert_allclose(hess, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+    np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
+    assert np.all(np.linalg.eigvalsh(hess) < 0)
+
+
+def test_hessian_is_minus_the_path_information():
+    # L = sum_n x_n beta - V(o_n), so -H sums, over the observations, the
+    # covariance of the path attribute totals from their origins
+    groups, obs = _instance(seed=1, n_obs=100)
+    beta = np.array([-2.0, -0.4, -0.2, -0.6])
+    _, _, hess = nfxp.loglik_and_gradient(groups, core.UtilitySpec(beta), obs)
+    np.testing.assert_allclose(hess, -len(obs) * path_information(groups, beta, obs),
+                               rtol=1e-9)
 
 
 def _fd_gradient(net_by_group, beta, obs, h=1e-5):
@@ -67,7 +111,7 @@ def _fd_gradient(net_by_group, beta, obs, h=1e-5):
 def test_gradient_matches_finite_differences():
     groups, obs = _instance(seed=1, n_obs=100)
     beta = np.array([-2.0, -0.4, -0.2, -0.6])
-    loglik, grad = nfxp.loglik_and_gradient(groups, core.UtilitySpec(beta), obs)
+    loglik, grad, _ = nfxp.loglik_and_gradient(groups, core.UtilitySpec(beta), obs)
     assert loglik == pytest.approx(
         core.log_likelihood(groups, core.UtilitySpec(beta), obs)
     )
@@ -86,7 +130,7 @@ def test_gradient_across_random_triples():
         except Exception:
             continue
         beta = rng.uniform(-2.0, -0.1, size=4)
-        _, grad = nfxp.loglik_and_gradient(groups, core.UtilitySpec(beta), obs)
+        _, grad, _ = nfxp.loglik_and_gradient(groups, core.UtilitySpec(beta), obs)
         fd = _fd_gradient(groups, beta, obs)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(grad - fd)) / scale <= 1e-5
@@ -99,7 +143,7 @@ def test_gradient_zero_for_absent_attribute():
     net = bic_dag(4, 1, 3, alt)
     spec = core.UtilitySpec(np.array([-0.5, -0.7]))
     obs = generate_observations(net, spec, "n0_0", 50, seed=2)
-    _, grad = nfxp.loglik_and_gradient(obs.net_by_group(), spec, obs)
+    _, grad, _ = nfxp.loglik_and_gradient(obs.net_by_group(), spec, obs)
     assert grad[1] == 0.0
 
 
@@ -186,6 +230,148 @@ def test_backtrack_halves_after_an_inner_solve_failure():
     # first trial at the full step 0.3 fails, then 0.15 is tried and accepted
     trials = [float(p[0]) for p in points[1:]]
     assert trials == [0.3, 0.15]
+
+
+def test_projected_gradient_norm_at_max_iterations():
+    # the maximizer x = 5 lies outside the box [-1, 1]; the one iteration
+    # ends on the bound, where the outward gradient 4 is no stationarity
+    # violation: the projected norm reported there is 0
+    evaluate, _ = _counted(_quadratic(np.array([5.0]), 1.0))
+    x, _, grad_norm, status, iters, trace = nfxp.bfgs_maximize(
+        evaluate, np.zeros(1), nfxp.EstimationOptions(max_iters=1),
+        project=lambda x: np.clip(x, -1.0, 1.0))
+    assert status == nfxp.MAX_ITERATIONS and iters == 1 and x[0] == 1.0
+    assert grad_norm == 0.0 and trace[-1][2] == 0.0
+
+
+def _recorded(monkeypatch):
+    """Every point ``estimate_nfxp`` evaluates, with its log-likelihood
+    (None where the value system has no solution)."""
+    trials = []
+    evaluate = nfxp.loglik_and_gradient
+
+    def recorded(net_by_group, spec, obs):
+        try:
+            out = evaluate(net_by_group, spec, obs)
+        except ValueSolveFailed:
+            trials.append((spec.beta.copy(), None))
+            raise
+        trials.append((spec.beta.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(nfxp, "loglik_and_gradient", recorded)
+    return trials
+
+
+def test_newton_reports_an_unusable_initial_point(monkeypatch):
+    net = make_infeasible_net(0.5)
+    obs = ObservationSet(net, [make_observation(net, ["s0", "s1", "d"])])
+    res = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[1.0])
+    assert (res.status, res.iterations, res.trace) == (nfxp.INNER_SOLVE_FAILED, 0, [])
+    # path probabilities never exceed one: a positive log-likelihood is invalid
+    groups, obs = _instance(seed=2, n_obs=50)
+    monkeypatch.setattr(nfxp, "loglik_and_gradient",
+                        lambda *args: (1.0, np.ones(4), -np.eye(4)))
+    res = nfxp.estimate_nfxp(groups, obs)
+    assert (res.status, res.iterations, res.trace) == (nfxp.INVALID_LIKELIHOOD, 0, [])
+
+
+def test_newton_halves_a_step_into_an_infeasible_cyclic_point(monkeypatch):
+    # two loops through s0 of utility 2 beta: the value system has no
+    # solution once 2 e^(2 beta) >= 1.  At beta = -3 the likelihood is nearly
+    # linear, so the Newton step lands far inside the infeasible region, and
+    # every failed trial halves it until the value system solves again
+    net = build_network(["s0", "s1", "s2", "d"], "d",
+                        [("s0", "s1", [1.0]), ("s0", "s2", [1.0]), ("s1", "s0", [1.0]),
+                         ("s2", "s0", [1.0]), ("s1", "d", [0.0]), ("s2", "d", [0.0])], ["u"])
+    obs = generate_observations(net, core.UtilitySpec([-0.5]), "s0", 200, seed=1)
+    trials = _recorded(monkeypatch)
+    res = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[-3.0])
+    assert res.converged and abs(res.beta_hat[0] + 0.5) < 0.05
+    failed = next(i for i, (_, loglik) in enumerate(trials[1:], 1) if loglik is not None) - 1
+    assert failed >= 3
+    steps = np.array([b[0] + 3.0 for b, _ in trials[1:failed + 2]])
+    np.testing.assert_allclose(steps, steps[0] / 2.0 ** np.arange(failed + 1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta_init", [-360.0, -400.0])
+def test_newton_falls_back_where_the_curvature_underflows(monkeypatch, beta_init):
+    # the two-loop network far below its estimate: the loops' probability
+    # e^(2 beta) leaves a curvature that underflows to zero (-400) or to a
+    # subnormal whose Newton step overflows (-360).  BFGS's first step
+    # g / max(1, |g|) stands in until Newton has curvature to work with
+    net = build_network(["s0", "s1", "s2", "d"], "d",
+                        [("s0", "s1", [1.0]), ("s0", "s2", [1.0]), ("s1", "s0", [1.0]),
+                         ("s2", "s0", [1.0]), ("s1", "d", [0.0]), ("s2", "d", [0.0])], ["u"])
+    obs = generate_observations(net, core.UtilitySpec([-0.5]), "s0", 200, seed=1)
+    trials = _recorded(monkeypatch)
+    res = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[beta_init])
+    assert res.converged and res.iterations <= 100
+    assert trials[1][0][0] == beta_init + 1.0
+    ref = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[-1.0])
+    assert res.beta_hat[0] == pytest.approx(ref.beta_hat[0], abs=1e-6)
+
+
+def test_newton_line_search_failure(monkeypatch):
+    # every trial point fails its value solve: the step halves below MIN_STEP
+    groups, obs = _instance(seed=2, n_obs=50)
+    evaluate = nfxp.loglik_and_gradient
+    calls = []
+
+    def first_only(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise ValueSolveFailed("d", "status SingularOrNonpositive")
+        return evaluate(*args)
+
+    monkeypatch.setattr(nfxp, "loglik_and_gradient", first_only)
+    res = nfxp.estimate_nfxp(groups, obs)
+    assert (res.status, res.iterations, len(res.trace)) == (nfxp.LINE_SEARCH_FAILED, 1, 1)
+    np.testing.assert_array_equal(res.beta_hat, nfxp.default_beta_init(4))
+    assert 30 < len(calls) < 60
+
+
+def test_newton_max_iterations():
+    groups, obs = _instance(seed=2, n_obs=200)
+    res = nfxp.estimate_nfxp(groups, obs, opts=nfxp.EstimationOptions(max_iters=2))
+    assert (res.status, res.iterations) == (nfxp.MAX_ITERATIONS, 2)
+    assert len(res.trace) == res.iterations + 1
+    assert res.gradient_norm == res.trace[-1][2] > 0
+
+
+def test_newton_warm_start_at_the_estimate(monkeypatch):
+    groups, obs = _instance(seed=2, n_obs=200)
+    res = nfxp.estimate_nfxp(groups, obs)
+    trials = _recorded(monkeypatch)
+    warm = nfxp.estimate_nfxp(groups, obs, beta_init=res.beta_hat)
+    assert (warm.status, warm.iterations, len(trials)) == (nfxp.CONVERGED, 0, 1)
+    np.testing.assert_array_equal(warm.beta_hat, res.beta_hat)
+
+
+def test_duplicated_attribute_takes_no_newton_step(monkeypatch):
+    # with the first column twice, -H is singular: the duplicate's Cholesky
+    # pivot is rounding.  It keeps its start value while Newton runs on the
+    # other attributes and reaches the fit without the duplicate, whose first
+    # coefficient is the sum of the two
+    base = random_geometric_network(20, 0.35, seed=1)
+    attrs = np.column_stack([base.attrs[:, :1], base.attrs])
+    net = build_network(list(base.states), base.destination,
+                        [(base.states[i], base.states[j], attrs[a])
+                         for a, (i, j) in enumerate(zip(base.arc_from, base.arc_to))])
+    obs = generate_observations(base, core.UtilitySpec(BETA_TRUE), "o", 300, seed=1)
+    dup = ObservationSet(net, [make_observation(net, list(ob.path)) for ob in obs.observations])
+    ref = nfxp.estimate_nfxp(obs.net_by_group(), obs)
+    _, _, hess = nfxp.loglik_and_gradient(dup.net_by_group(),
+                                          core.UtilitySpec(nfxp.default_beta_init(5)), dup)
+    eig = np.linalg.eigvalsh(-hess)
+    assert abs(eig[0]) <= 1e-12 * eig[-1]
+    trials = _recorded(monkeypatch)
+    res = nfxp.estimate_nfxp(dup.net_by_group(), dup)
+    assert res.converged and res.iterations <= 10
+    assert all(b[1] == nfxp.DEFAULT_BETA_INIT for b, _ in trials)
+    np.testing.assert_allclose(res.beta_hat[0] + res.beta_hat[1], ref.beta_hat[0], atol=1e-6)
+    np.testing.assert_allclose(res.beta_hat[2:], ref.beta_hat[1:], atol=1e-6)
+    assert res.loglik == pytest.approx(ref.loglik, abs=1e-8)
 
 
 def test_result_serialization():

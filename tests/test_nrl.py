@@ -246,6 +246,14 @@ def test_estimate_fixed_mu_matches_rl():
     ref = nfxp.estimate_nfxp(obs.net_by_group(), obs)
     assert res.converged and ref.converged
     assert np.max(np.abs(res.beta_hat - ref.beta_hat)) <= 1e-6
+    # a uniform scale mu is the RL model at beta / mu; the last attribute
+    # column is all zero on this network and keeps its start value
+    scaled = nrl.estimate_nrl_nfxp(net, obs, mu_init=2.0, mu_mode="fixed")
+    assert scaled.converged and np.all(scaled.mu_hat.values == 2.0)
+    assert scaled.loglik == pytest.approx(ref.loglik, abs=1e-8)
+    np.testing.assert_allclose(scaled.beta_hat[:3], 2.0 * ref.beta_hat[:3], rtol=0, atol=1e-6)
+    assert scaled.loglik == pytest.approx(
+        nrl.nrl_log_likelihood(net, scaled.beta_hat, scaled.mu_hat, obs), abs=1e-8)
 
 
 def test_estimate_recovers_unit_scale():

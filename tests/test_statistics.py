@@ -17,7 +17,7 @@ from rlogit.generators import random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations
 
-from conftest import dag_samples, objective_coefficients
+from conftest import dag_samples, differenced_hessian, objective_coefficients, path_information
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 
@@ -62,18 +62,23 @@ def _reference_nfxp(nets, spec, obs):
     return total, grad
 
 
-@pytest.fixture(scope="module")
-def pooled():
-    """Two destination groups on their own networks; the set itself is bound
-    to a third network."""
+def _pooled_set(seeds, n_paths):
+    """One destination group per generator seed, each on its own network;
+    the set itself is bound to another network."""
     spec = core.UtilitySpec(BETA_TRUE)
     nets, members = {}, []
-    for k, seed in enumerate((1, 2)):
+    for k, seed in enumerate(seeds):
         net = _relabel(random_geometric_network(15, 0.4, seed=seed), f"d{k}")
         nets[net.destination] = net
-        members += generate_observations(net, spec, "o", 800, seed=10 + k).observations
+        members += generate_observations(net, spec, "o", n_paths, seed=10 + k).observations
     other = random_geometric_network(20, 0.35, seed=1)
     return nets, ObservationSet(other, members)
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    """Two destination groups on their own networks."""
+    return _pooled_set((1, 2), 800)
 
 
 def test_pooled_groups_resolve_against_their_own_networks(pooled):
@@ -81,7 +86,7 @@ def test_pooled_groups_resolve_against_their_own_networks(pooled):
     assert set(obs.statistics.groups) == {"d0", "d1"}
     assert all(net is not obs.network for net in nets.values())
     spec = core.UtilitySpec(np.array([-3.0, -0.2, -0.1, -0.4]))
-    ll, grad = nfxp.loglik_and_gradient(nets, spec, obs)
+    ll, grad, _ = nfxp.loglik_and_gradient(nets, spec, obs)
     ref_ll, ref_grad = _reference_nfxp(nets, spec, obs)
     assert ll == pytest.approx(ref_ll, rel=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-9)
@@ -92,6 +97,18 @@ def test_pooled_groups_resolve_against_their_own_networks(pooled):
             in_order += obs.observations[n].attr_sum
         assert np.array_equal(group.attr_total, in_order)
         assert group.n_obs == len(obs.groups[key]) == 800
+
+
+def test_hessian_of_a_three_destination_set():
+    # each group adds its own visit-weighted covariance; -H / N is the
+    # covariance of the path attribute totals, enumerated per group
+    nets, obs = _pooled_set((1, 2, 3), 200)
+    assert len(obs.statistics.groups) == 3
+    beta = np.array([-3.0, -0.2, -0.1, -0.4])
+    _, _, hess = nfxp.loglik_and_gradient(nets, core.UtilitySpec(beta), obs)
+    np.testing.assert_allclose(hess, -len(obs) * path_information(nets, beta, obs), rtol=1e-9)
+    np.testing.assert_allclose(hess, differenced_hessian(nets, beta, obs), rtol=0,
+                               atol=1e-7 * np.max(np.abs(hess)))
 
 
 def test_one_assembly_and_factorization_per_group(pooled, monkeypatch):
@@ -205,7 +222,7 @@ def test_nfxp_statistics_match_per_path_loop(sample):
     net, obs, beta, _mu = sample
     spec = core.UtilitySpec(beta)
     nets = obs.net_by_group()
-    ll, grad = nfxp.loglik_and_gradient(nets, spec, obs)
+    ll, grad, _ = nfxp.loglik_and_gradient(nets, spec, obs)
     ref_ll, ref_grad = _reference_nfxp(nets, spec, obs)
     assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
@@ -221,10 +238,34 @@ def test_adjoint_gradient_from_every_origin_matches_forward_jacobian(sample):
     spec = core.UtilitySpec(beta)
     obs = generate_observations(net, spec, list(net.states[:-1]), 60, seed=5)
     assert len(obs.statistics.groups[net.destination].origin_counts) == net.n_states - 1
-    ll, grad = nfxp.loglik_and_gradient(obs.net_by_group(), spec, obs)
+    ll, grad, _ = nfxp.loglik_and_gradient(obs.net_by_group(), spec, obs)
     ref_ll, ref_grad = _reference_nfxp(obs.net_by_group(), spec, obs)
     assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples())
+def test_value_jacobian_matches_forward_oracle(sample):
+    net, _obs, beta, _mu = sample
+    spec = core.UtilitySpec(beta)
+    vf, _ = core.solve_value_linear(net, spec)
+    jac = core.value_jacobian(net, vf, core.choice_probabilities(net, spec, vf))
+    np.testing.assert_allclose(jac, _value_jacobian(net, spec, vf.values), rtol=1e-10, atol=1e-12)
+
+
+def test_value_jacobian_on_a_cyclic_network():
+    # the exp-space factor, a Newton factor of I - P and a fresh one give
+    # the dense forward oracle's Jacobian
+    net = random_geometric_network(30, 0.3, seed=2274, acyclic=False)
+    spec = core.UtilitySpec(np.array([-8.0, -0.2, -0.1, -0.6]))
+    linear, _ = core.solve_value_linear(net, spec)
+    newton, _ = core.solve_value_iteration(net, spec)
+    assert linear.z is not None and newton.factor is not None
+    probs = core.choice_probabilities(net, spec, linear)
+    ref = _value_jacobian(net, spec, linear.values)
+    for vf in (linear, newton, core.ValueField(linear.values)):
+        np.testing.assert_allclose(core.value_jacobian(net, vf, probs), ref, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)

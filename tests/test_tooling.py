@@ -56,6 +56,42 @@ def test_bench_tracing_installs_and_uninstalls():
         assert all(vars(module)[k] is v for k, v in attrs.items()), module.__name__
 
 
+def test_traced_newton_fit_counts_every_evaluation(monkeypatch):
+    # every trial point goes through the wrapped nfxp.loglik_and_gradient,
+    # and each evaluation solves the value system once per group: the
+    # Hessian re-solves nothing
+    spec = core.UtilitySpec(np.array([-4.0, -0.1, -0.05, -0.3]))
+    members, nets = [], {}
+    for seed, dest in ((1, "d0"), (2, "d1")):
+        base = random_geometric_network(15, 0.4, seed=seed)
+        states = [dest if s == base.destination else s for s in base.states]
+        nets[dest] = net = network.build_network(
+            states, dest, [(states[i], states[j], base.attrs[a])
+                           for a, (i, j) in enumerate(zip(base.arc_from, base.arc_to))])
+        members += simulate.generate_observations(net, spec, "o", 200, seed=seed).observations
+    obs = simulate.ObservationSet(nets["d0"], members)
+    evaluations = []
+    evaluate = nfxp.loglik_and_gradient
+
+    def counted(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(nfxp, "loglik_and_gradient", counted)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        tracer.active = True
+        res = nfxp.estimate_nfxp(nets, obs)
+    finally:
+        tracer.uninstall()
+    assert res.converged and len(evaluations) >= len(res.trace) == res.iterations + 1
+    assert tracer.counts["nfxp.evaluation.calls"] == len(evaluations)
+    assert tracer.counts["core.value_solve.calls"] == 2 * len(evaluations)
+    assert tracer.counts["nfxp.iterations"] == res.iterations
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
