@@ -31,15 +31,23 @@ tau-kappa pair).  hess F's inverse and third derivative come in closed form
 from the barrier's pieces at s, computed once per iteration.  The cone duals
 are eliminated, dz = H (G dx - r3), which leaves the normal equations
 N dx + A' dy = r1 + G' H r3, A dx = r2 on the variables alone, with
-N = G' H G (Andersen, Roos & Terlaky 2003).  SuperLU factors the
-quasi-definite [[N + D, A'], [A, -reg I]], whose diagonal D is reg plus a
-1e-14 multiple of N's own diagonal (static regularization as in ECOS), and
-two steps of iterative refinement solve against the unregularized matrix.
-N's sparsity pattern and the map from H's entries to N's are built once per
-solve, so each iteration only scatters products of H's values into the
-factored matrix; a first call picks a symmetric minimum-degree ordering, the
-pattern is laid out in it once, and every factorization then keeps it with
-diagonal pivots.  The slack step ds is taken from the primal row, so the
+N = G' H G (Andersen, Roos & Terlaky 2003).  A column with no equality
+entry, one cone-row entry and at most one orthant row, all of whose columns
+qualify too, is solved out of these in closed form, one per cone (see
+:func:`_eliminated_columns`; for the ECP these are exactly the mass
+variables r).  Each such cone's 3x3 scaling block becomes its Schur
+complement on the eliminated slot, and each orthant row of eliminated
+columns adds one rank-one term (Sherman-Morrison), which leaves the Schur
+complement S on the kept columns (for the ECP, beta and u, where S is nearly
+full).  S's index pattern is built once per solve, so each iteration writes
+S densely with one bincount and factors S + D by LAPACK's Cholesky; D is reg
+plus a 1e-14 multiple of N's own diagonal on the kept columns (static
+regularization as in ECOS), and equality rows take a second Cholesky of
+reg I + A S^-1 A'.  Two steps of iterative refinement solve against the
+unregularized S, and the eliminated block is recovered from the kept one.
+The dense factor costs the cube of the kept columns, a fraction of a
+millisecond at a few hundred (see :class:`_ReducedKKT` for where it stops
+paying).  The slack step ds is taken from the primal row, so the
 residual G x + s - h tau shrinks by the factor (1 - alpha eta) of each step,
 up to rounding, also after convergence.  The step search backtracks by 0.8
 from the largest step the orthant allows; after one full check it follows
@@ -60,7 +68,8 @@ smallest complementarity end polishing (with this direction the
 complementarity reaches its rounding floor a few iterations after
 convergence), and so do two stalled steps (a recenter would throw the
 polished dual iterate away) and the end of the budget.  Solves are
-single-threaded and bitwise deterministic.
+bitwise deterministic at a given BLAS thread count: the dense factor and its
+solves run on BLAS's threads, everything else on one.
 """
 
 from __future__ import annotations
@@ -69,8 +78,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401 (bench/tracing.py wraps this attribute)
+from scipy.linalg import blas, lapack
 from scipy.special import wrightomega
 
 from .program import ConicProgram, dual_exp_cone_contains, exp_cone_contains
@@ -410,12 +419,10 @@ def _step_length(cone, s, ds, z, dz, tau, dtau, kappa, dkappa, ftb, min_step, ma
                 alpha, size = float(rungs[-1]), 2 * size
 
 
-# relative part of N's diagonal regularization: a diagonal entry of G'HG can
-# be 1e8 times reg, and reg alone then vanishes in rounding, leaving N
-# singular in floating point when G is rank deficient
+# relative part of the diagonal regularization: a diagonal entry of G'HG can
+# be 1e8 times reg, and reg alone then vanishes in rounding, leaving the
+# reduced matrix singular in floating point when G is rank deficient
 _REG_REL = 1e-14
-# N is quasi-definite, so any symmetric ordering admits diagonal pivots
-_PIVOTS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 def _entries(indptr, rows):
@@ -427,87 +434,216 @@ def _entries(indptr, rows):
     return k, pos
 
 
-class _NormalEquations:
-    """The regularized normal equations [[N + D, A'], [A, -reg I]], with
-    N = G' H G and D = reg + _REG_REL |diag N|, on a pattern assembled once
-    per solve: the coefficient G[r, j] G[c, k] and the CSC data slot of every
-    product G[r, j] H[r, c] G[c, k] are kept, so each factorization scatters
-    H's values into N with one bincount.  Vectors passed to and returned by
+def _eliminated_columns(a_mat, g_mat, l):
+    """Mask of the columns :class:`_ReducedKKT` eliminates from G (stored
+    without zeros): those with no equality entry, one cone-row entry and at
+    most one orthant row.  Of several in one cone only the last is
+    eliminated, and none in an orthant row that holds any other column, so
+    each orthant row touches eliminated columns only or kept columns only."""
+    n = g_mat.shape[1]
+    g = g_mat.tocsc()
+    a = a_mat.tocsc(copy=True)
+    a.eliminate_zeros()
+    col = np.repeat(np.arange(n), np.diff(g.indptr))
+    lin = g.indices < l
+    cand = ((np.diff(a.indptr) == 0) & (np.bincount(col[~lin], minlength=n) == 1)
+            & (np.bincount(col[lin], minlength=n) <= 1))
+    cone_of = np.full(n, -1)
+    cone_of[col[~lin]] = (g.indices[~lin] - l) // 3
+    cols = np.flatnonzero(cand)
+    last = np.full((g.shape[0] - l) // 3, -1)
+    np.maximum.at(last, cone_of[cols], cols)
+    cand[cols[last[cone_of[cols]] != cols]] = False
+    rows, cols = g.indices[lin], col[lin]
+    mixed = np.zeros(l, dtype=bool)
+    mixed[rows[~cand[cols]]] = True
+    cand[cols[mixed[rows]]] = False
+    return cand
+
+
+class _ReducedKKT:
+    """The normal equations N dx + A' dy = f, A dx = r2 (N = G' H G) with
+    the columns E of :func:`_eliminated_columns` solved out in closed form,
+    leaving the Schur complement S = N_FF - N_FE N_EE^-1 N_EF on the kept
+    columns F.  An eliminated column j sits at slot t of one cone c and in at
+    most one orthant row o, whose columns are all eliminated, so N_EE is the
+    diagonal D_j = G[t,j]^2 H_c[t,t] plus one rank-one term h_o g_o g_o' per
+    such row, inverted by Sherman-Morrison, and
+
+        S = G_F' H^ G_F + sum_o gamma_o v_o v_o',
+
+    where H^ is H with each such cone's block replaced by its Schur
+    complement on slot t, H_c - H_c[:,t] H_c[t,:] / H_c[t,t],
+    gamma_o = h_o / (1 + h_o sum_j g_oj^2 / D_j) and
+    v_o = sum_j g_oj / (G[t,j] H_c[t,t]) G_cF' H_c[:,t].  Index patterns fixed
+    once per solve let each factorization write S's lower triangle densely
+    with one bincount.  LAPACK's Cholesky factors S + D, with
+    D = reg + _REG_REL |diag N_FF| on the kept columns only (N_EE is positive
+    definite without it); equality rows take a second, p x p Cholesky of
+    reg I + A_F (S + D)^-1 A_F'.  The dense factor's cost grows with the cube
+    of the kept columns, so it pays for the few hundred of the ECP's beta and
+    u but not near a thousand: on random_geometric_network(300, 0.11, seed=1)
+    with 3,000 paths (843 states, 846 kept of 4,722 columns) an ECP fit
+    takes 1.15 s against 0.90-1.02 s for a sparse LU of the full N (shared
+    2-core x86_64 VM, one BLAS thread).  Vectors passed to and returned by
     :meth:`solve` are in the program's own order.
     """
 
     def __init__(self, a_mat, g_mat, cone, reg):
         p, n = a_mat.shape
-        self.n, self.size = n, n + p
-        self.cone, self.reg = cone, reg
-        g = self.g_mat = g_mat.tocsr()
+        self.n, self.p, self.cone, self.reg = n, p, cone, reg
+        l = cone.l
+        g = g_mat.tocsr(copy=True)
+        g.eliminate_zeros()
         self.gt_mat = g.T.tocsr()
+        elim = _eliminated_columns(a_mat, g, l)
+        # working order: kept columns first, then eliminated ones
+        self.kept, self.elim = np.flatnonzero(~elim), np.flatnonzero(elim)
+        self._order = np.concatenate([self.kept, self.elim])
+        nf = self.nf = len(self.kept)
+        self._gp = g[:, self._order].tocsr()
+        self._gpt = self._gp.T.tocsr()
+        a_f = a_mat.tocsc()[:, self.kept]
+        self._af, self._aft = a_f.tocsr(), a_f.T.tocsr()
+
+        # each eliminated column: its cone entry G[t,j] at slot t of cone c,
+        # and its orthant entry g_oj, numbered by the mass rows that hold them
+        ge = self._gp[:, nf:].tocsc()
+        col = np.repeat(np.arange(n - nf), np.diff(ge.indptr))
+        lin = ge.indices < l
+        self._gt = ge.data[~lin]
+        cone_e, slot_e = np.divmod(ge.indices[~lin] - l, 3)
+        block = l + 9 * cone_e
+        self._e_tt = block + 4 * slot_e  # position of H_c[t,t] in H's values
+        self._e_col = block[:, None] + 3 * np.arange(3) + slot_e[:, None]  # of H_c[:,t]
+        self._me, self._go = col[lin], ge.data[lin]
+        self._mass_rows, self._mass_id = np.unique(ge.indices[lin], return_inverse=True)
+
+        # S's lower triangle, column by column: the terms of G_F' H^ G_F ...
+        gf = self._gp[:, :nf].tocsr()
         h_rows, h_cols = cone.scaling_pattern()
-        k, pa = _entries(g.indptr, h_rows)
-        t, pb = _entries(g.indptr, h_cols[k])
-        self._h_index, pa = k[t], pa[t]
-        self._coef = g.data[pa] * g.data[pb]
-        a = a_mat.tocoo()
-        diag = np.arange(self.size)
-        self._rows = np.concatenate([diag, n + a.row, a.col, g.indices[pa]])
-        self._cols = np.concatenate([diag, a.col, n + a.row, g.indices[pb]])
-        self._static_vals = np.concatenate([np.zeros(n), np.full(p, -reg), a.data, a.data])
-        # program row and column at each position of the factored matrix
-        self.order = diag
-        self.lu = None
-        self._lay_out()
-
-    def _lay_out(self):
-        pos = np.argsort(self.order)
-        keys = pos[self._cols] * self.size + pos[self._rows]
-        uniq, slots = np.unique(keys, return_inverse=True)
-        n_static = len(self._static_vals)
-        self._static = np.bincount(slots[:n_static], weights=self._static_vals,
-                                   minlength=len(uniq))
-        self._diag = slots[: self.n]
-        self._h_slots = slots[n_static:]
-        indptr = np.searchsorted(uniq // self.size, np.arange(self.size + 1))
-        self.mat = sp.csc_matrix((self._static.copy(), uniq % self.size, indptr),
-                                 shape=(self.size, self.size))
-
-    def assemble(self, hvals):
-        """Write N + D for the values ``hvals`` of H (in the cone's scaling
-        pattern order); ``diag_reg`` keeps the regularization in the factored
-        matrix's order."""
-        self.hvals = hvals
-        n0 = np.bincount(self._h_slots, weights=self._coef * hvals[self._h_index],
-                         minlength=len(self._static))
-        delta = self.reg + _REG_REL * np.abs(n0[self._diag])
-        self.mat.data[:] = self._static + n0
-        self.mat.data[self._diag] += delta
-        reg = np.concatenate([delta, np.full(self.size - self.n, -self.reg)])
-        self.diag_reg = reg[self.order]
+        k, pa = _entries(gf.indptr, h_rows)
+        t, pb = _entries(gf.indptr, h_cols[k])
+        hi, pa = k[t], pa[t]
+        i, j = gf.indices[pa], gf.indices[pb]
+        coef = gf.data[pa] * gf.data[pb]
+        diag = i == j
+        self._diag_col, self._diag_coef, self._diag_h = i[diag], coef[diag], hi[diag]
+        # H^[a,b] = H[a,b] - H[a,t] H[b,t] / H[t,t]; where no column of the
+        # cone is eliminated, H[a,t] and H[b,t] point at a 0 appended to H's
+        # values and H[t,t] at a 1; rows and columns t of H^ are zero
+        cone_slot = np.full(cone.ne + 1, -1)
+        cone_slot[cone_e] = slot_e
+        c, a, b = np.maximum(hi - l, 0) // 9, (hi - l) % 9 // 3, (hi - l) % 3
+        ts = np.where(hi >= l, cone_slot[c], -1)
+        keep = (i >= j) & (a != ts) & (b != ts)
+        hi, ts, elim_cone = hi[keep], ts[keep], ts[keep] >= 0
+        base = l + 9 * c[keep] + ts
+        zero = len(h_rows)
+        self._h, self._coef = hi, coef[keep]
+        self._h_at = np.where(elim_cone, base + 3 * a[keep], zero)
+        self._h_bt = np.where(elim_cone, base + 3 * b[keep], zero)
+        self._h_tt = np.where(elim_cone, base + 3 * ts, zero + 1)
+        # ... the entries of every v_o, and the pairs of entries of one v_o
+        me = self._me
+        kq, pv = _entries(gf.indptr, (l + 3 * cone_e[me][:, None] + np.arange(3)).ravel())
+        e = me[kq // 3]
+        self._v_h, self._v_tt = self._e_col[e, kq % 3], self._e_tt[e]
+        self._v_coef = gf.data[pv] * (self._go / self._gt[me])[kq // 3]
+        keys, self._v_slot = np.unique(self._mass_id[kq // 3] * nf + gf.indices[pv],
+                                       return_inverse=True)
+        v_row, v_col = np.divmod(keys, max(nf, 1))
+        pa, pb = _entries(np.searchsorted(v_row, np.arange(len(self._mass_rows) + 1)), v_row)
+        low = v_col[pa] >= v_col[pb]
+        self._pair_a, self._pair_b, self._pair_row = pa[low], pb[low], v_row[pa[low]]
+        self._slots = np.concatenate([j[keep] * nf + i[keep],
+                                      v_col[self._pair_b] * nf + v_col[self._pair_a]])
+        self._n_v = len(keys)
+        # G_F' on the three rows of each eliminated column's cone: with the
+        # column H_c[:,t] G[t,j] it gives N_FE and N_EF
+        rows3 = (l + 3 * cone_e[:, None] + np.arange(3)).ravel()
+        self._b_mat = self._gpt[:nf][:, rows3].tocsr()
+        self._bt_mat = self._b_mat.T.tocsr()
 
     def factor(self, hvals):
-        """Assemble and factor; raises RuntimeError on a singular matrix."""
-        if self.lu is None:
-            self.assemble(hvals)
-            first = spla.splu(self.mat, permc_spec="MMD_AT_PLUS_A", **_PIVOTS)
-            self.order = np.argsort(first.perm_c)
-            self._lay_out()
-        self.assemble(hvals)
-        self.lu = spla.splu(self.mat, permc_spec="NATURAL", **_PIVOTS)
+        """Assemble S and factor S + D; raises RuntimeError when it is not
+        positive definite in floating point."""
+        self.hvals = hvals
+        nf = self.nf
+        htt = hvals[self._e_tt]
+        self._d = self._gt ** 2 * htt
+        me, go = self._me, self._go
+        h_o = hvals[self._mass_rows]
+        self._gamma = h_o / (1.0 + h_o * np.bincount(self._mass_id, go ** 2 / self._d[me],
+                                                     minlength=len(h_o)))
+        self._u = go / self._d[me]
+        v = np.bincount(self._v_slot, self._v_coef * hvals[self._v_h] / hvals[self._v_tt],
+                        minlength=self._n_v)
+        hv = np.concatenate([hvals, [0.0, 1.0]])
+        weights = np.concatenate([
+            self._coef * (hv[self._h] - hv[self._h_at] * hv[self._h_bt] / hv[self._h_tt]),
+            self._gamma[self._pair_row] * v[self._pair_a] * v[self._pair_b]])
+        # (bincount gives integers when there are no terms at all)
+        self.s_mat = np.bincount(self._slots, weights, minlength=nf * nf).astype(
+            float, copy=False).reshape((nf, nf), order="F")
+        diag_n = np.bincount(self._diag_col, self._diag_coef * hvals[self._diag_h],
+                             minlength=nf)
+        k_mat = self.s_mat.copy(order="F")
+        k_mat.flat[::nf + 1] += self.reg + _REG_REL * np.abs(diag_n)
+        self._chol, info = lapack.dpotrf(k_mat, lower=1, clean=0, overwrite_a=1)
+        if info:
+            raise RuntimeError("reduced normal matrix is not positive definite")
+        self._ecol = hvals[self._e_col] * self._gt[:, None]
+        if self.p:
+            self._x_mat = lapack.dpotrs(self._chol, self._aft.toarray(), lower=1)[0]
+            m_mat = self._af @ self._x_mat
+            m_mat.flat[::self.p + 1] += self.reg
+            self._chol_eq, info = lapack.dpotrf(m_mat, lower=1)
+            if info:
+                raise RuntimeError("equality Schur complement is not positive definite")
+
+    def _solve_eliminated(self, b):
+        """N_EE^-1 b: the diagonal solve and one Sherman-Morrison correction
+        per mass row."""
+        x = b / self._d
+        u, me = self._u, self._me
+        corr = self._gamma * np.bincount(self._mass_id, u * b[me], minlength=len(self._gamma))
+        x[me] -= u * corr[self._mass_id]
+        return x
+
+    def _solve_regularized(self, f, g):
+        u = lapack.dpotrs(self._chol, f, lower=1)[0] if self.nf else f
+        if not self.p:
+            return u, g
+        y = lapack.dpotrs(self._chol_eq, self._af @ u - g, lower=1)[0]
+        return u - self._x_mat @ y, y
 
     def solve(self, r1, r2, hr3):
         """(dx, dy, dz) solving the unregularized KKT system for the
-        right-hand side (r1, r2, r3), given ``hr3`` = H r3: a regularized
-        solve of the normal equations, two steps of iterative refinement
-        against N, then dz = H G dx - H r3, which meets the cone row exactly."""
-        q = self.order
-        rhs = np.concatenate([r1 + self.gt_mat @ hr3, r2])[q]
-        sol = self.lu.solve(rhs)
-        for _ in range(2):
-            sol = sol + self.lu.solve(rhs - (self.mat @ sol - self.diag_reg * sol))
-        out = np.empty_like(sol)
-        out[q] = sol
-        dx = out[: self.n]
-        dz = self.cone.apply_scaling(self.hvals, self.g_mat @ dx) - hr3
-        return dx, out[self.n:], dz
+        right-hand side (r1, r2, r3), given ``hr3`` = H r3: the eliminated
+        block solved out of f = r1 + G' H r3, a regularized solve on the kept
+        columns, two steps of iterative refinement against S and A_F, the
+        eliminated block recovered from the kept one, then
+        dz = H G dx - H r3, which meets the cone row exactly."""
+        nf = self.nf
+        f = r1[self._order] + self._gpt @ hr3
+        f_e = f[nf:]
+        rhs = f[:nf] - self._b_mat @ (self._ecol * self._solve_eliminated(f_e)[:, None]).ravel()
+        x, y = self._solve_regularized(rhs, r2)
+        for _ in range(2 if nf else 0):  # (BLAS rejects an empty S)
+            res_x = rhs - blas.dsymv(1.0, self.s_mat, x, lower=1)
+            res_y = r2
+            if self.p:
+                res_x -= self._aft @ y
+                res_y = r2 - self._af @ x
+            step_x, step_y = self._solve_regularized(res_x, res_y)
+            x, y = x + step_x, y + step_y
+        nef = _dot(self._ecol, (self._bt_mat @ x).reshape(-1, 3))
+        xp = np.concatenate([x, self._solve_eliminated(f_e - nef)])
+        dz = self.cone.apply_scaling(self.hvals, self._gp @ xp) - hr3
+        dx = np.empty(self.n)
+        dx[self._order] = xp
+        return dx, y, dz
 
 
 def solve(prog: ConicProgram, opts: SolverOptions | None = None,
@@ -532,7 +668,7 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
     p = len(b)
     cone = _Cone(prog.n_ineq, prog.n_cones)
     at_mat = a_mat.T.tocsr()
-    kkt = _NormalEquations(a_mat, g_mat, cone, REGULARIZATION)
+    kkt = _ReducedKKT(a_mat, g_mat, cone, REGULARIZATION)
     gt_mat = kkt.gt_mat
 
     x = np.zeros(n)
@@ -767,12 +903,12 @@ def check_certificates(prog: ConicProgram, sol: Solution) -> dict:
 
     if s_ineq is not None and len(s_ineq):
         lin = s_ineq[:l]
-        report["min_linear_slack"] = float(np.min(lin, initial=0.0)) if l else 0.0
+        report["min_linear_slack"] = float(np.min(lin)) if l else 0.0
         triples = s_ineq[l:].reshape(ne, 3)
         report["primal_cones_ok"] = all(exp_cone_contains(t, 1e-7) for t in triples)
     if sol.status in (OPTIMAL, PRIMAL_INFEASIBLE) and len(sol.z):
         lin = sol.z[:l]
-        report["min_dual_linear"] = float(np.min(lin, initial=0.0)) if l else 0.0
+        report["min_dual_linear"] = float(np.min(lin)) if l else 0.0
         triples = sol.z[l:].reshape(ne, 3)
         report["dual_cones_ok"] = all(dual_exp_cone_contains(t, 1e-7) for t in triples)
     return report

@@ -11,7 +11,7 @@ from rlogit import core, nfxp, nrl
 from rlogit.errors import DisconnectedInstance
 from rlogit.generators import random_geometric_network
 from rlogit.network import build_network, enumerate_paths
-from rlogit.simulate import generate_observations
+from rlogit.simulate import ObservationSet, generate_observations
 
 
 @pytest.fixture
@@ -141,6 +141,27 @@ def partial_net():
         [("o", "s1", [1.0]), ("s1", "d", [1.0]), ("s2", "d", [1.0])],
         ["cost"],
     )
+
+
+def relabel(net, destination):
+    """Copy of ``net`` whose destination state is renamed."""
+    states = [destination if s == net.destination else s for s in net.states]
+    arcs = [(states[i], states[j], net.attrs[a])
+            for a, (i, j) in enumerate(zip(net.arc_from, net.arc_to))]
+    return build_network(states, destination, arcs, net.attribute_names)
+
+
+def pooled_set(seeds, n_paths, beta):
+    """One destination group per generator seed, each on its own network;
+    the set itself is bound to another network."""
+    spec = core.UtilitySpec(beta)
+    nets, members = {}, []
+    for k, seed in enumerate(seeds):
+        net = relabel(random_geometric_network(15, 0.4, seed=seed), f"d{k}")
+        nets[net.destination] = net
+        members += generate_observations(net, spec, "o", n_paths, seed=10 + k).observations
+    other = random_geometric_network(20, 0.35, seed=1)
+    return nets, ObservationSet(other, members)
 
 
 @st.composite

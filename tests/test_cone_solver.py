@@ -8,11 +8,19 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from rlogit import core
 from rlogit.conic import builder, solver
-from rlogit.conic.program import ConicProgram, dual_exp_cone_contains, exp_cone_contains
+from rlogit.conic.program import (
+    ConicProgram,
+    dual_exp_cone_contains,
+    exp_cone_contains,
+    load_problem,
+    read_cbf,
+    save_problem,
+    write_cbf,
+)
 from rlogit.conic.solver import (
     DUAL_INFEASIBLE,
     MAX_ITERS,
@@ -26,6 +34,8 @@ from rlogit.conic.solver import (
 from rlogit.generators import random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
+
+from conftest import cyclic_geometric_networks, dag_samples, pooled_set
 
 
 def _single_cone_program():
@@ -93,6 +103,18 @@ def test_optimal_certificates_and_cone_membership():
     l = prog.n_ineq
     for triple in sol.s[l:].reshape(-1, 3):
         assert exp_cone_contains(triple, 1e-7)
+
+
+def test_certificates_report_the_smallest_orthant_entries():
+    # at an ECP optimum every mass row's dual (an expected visit count) and
+    # slack are positive, and the report gives their true minimum
+    prog = _ecp_program()
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    report = check_certificates(prog, sol)
+    l = prog.n_ineq
+    assert report["min_linear_slack"] == np.min(sol.s[:l])
+    assert report["min_dual_linear"] == np.min(sol.z[:l]) > 0
 
 
 def test_corrupted_primal_reports_residual():
@@ -325,75 +347,79 @@ def _scaling_matrix(cone, hvals):
     return sp.csr_matrix((hvals, (rows, cols)), shape=(cone.dim, cone.dim))
 
 
-def _normal_matrix(prog, h_mat, reg):
-    """[[N, A'], [A, 0]] and its regularized form, with N = G' H G, by scipy."""
-    a_mat, g_mat = prog.a_eq, prog.g_mat
-    n0 = (g_mat.T @ h_mat @ g_mat).tocsc()
-    plain = sp.bmat([[n0, a_mat.T], [a_mat, sp.csc_matrix((a_mat.shape[0],) * 2)]],
-                    format="csc")
-    delta = np.concatenate([reg + solver._REG_REL * np.abs(n0.diagonal()),
-                            np.full(a_mat.shape[0], -reg)])
-    return plain, (plain + sp.diags(delta)).tocsc()
+def _normal_matrix(prog, h_mat):
+    """N = G' H G as a dense array."""
+    return (prog.g_mat.T @ h_mat @ prog.g_mat).toarray()
 
 
-_PROGRAMS = [_ecp_program, _pure_lp, _logsumexp_program]
+def _kkt(prog):
+    cone = solver._Cone(prog.n_ineq, prog.n_cones)
+    return cone, solver._ReducedKKT(prog.a_eq, prog.g_mat, cone, solver.REGULARIZATION)
+
+
+def _two_destination_program():
+    nets, obs = pooled_set((1, 2), 100, np.array([-4.0, -0.1, -0.05, -0.3]))
+    return builder.build_ecp(nets, builder.group_observations(obs))[0]
+
+
+_PROGRAMS = [_ecp_program, _pure_lp, _logsumexp_program, _two_destination_program]
 
 
 @pytest.mark.parametrize("make_prog", _PROGRAMS)
 def test_kkt_pattern_assembly_matches_block_assembly(make_prog):
+    # the Schur complement written by one bincount equals the block formula
+    # N_FF - N_FE N_EE^-1 N_EF on the dense N = G' H G
     prog = make_prog()
-    cone = solver._Cone(prog.n_ineq, prog.n_cones)
-    reg = solver.REGULARIZATION
-    kkt = solver._NormalEquations(prog.a_eq, prog.g_mat, cone, reg)
+    cone, kkt = _kkt(prog)
+    assert (len(kkt.elim) > 0) == (make_prog is not _pure_lp)
     rng = np.random.default_rng(0)
     for scale in (1.0, 1e-3):
         hvals = _scaling_at(cone, rng, scale)
         h_mat = _scaling_matrix(cone, hvals)
-        kkt.assemble(hvals)
-        _, expected = _normal_matrix(prog, h_mat, reg)
-        # equal up to the order in which products are summed
-        np.testing.assert_allclose(kkt.mat.toarray(), expected.toarray(), rtol=1e-15, atol=0)
+        kkt.factor(hvals)
+        n_mat = _normal_matrix(prog, h_mat)
+        f, e = kkt.kept, kkt.elim
+        n_fe = n_mat[np.ix_(f, e)]
+        expected = n_mat[np.ix_(f, f)] - n_fe @ np.linalg.solve(n_mat[np.ix_(e, e)], n_fe.T)
+        # equal up to the order in which products are summed; the lower
+        # triangle is the one assembled and factored
+        np.testing.assert_allclose(np.tril(kkt.s_mat), np.tril(expected), rtol=0,
+                                   atol=1e-13 * np.max(np.abs(expected)))
         v = rng.standard_normal(cone.dim)
         np.testing.assert_allclose(cone.apply_scaling(hvals, v), h_mat @ v,
                                    rtol=1e-14, atol=1e-14)
 
 
-def test_kkt_solve_with_reused_ordering_matches_fresh_factorization():
-    reg = solver.REGULARIZATION
-    for make_prog in _PROGRAMS:
-        prog = make_prog()
-        n, p = prog.n_vars, prog.a_eq.shape[0]
-        cone = solver._Cone(prog.n_ineq, prog.n_cones)
-        kkt = solver._NormalEquations(prog.a_eq, prog.g_mat, cone, reg)
-        rng = np.random.default_rng(1)
-        kkt.factor(_scaling_at(cone, rng, 1.0))
-        first_order = kkt.order.copy()
-        assert make_prog is not _ecp_program or not np.array_equal(first_order, np.arange(n))
-        # the first factorization laid the pattern out in its minimum-degree
-        # order; the second keeps that layout
-        hvals = _scaling_at(cone, rng, 1e-2)
-        kkt.factor(hvals)
-        np.testing.assert_array_equal(kkt.order, first_order)
-        h_mat = _scaling_matrix(cone, hvals)
-        r1, r2, r3 = rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(cone.dim)
-        dx, dy, dz = kkt.solve(r1, r2, h_mat @ r3)
+@pytest.mark.parametrize("make_prog", _PROGRAMS + [_single_cone_program])
+def test_kkt_solve_matches_dense_solve(make_prog):
+    # with equality rows (_logsumexp_program, _single_cone_program) and
+    # without; the single cone also holds kept columns beside the
+    # eliminated one
+    prog = make_prog()
+    n, p = prog.n_vars, prog.a_eq.shape[0]
+    cone, kkt = _kkt(prog)
+    rng = np.random.default_rng(1)
+    # the second factorization replaces all of the first
+    kkt.factor(_scaling_at(cone, rng, 1.0))
+    hvals = _scaling_at(cone, rng, 1e-2)
+    kkt.factor(hvals)
+    h_mat = _scaling_matrix(cone, hvals)
+    r1, r2, r3 = rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(cone.dim)
+    dx, dy, dz = kkt.solve(r1, r2, h_mat @ r3)
 
-        plain, regularized = _normal_matrix(prog, h_mat, reg)
-        rhs = np.concatenate([r1 + prog.g_mat.T @ (h_mat @ r3), r2])
-        lu = spla.splu(regularized)
-        want = lu.solve(rhs)
-        for _ in range(2):
-            want = want + lu.solve(rhs - plain @ want)
-        np.testing.assert_allclose(np.concatenate([dx, dy]), want, rtol=1e-8,
-                                   atol=1e-10 * np.max(np.abs(want)))
+    a_eq = prog.a_eq.toarray()
+    plain = np.block([[_normal_matrix(prog, h_mat), a_eq.T], [a_eq, np.zeros((p, p))]])
+    want = np.linalg.solve(plain, np.concatenate([r1 + prog.g_mat.T @ (h_mat @ r3), r2]))
+    np.testing.assert_allclose(np.concatenate([dx, dy]), want, rtol=1e-8,
+                               atol=1e-10 * np.max(np.abs(want)))
 
-        # (dx, dy, dz) solves the unregularized KKT system with W = H^-1
-        w_mat = np.linalg.inv(h_mat.toarray())
-        full = sp.bmat([[None, prog.a_eq.T, prog.g_mat.T], [prog.a_eq, None, None],
-                        [prog.g_mat, None, -w_mat]], format="csr")
-        full_rhs = np.concatenate([r1, r2, r3])
-        residual = full @ np.concatenate([dx, dy, dz]) - full_rhs
-        assert np.max(np.abs(residual)) <= 1e-8 * np.max(np.abs(full_rhs))
+    # (dx, dy, dz) solves the unregularized KKT system with W = H^-1
+    w_mat = np.linalg.inv(h_mat.toarray())
+    full = sp.bmat([[None, prog.a_eq.T, prog.g_mat.T], [prog.a_eq, None, None],
+                    [prog.g_mat, None, -w_mat]], format="csr")
+    full_rhs = np.concatenate([r1, r2, r3])
+    residual = full @ np.concatenate([dx, dy, dz]) - full_rhs
+    assert np.max(np.abs(residual)) <= 1e-8 * np.max(np.abs(full_rhs))
 
 
 def _one_arc_program():
@@ -403,33 +429,110 @@ def _one_arc_program():
     return builder.build_ecp(net, builder.group_observations(obs))[0]
 
 
-class _CountingLinalg:
-    """Stands in for ``scipy.sparse.linalg`` in the solver module and keeps
-    the shape of every matrix passed to ``splu``."""
+class _CountingLapack:
+    """Stands in for ``scipy.linalg.lapack`` in the solver module and keeps
+    the shape of every matrix passed to ``dpotrf``."""
 
     def __init__(self):
         self.shapes = []
 
-    def splu(self, mat, *args, **kwargs):
+    def dpotrf(self, mat, *args, **kwargs):
         self.shapes.append(mat.shape)
-        return spla.splu(mat, *args, **kwargs)
+        return lapack.dpotrf(mat, *args, **kwargs)
 
     def __getattr__(self, name):
-        return getattr(spla, name)
+        return getattr(lapack, name)
 
 
-@pytest.mark.parametrize("make_prog", [_one_arc_program, _logsumexp_program])
-def test_factored_system_has_one_row_per_variable_and_equality(monkeypatch, make_prog):
+@pytest.mark.parametrize("make_prog, kept", [(_one_arc_program, 2), (_logsumexp_program, 4)],
+                         ids=["_one_arc_program", "_logsumexp_program"])
+def test_factored_rows_are_kept_columns_and_equalities(monkeypatch, make_prog, kept):
+    # the one-arc program keeps beta and u and eliminates r; the log-sum-exp
+    # epigraph eliminates its two masses and keeps x, one, w1 and w2
     prog = make_prog()
-    linalg = _CountingLinalg()
-    monkeypatch.setattr(solver, "spla", linalg)
+    counting = _CountingLapack()
+    monkeypatch.setattr(solver, "lapack", counting)
     sol = solve(prog)
     assert sol.status == OPTIMAL
-    size = prog.n_vars + prog.a_eq.shape[0]
-    assert set(linalg.shapes) == {(size, size)}
-    # the minimum-degree ordering call, then one factorization per iteration
-    # that searched for a step
-    assert len(linalg.shapes) == 1 + sum("alpha" in r for r in sol.trace)
+    p = prog.a_eq.shape[0]
+    assert set(counting.shapes) == {(kept, kept)} | ({(p, p)} if p else set())
+    # one factorization of S, and one of the equality block if there is
+    # one, per iteration that searched for a step
+    assert len(counting.shapes) == (1 + (p > 0)) * sum("alpha" in r for r in sol.trace)
+
+
+def _exp_minus_one_program(with_w):
+    # maximize -z s.t. (-1, 1, z) in K_exp -> z* = 1/e.  z is eliminated; w,
+    # fixed to 1 by an equality row and in no cone, is the one kept column
+    n = 1 + with_w
+    return ConicProgram(
+        n_vars=n,
+        objective=np.eye(n)[-1] * -1.0,
+        maximize=True,
+        a_eq=sp.csr_matrix(np.eye(n)[:with_w]),
+        b_eq=np.ones(with_w),
+        a_ineq=sp.csr_matrix((0, n)),
+        b_ineq=np.zeros(0),
+        a_cone=sp.csr_matrix(np.outer([0.0, 0.0, 1.0], np.eye(n)[-1])),
+        b_cone=np.array([-1.0, 1.0, 0.0]),
+    )
+
+
+@pytest.mark.parametrize("with_w", [0, 1])
+def test_programs_with_no_kept_cone_column_solve(with_w):
+    # S is empty, or has no terms at all
+    prog = _exp_minus_one_program(with_w)
+    assert _kkt(prog)[1].nf == with_w
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    assert abs(sol.x[-1] - math.exp(-1.0)) <= 1e-6
+
+
+def _mass_columns(prog, layout):
+    """The r columns of an ECP program: every column but beta and u."""
+    named = set(range(layout.n_beta)).union(*(g.cols.tolist() for g in layout.groups.values()))
+    return np.array(sorted(set(range(prog.n_vars)) - named))
+
+
+def _check_reduction(prog, layout, tmp, seed):
+    """The KKT class eliminates exactly the r columns, also after JSON and
+    CBF round trips, and one solve agrees with a dense solve of N."""
+    save_problem(prog, tmp / "p.json")
+    write_cbf(prog, tmp / "p.cbf")
+    mass = _mass_columns(prog, layout)
+    for loaded in (load_problem(tmp / "p.json"), read_cbf(tmp / "p.cbf")):
+        np.testing.assert_array_equal(_kkt(loaded)[1].elim, mass)
+    cone, kkt = _kkt(prog)
+    np.testing.assert_array_equal(kkt.elim, mass)
+    rng = np.random.default_rng(seed)
+    hvals = _scaling_at(cone, rng, 1.0)
+    kkt.factor(hvals)
+    h_mat = _scaling_matrix(cone, hvals)
+    r1, r3 = rng.standard_normal(prog.n_vars), rng.standard_normal(cone.dim)
+    dx, _, _ = kkt.solve(r1, np.zeros(0), h_mat @ r3)
+    want = np.linalg.solve(_normal_matrix(prog, h_mat), r1 + prog.g_mat.T @ (h_mat @ r3))
+    assert np.max(np.abs(dx - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_samples(), st.integers(0, 10**6))
+def test_ecp_reduction_on_generated_dags(tmp_path_factory, sample, seed):
+    net, obs, _beta, _mu = sample
+    assume("s0" in obs.statistics.groups[net.destination].origin_counts)
+    prog, layout = builder.build_ecp(net, builder.group_observations(obs))
+    # an attribute (nearly) zero on every arc leaves N too ill-conditioned
+    # for two solves to agree to 1e-8
+    assume(np.linalg.cond(prog.g_mat.toarray()) < 1e4)
+    _check_reduction(prog, layout, tmp_path_factory.mktemp("io"), seed)
+
+
+@settings(max_examples=5, deadline=None)
+@given(cyclic_geometric_networks(), st.integers(0, 10**6))
+def test_ecp_reduction_on_cyclic_networks(tmp_path_factory, net, seed):
+    spec = core.UtilitySpec(np.array([-20.0, -1.0, -1.0, -2.0]))
+    obs = generate_observations(net, spec, "o", 20, seed=seed)
+    prog, layout = builder.build_ecp(net, builder.group_observations(obs))
+    _check_reduction(prog, layout, tmp_path_factory.mktemp("io"), seed)
 
 
 # --- cone calculus ------------------------------------------------------------

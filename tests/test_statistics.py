@@ -14,20 +14,17 @@ from rlogit.conic import builder
 from rlogit.conic.solver import OPTIMAL
 from rlogit.errors import UnknownArc, UnknownState
 from rlogit.generators import random_geometric_network
-from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations
 
-from conftest import dag_samples, differenced_hessian, objective_coefficients, path_information
+from conftest import (
+    dag_samples,
+    differenced_hessian,
+    objective_coefficients,
+    path_information,
+    pooled_set,
+)
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
-
-
-def _relabel(net, destination):
-    """Copy of ``net`` whose destination state is renamed."""
-    states = [destination if s == net.destination else s for s in net.states]
-    arcs = [(states[i], states[j], net.attrs[a])
-            for a, (i, j) in enumerate(zip(net.arc_from, net.arc_to))]
-    return build_network(states, destination, arcs, net.attribute_names)
 
 
 def _value_jacobian(net, spec, values):
@@ -62,23 +59,10 @@ def _reference_nfxp(nets, spec, obs):
     return total, grad
 
 
-def _pooled_set(seeds, n_paths):
-    """One destination group per generator seed, each on its own network;
-    the set itself is bound to another network."""
-    spec = core.UtilitySpec(BETA_TRUE)
-    nets, members = {}, []
-    for k, seed in enumerate(seeds):
-        net = _relabel(random_geometric_network(15, 0.4, seed=seed), f"d{k}")
-        nets[net.destination] = net
-        members += generate_observations(net, spec, "o", n_paths, seed=10 + k).observations
-    other = random_geometric_network(20, 0.35, seed=1)
-    return nets, ObservationSet(other, members)
-
-
 @pytest.fixture(scope="module")
 def pooled():
     """Two destination groups on their own networks."""
-    return _pooled_set((1, 2), 800)
+    return pooled_set((1, 2), 800, BETA_TRUE)
 
 
 def test_pooled_groups_resolve_against_their_own_networks(pooled):
@@ -102,7 +86,7 @@ def test_pooled_groups_resolve_against_their_own_networks(pooled):
 def test_hessian_of_a_three_destination_set():
     # each group adds its own visit-weighted covariance; -H / N is the
     # covariance of the path attribute totals, enumerated per group
-    nets, obs = _pooled_set((1, 2, 3), 200)
+    nets, obs = pooled_set((1, 2, 3), 200, BETA_TRUE)
     assert len(obs.statistics.groups) == 3
     beta = np.array([-3.0, -0.2, -0.1, -0.4])
     _, _, hess = nfxp.loglik_and_gradient(nets, core.UtilitySpec(beta), obs)
