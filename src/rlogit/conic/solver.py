@@ -55,6 +55,26 @@ only the cones that block.  Before convergence, two stalled steps in a row,
 or a step search that finds no step at all, reset the dual iterate to
 z = -mu grad F(s), centred against the slack (at most three times a solve).
 
+The iteration starts on the central path at x = 0, y = 0, s = s0 (1 on
+the orthant, the exp cone's central point s_c = -grad F(s_c) on each cone),
+tau = 1, z = -mu0 grad F(s0) and kappa = mu0.  mu0 is the data's dual
+scale, ||z_ls||_inf for the least-norm dual z_ls (the z of least 2-norm with
+A'y + G'z = -c), one KKT solve at H = I (1 if that solve fails or z_ls is
+zero).  The embedding is homogeneous in the dual: multiplying c by k
+multiplies (y, z, kappa, mu) by k and leaves x, s, tau and every step as
+they are.  Started at a mu0 that scales with c, the iteration count does
+not depend on the objective's units.  An ECP's optimal duals are counts of
+paths (a mass row's dual is a state's expected visits, up to the number
+of paths), which a unit start spends its first iterations growing.
+
+Infeasibility is certified by a ray's residual against its value, each in
+the data's units: a primal-infeasibility ray (y, z) when
+||A'y + G'z||_inf <= tol_feas (-b'y - h'z) / ||(b, h)||_inf, and a
+dual-infeasibility ray (x, s) when max(||Ax||_inf, ||Gx + s||_inf) <=
+tol_feas (-c'x) / ||c||_inf.  Both sides of each test scale alike when c
+or (b, h) is rescaled, so a feasible, bounded program is not certified
+infeasible because its objective is large.
+
 Once the tolerances are first met, the solver polishes for up to
 ``POLISH_ITERS`` iterations and returns the in-tolerance iterate with the
 smallest complementarity; iterates that leave tolerance meanwhile are
@@ -66,8 +86,9 @@ solver returns that iterate as soon as ``accept`` holds.  Without it, or
 while it fails, two in-tolerance iterates in a row that do not lower the
 smallest complementarity end polishing (with this direction the
 complementarity reaches its rounding floor a few iterations after
-convergence), and so do two stalled steps (a recenter would throw the
-polished dual iterate away) and the end of the budget.  Solves are
+convergence), and so do the first stalled step (alpha <= 1e-6: the
+direction has broken down at the rounding floor, and a recenter would
+throw the polished dual iterate away) and the end of the budget.  Solves are
 bitwise deterministic at a given BLAS thread count: the dense factor and its
 solves run on BLAS's threads, everything else on one.
 """
@@ -90,8 +111,9 @@ DUAL_INFEASIBLE = "DualInfeasible"
 MAX_ITERS = "MaxIters"
 NUMERICAL_FAILURE = "NumericalFailure"
 
-# central point of the exponential cone: the unique interior s with
-# -grad F(s) = s, used to initialize both primal and dual cone variables
+# central point of the exponential cone, the unique interior s with
+# -grad F(s) = s; the primal cone variables start at it, the dual ones at
+# a multiple of it
 _EXP_CENTRAL = np.array([-1.051383945322714, 0.556409619469370, 1.258967884768947])
 FRAC_TO_BOUNDARY = 0.99  # first trial step: this fraction of the orthant's largest
 REGULARIZATION = 1e-9  # static regularization of the normal equations
@@ -258,6 +280,10 @@ class _Cone:
         if self.ne:
             s[self.l:] = np.tile(_EXP_CENTRAL, self.ne)
         return s
+
+    def identity_scaling(self):
+        """The values of :meth:`scaling` for H = I."""
+        return np.concatenate([np.ones(self.l), np.tile(np.eye(3).ravel(), self.ne)])
 
     def grad(self, s):
         return _Barrier(self, s).grad
@@ -646,6 +672,20 @@ class _ReducedKKT:
         return dx, y, dz
 
 
+def _dual_scale(kkt, c):
+    """||z_ls||_inf for the least-norm dual z_ls, which minimizes ||z||_2
+    subject to A'y + G'z = -c: the KKT solve at H = I for the right-hand
+    side (-c, 0, 0), whose dz is z_ls.  1 when that factorization fails or
+    z_ls is zero or not finite."""
+    try:
+        kkt.factor(kkt.cone.identity_scaling())
+    except RuntimeError:
+        return 1.0
+    z_ls = kkt.solve(-c, np.zeros(kkt.p), np.zeros(kkt.cone.dim))[2]
+    scale = float(np.max(np.abs(z_ls), initial=0.0))
+    return scale if np.isfinite(scale) and scale > 0 else 1.0
+
+
 def solve(prog: ConicProgram, opts: SolverOptions | None = None,
           accept: Callable[[np.ndarray], bool] | None = None) -> Solution:
     """Solve a :class:`ConicProgram` on the homogeneous self-dual embedding.
@@ -671,19 +711,21 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
     kkt = _ReducedKKT(a_mat, g_mat, cone, REGULARIZATION)
     gt_mat = kkt.gt_mat
 
+    # on the central path at mu0, the dual scale of the data
+    mu0 = _dual_scale(kkt, c)
     x = np.zeros(n)
     y = np.zeros(p)
     s = cone.init_point()
-    z = -cone.grad(s)
+    z = -mu0 * cone.grad(s)
     tau = 1.0
-    kappa = 1.0
+    kappa = mu0
 
-    scale_c = max(1.0, float(np.max(np.abs(c), initial=0.0)))
-    scale_bh = max(
-        1.0,
-        float(np.max(np.abs(b), initial=0.0)),
-        float(np.max(np.abs(h), initial=0.0)),
-    )
+    norm_c = float(np.max(np.abs(c), initial=0.0))
+    norm_bh = max(float(np.max(np.abs(b), initial=0.0)), float(np.max(np.abs(h), initial=0.0)))
+    # the residuals' scales in the stopping tests, and the data's units in
+    # the certificate tests
+    scale_c, scale_bh = max(1.0, norm_c), max(1.0, norm_bh)
+    unit_c, unit_bh = norm_c or 1.0, norm_bh or 1.0
     trace: list[dict] = []
 
     def make_solution(status, pres, dres, gap, obj):
@@ -752,20 +794,23 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
                 return best_solution()
             polish_left -= 1
 
-        ct = -byhz
-        if best is None and ct > 1e-10 * scale_bh:
+        # infeasibility certificates, each a ray's residual against its value
+        # measured in the data's units, so that neither test moves when c or
+        # (b, h) is rescaled
+        ct = -byhz / unit_bh
+        if best is None and ct > 1e-10 * unit_c:
             cert = float(np.max(np.abs(at_mat @ y + gt_mat @ z), initial=0.0))
-            if cert / ct <= opts.tol_feas * scale_c:
-                y, z = y / ct, z / ct
+            if cert <= opts.tol_feas * ct:
+                y, z = y / -byhz, z / -byhz
                 return make_solution(PRIMAL_INFEASIBLE, pres, dres, gap, np.nan)
-        dt = -cx
-        if best is None and dt > 1e-10 * scale_c:
+        dt = -cx / unit_c
+        if best is None and dt > 1e-10 * unit_bh:
             cert = max(
                 float(np.max(np.abs(a_mat @ x), initial=0.0)),
                 float(np.max(np.abs(g_mat @ x + s), initial=0.0)),
             )
-            if cert / dt <= opts.tol_feas * scale_bh:
-                x, s = x / dt, s / dt
+            if cert <= opts.tol_feas * dt:
+                x, s = x / -cx, s / -cx
                 return make_solution(DUAL_INFEASIBLE, pres, dres, gap, np.nan)
 
         bar = _Barrier(cone, s)
@@ -836,9 +881,10 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
         stalls = 2 if alpha <= MIN_STEP else stalls + 1 if alpha <= 1e-6 else 0
         recenter = stalls >= 2 and polish_left is None and recenters_left > 0
         trace[-1].update(alpha=alpha, sigma=sigma, recentered=recenter)
-        if stalls >= 2 and polish_left is not None:
-            # converged and stalled: a recenter would snap z off the polished
-            # path, so polishing ends here
+        if stalls and polish_left is not None:
+            # converged and stalled: the direction has broken down at the
+            # rounding floor, and a recenter would snap z off the polished
+            # path, so polishing ends at the first stalled step
             return best_solution()
         if recenter:
             # the dual iterate has drifted onto its cone boundary and blocks

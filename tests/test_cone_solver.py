@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
@@ -241,13 +242,18 @@ def test_trace_records_step_length_and_centering():
     assert "alpha" not in sol.trace[-1]
 
 
+def _first_in_tolerance(sol, opts):
+    """The first iteration whose iterate met the tolerances."""
+    return next(r["iter"] for r in sol.trace if max(r["pres"], r["dres"]) <= opts.tol_feas
+                and r["gap"] <= opts.tol_gap)
+
+
 @pytest.mark.parametrize("forced_step", [0.0, 1e-7])
 def test_polish_ends_on_stall_without_recentering(monkeypatch, forced_step):
     prog = _logsumexp_program()
     opts = SolverOptions()
     free = solve(prog, opts)
-    converged = next(r["iter"] for r in free.trace if max(r["pres"], r["dres"]) <= opts.tol_feas
-                     and r["gap"] <= opts.tol_gap)
+    converged = _first_in_tolerance(free, opts)
     # count iterations by their one scaling computation; from the first
     # in-tolerance iterate on, every step search finds a stalled step
     iterations = []
@@ -276,8 +282,7 @@ def test_polish_ends_when_complementarity_stops_falling():
     # the end of its budget, and not on stalled steps
     opts = SolverOptions()
     sol = solve(_ecp_program(), opts)
-    converged = next(r["iter"] for r in sol.trace if max(r["pres"], r["dres"]) <= opts.tol_feas
-                     and r["gap"] <= opts.tol_gap)
+    converged = _first_in_tolerance(sol, opts)
     assert sol.status == OPTIMAL
     assert sol.iterations < converged + solver.POLISH_ITERS
     assert all(r["alpha"] > 1e-6 for r in sol.trace[converged - 1:-1])
@@ -286,8 +291,7 @@ def test_polish_ends_when_complementarity_stops_falling():
 def test_accept_returns_the_first_in_tolerance_iterate():
     opts = SolverOptions()
     free = solve(_ecp_program(), opts)
-    converged = next(r["iter"] for r in free.trace if max(r["pres"], r["dres"]) <= opts.tol_feas
-                     and r["gap"] <= opts.tol_gap)
+    converged = _first_in_tolerance(free, opts)
     sol = solve(_ecp_program(), opts, accept=lambda x: True)
     assert sol.status == OPTIMAL and sol.iterations == converged < free.iterations
     assert sol.trace[:-1] == free.trace[:converged - 1]
@@ -308,6 +312,71 @@ def test_rejecting_accept_leaves_the_solve_unchanged():
     # the returned iterate is the last one offered
     assert len(offered) >= 1
     np.testing.assert_array_equal(offered[-1], sol.x)
+
+
+def _many_paths_program():
+    # the 32-state DAG with 20,000 paths: its largest optimal dual is 2e4
+    net = random_geometric_network(30, 0.3, seed=1)
+    obs = generate_observations(net, core.UtilitySpec(np.array([-4.0, -0.1, -0.05, -0.3])),
+                                "o", 20000, seed=7)
+    return builder.build_ecp(net, builder.group_observations(obs))[0]
+
+
+def _scaled(prog, k):
+    out = copy.copy(prog)
+    out.objective = prog.objective * k
+    return out
+
+
+@pytest.mark.parametrize("make_prog", [_ecp_program, _logsumexp_program])
+def test_start_is_central_at_the_least_norm_dual_scale(monkeypatch, make_prog):
+    # mu0 = ||z_ls||_inf for the z_ls of least norm with A'y + G'z = -c: on
+    # the null space N of A, (G N)' z = -N' c, solved by a dense lstsq
+    prog = make_prog()
+    c = -prog.objective if prog.maximize else prog.objective
+    a_mat, g_mat = prog.a_eq.toarray(), prog.g_mat.toarray()
+    null = scipy.linalg.null_space(a_mat) if len(a_mat) else np.eye(prog.n_vars)
+    z_ls = np.linalg.lstsq((g_mat @ null).T, -null.T @ c, rcond=None)[0]
+    duals = []
+    real_scaling = solver._Cone.scaling
+
+    def recording_scaling(self, bar, z, mu):
+        duals.append(z.copy())
+        return real_scaling(self, bar, z, mu)
+
+    monkeypatch.setattr(solver._Cone, "scaling", recording_scaling)
+    sol = solve(prog, SolverOptions(max_iters=1))
+    mu0 = sol.trace[0]["mu"]
+    assert mu0 == pytest.approx(np.max(np.abs(z_ls)), rel=1e-9)
+    assert sol.trace[0]["kappa"] == pytest.approx(mu0, rel=1e-12)
+    cone = solver._Cone(prog.n_ineq, prog.n_cones)
+    np.testing.assert_allclose(duals[0], -mu0 * cone.grad(cone.init_point()), rtol=1e-12)
+    # no objective, no dual scale: the unit start
+    assert solve(_scaled(prog, 0.0), SolverOptions(max_iters=1)).trace[0]["mu"] == 1.0
+
+
+@pytest.mark.parametrize("make_prog", [_ecp_program, _many_paths_program])
+def test_iterations_do_not_depend_on_the_objective_scale(make_prog):
+    # rescaling c rescales (y, z, kappa, mu) and the start with them, and
+    # leaves x, s, tau and every step as they are
+    opts = SolverOptions()
+    first = []
+    for k in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e5):
+        sol = solve(_scaled(make_prog(), k), opts)
+        assert sol.status == OPTIMAL
+        first.append(_first_in_tolerance(sol, opts))
+    assert max(first) - min(first) <= 1
+
+
+@pytest.mark.parametrize("make_prog, k", [(_ecp_program, 1e5), (_many_paths_program, 1e3)])
+def test_large_objectives_are_not_certified_infeasible(monkeypatch, make_prog, k):
+    # from the unit start, far below these feasible, bounded programs' dual
+    # scale, the iterates pass through rays whose residuals are small only
+    # against the size of c; the certificate tests measure them in the
+    # data's units and reject them
+    monkeypatch.setattr(solver, "_dual_scale", lambda kkt, c: 1.0)
+    sol = solve(_scaled(make_prog(), k))
+    assert sol.status == OPTIMAL
 
 
 def test_blocked_step_before_convergence_recenters(monkeypatch):
@@ -457,8 +526,8 @@ def test_factored_rows_are_kept_columns_and_equalities(monkeypatch, make_prog, k
     p = prog.a_eq.shape[0]
     assert set(counting.shapes) == {(kept, kept)} | ({(p, p)} if p else set())
     # one factorization of S, and one of the equality block if there is
-    # one, per iteration that searched for a step
-    assert len(counting.shapes) == (1 + (p > 0)) * sum("alpha" in r for r in sol.trace)
+    # one, for the start and per iteration that searched for a step
+    assert len(counting.shapes) == (1 + (p > 0)) * (1 + sum("alpha" in r for r in sol.trace))
 
 
 def _exp_minus_one_program(with_w):
