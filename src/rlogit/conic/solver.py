@@ -50,9 +50,9 @@ millisecond at a few hundred (see :class:`_ReducedKKT` for where it stops
 paying).  The slack step ds is taken from the primal row, so the
 residual G x + s - h tau shrinks by the factor (1 - alpha eta) of each step,
 up to rounding, also after convergence.  The step search backtracks by 0.8
-from the largest step the orthant allows; after one full check it follows
-only the cones that block.  Before convergence, two stalled steps in a row,
-or a step search that finds no step at all, reset the dual iterate to
+from the largest step the orthant allows, with one full interior test per
+trial step.  Before convergence, two stalled steps in a row, or a step
+search that finds no step at all, reset the dual iterate to
 z = -mu grad F(s), centred against the slack (at most three times a solve).
 
 The iteration starts on the central path at x = 0, y = 0, s = s0 (1 on
@@ -297,39 +297,16 @@ class _Cone:
         with np.errstate(all="ignore"):
             return float(np.min(_exp_primal_margin(es))), float(np.min(_exp_dual_margin(ez)))
 
-    def blocking(self, s, ds, z, dz, alpha, floors):
-        """The orthant coordinates and exponential cones that keep s + alpha ds
-        out of the interior of K, or z + alpha dz out of that of the dual
-        cone, an exp cone also when its margin is at most floors[0] * alpha
-        (primal) or floors[1] * alpha (dual): four index arrays, or None if
-        there are none."""
+    def interior(self, s, ds, z, dz, alpha, floors):
+        """Whether s + alpha ds is interior to K and z + alpha dz to the dual
+        cone, with every exp-cone margin above floors[0] * alpha (primal) and
+        floors[1] * alpha (dual)."""
         (lin_s, es), (lin_z, ez) = self.split(s + alpha * ds), self.split(z + alpha * dz)
-        ok_s = (es[:, 1] > 0) & (es[:, 2] > 0) & (_exp_primal_margin(es) > floors[0] * alpha)
-        ok_z = (ez[:, 0] < 0) & (ez[:, 2] > 0) & (_exp_dual_margin(ez) > floors[1] * alpha)
-        if (lin_s > 0).all() and (lin_z > 0).all() and ok_s.all() and ok_z.all():
-            return None
-        return ((lin_s <= 0).nonzero()[0], (~ok_s).nonzero()[0],
-                (lin_z <= 0).nonzero()[0], (~ok_z).nonzero()[0])
-
-    def clear(self, s, ds, z, dz, alphas, floors, blocking):
-        """For each alpha in ``alphas``, whether every coordinate and cone
-        that :meth:`blocking` named is interior."""
-        lin_s, cones_s, lin_z, cones_z = blocking
-        a = alphas[:, None]
-        ok = np.ones(len(alphas), dtype=bool)
-        if len(lin_s):
-            ok &= (s[lin_s] + a * ds[lin_s] > 0).all(axis=1)
-        if len(lin_z):
-            ok &= (z[lin_z] + a * dz[lin_z] > 0).all(axis=1)
-        if len(cones_s):
-            e = self.split(s)[1][cones_s] + a[:, :, None] * self.split(ds)[1][cones_s]
-            ok &= ((e[..., 1] > 0) & (e[..., 2] > 0)
-                   & (_exp_primal_margin(e) > floors[0] * a)).all(axis=1)
-        if len(cones_z):
-            e = self.split(z)[1][cones_z] + a[:, :, None] * self.split(dz)[1][cones_z]
-            ok &= ((e[..., 0] < 0) & (e[..., 2] > 0)
-                   & (_exp_dual_margin(e) > floors[1] * a)).all(axis=1)
-        return ok
+        return bool((lin_s > 0).all() and (lin_z > 0).all()
+                    and ((es[:, 1] > 0) & (es[:, 2] > 0)
+                         & (_exp_primal_margin(es) > floors[0] * alpha)).all()
+                    and ((ez[:, 0] < 0) & (ez[:, 2] > 0)
+                         & (_exp_dual_margin(ez) > floors[1] * alpha)).all())
 
     def scaling_pattern(self):
         """(rows, cols) of H's entries in the order of :meth:`scaling`'s
@@ -413,36 +390,22 @@ def _step_length(cone, s, ds, z, dz, tau, dtau, kappa, dkappa, ftb, min_step, ma
     which s + alpha ds and z + alpha dz are interior, with exp-cone margins
     above (1 - ftb) alpha times today's smallest ``margins`` (the same floor
     the orthant keeps); 0 if there is none.  alpha_0 is the largest step the
-    orthant, tau and kappa allow, times ftb.  A full check that fails names
-    the coordinates and cones that block; the next rungs are checked on
-    those alone, and the next full check is at the first rung they all
-    pass."""
+    orthant, tau and kappa allow, times ftb.  Each rung is one full interior
+    test.  Most searches pass at the first or second rung; a step that
+    stalls while polishing can take a few dozen."""
     alpha = 1.0 / ftb
     for val, dval in ((tau, dtau), (kappa, dkappa)):
         if dval < 0:
             alpha = min(alpha, -val / dval)
     alpha = min(alpha, cone.max_linear_step(s, ds), cone.max_linear_step(z, dz))
     alpha = min(1.0, ftb * alpha)
-    if not alpha > min_step:
-        return 0.0
     floors = [(1.0 - ftb) * m if np.isfinite(m) else 0.0 for m in margins]
     with np.errstate(all="ignore"):
-        while True:
-            blocking = cone.blocking(s, ds, z, dz, alpha, floors)
-            if blocking is None:
+        while alpha > min_step:
+            if cone.interior(s, ds, z, dz, alpha, floors):
                 return alpha
-            size = 4  # rungs per window, doubled while none clears
-            while True:
-                # the next rungs of alpha *= 0.8, multiplied in the same order
-                rungs = np.cumprod(np.concatenate([[alpha], np.full(size, 0.8)]))[1:]
-                rungs = rungs[rungs > min_step]
-                if not len(rungs):
-                    return 0.0
-                ok = cone.clear(s, ds, z, dz, rungs, floors, blocking)
-                if ok.any():
-                    alpha = float(rungs[ok.argmax()])
-                    break
-                alpha, size = float(rungs[-1]), 2 * size
+            alpha *= 0.8
+    return 0.0
 
 
 # relative part of the diagonal regularization: a diagonal entry of G'HG can

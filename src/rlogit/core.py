@@ -201,8 +201,9 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     Valid for unit scale: substituting z = e^V turns the fixed point into
     (I - M) z = b, solved with one splu factorization that the returned
     ValueField keeps together with z.  Returns V = log z when the system is
-    nonsingular and z is strictly positive; any failure is mapped to
-    SingularOrNonpositive.
+    nonsingular, z is strictly positive and the Bellman residual is at most
+    ``LINEAR_RESIDUAL_TOL`` relative to max(1, ||V||_inf) (log z carries
+    rounding relative to V); any failure is mapped to SingularOrNonpositive.
     """
     if spec.mu != 1.0:
         raise ValueError("linear value solve requires mu = 1")
@@ -222,7 +223,7 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     values = np.zeros(net.n_states)
     values[rows] = np.log(z)
     residual = bellman_residual(net, spec, values)
-    if not residual <= LINEAR_RESIDUAL_TOL:
+    if not residual <= LINEAR_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(values)))):
         return vf, SolveReport(SINGULAR, residual=residual)
     return ValueField(values, SOLVED, factor=lu, z=z), SolveReport(SOLVED, residual=residual)
 

@@ -6,8 +6,11 @@ come from core's ``iterate_values``: sweeps, then on a cyclic network Newton
 steps on I - P, the scaled operator's Jacobian.  The joint problem is not
 convex in (beta, V, mu), so no conic build exists here — estimation is
 quasi-Newton over (beta, log mu) with an adjoint-based analytic gradient,
-typically warm-started from a plain RL estimate.  The adjoint is a visit
-flow (``core.visit_flows``) on the value solve's factor of I - P.
+typically warm-started from a plain RL estimate.  A common scale is not
+identified: V(k beta, k mu) = k V(beta, mu), so the likelihood depends on
+(beta, mu) only through beta / mu and is flat along every ray k (beta, mu),
+uniform or per-state mu alike.  The adjoint is a visit flow
+(``core.visit_flows``) on the value solve's factor of I - P.
 
 The likelihood and its gradient read the data only through one arc-count
 vector, built from the ObservationSet's transition counts.

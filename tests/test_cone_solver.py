@@ -773,3 +773,18 @@ def test_step_search_matches_backtracking_loop(l, ne):
         found.add(alpha)
     # short and full steps, and no step at all, were all covered
     assert 0.0 in found and 1.0 in found and len(found) > 30
+
+
+def test_step_search_matches_backtracking_loop_on_a_real_solve(monkeypatch):
+    # the affine, combined and centering directions of one ECP solve
+    real_step = solver._step_length
+    agree = []
+
+    def checked_step(*args):
+        alpha = real_step(*args)
+        agree.append(alpha == _backtracking_step(*args[:-1]))
+        return alpha
+
+    monkeypatch.setattr(solver, "_step_length", checked_step)
+    assert solve(_ecp_program()).status == OPTIMAL
+    assert len(agree) > 20 and all(agree)

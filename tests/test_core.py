@@ -108,6 +108,21 @@ def test_value_iteration_on_dag_matches_linear():
     np.testing.assert_allclose(vf_lin.values, vf_it.values, atol=1e-9)
 
 
+def test_linear_solve_on_a_large_dag_is_not_singular():
+    # 843 states with V up to 30.8: log z carries a Bellman residual of
+    # 1.6e-10, above LINEAR_RESIDUAL_TOL in absolute terms but not relative
+    # to ||V||_inf, so the solve and the sampler built on it succeed
+    net = random_geometric_network(300, 0.11, seed=1)
+    s = spec(-4.0, -0.1, -0.05, -0.3)
+    vf_lin, rep_lin = core.solve_value_linear(net, s)
+    vf_it, rep_it = core.solve_value_iteration(net, s)
+    assert net.n_states == 843 and net.acyclic
+    assert rep_lin.status == rep_it.status == core.SOLVED
+    assert rep_lin.residual > core.LINEAR_RESIDUAL_TOL
+    np.testing.assert_allclose(vf_lin.values, vf_it.values, rtol=0, atol=1e-9)
+    assert len(generate_observations(net, s, "o", 50, seed=7)) == 50
+
+
 BETA_CYCLIC = np.array([-8.0, -0.2, -0.1, -0.6])
 
 

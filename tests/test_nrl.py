@@ -186,6 +186,23 @@ def test_gradient_matches_finite_differences():
         assert abs(dlogmu[s] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("per_state", [False, True])
+def test_uniform_scale_is_not_identified(per_state):
+    # V(k beta, k mu) = k V(beta, mu), so L depends on (beta, mu) only
+    # through beta / mu, and the gradient is orthogonal to (beta, 1)
+    net = random_geometric_network(30, 0.3, seed=1)
+    obs = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 1000, seed=7)
+    rng = np.random.default_rng(3)
+    mu = nrl.ScaleField(np.exp(rng.uniform(-0.3, 0.3, net.n_states)) if per_state
+                        else np.full(net.n_states, 1.2))
+    beta = np.array([-3.5, -0.2, -0.1, -0.4])
+    loglik, dbeta, dlogmu = nrl.nrl_loglik_and_gradient(net, beta, mu, obs)
+    for k in (0.6, 1.7):
+        scaled = nrl.nrl_log_likelihood(net, k * beta, nrl.ScaleField(k * mu.values), obs)
+        assert scaled == pytest.approx(loglik, rel=1e-12)
+    assert abs(beta @ dbeta + dlogmu.sum()) <= 1e-9 * np.abs(beta * dbeta).sum()
+
+
 def test_gradient_on_a_cyclic_network_matches_finite_differences():
     # the value solve ends on a Newton step here, and the adjoint reuses
     # that step's factor of I - P
