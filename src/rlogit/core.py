@@ -228,6 +228,17 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     return ValueField(values, SOLVED, factor=lu, z=z), SolveReport(SOLVED, residual=residual)
 
 
+def solved_values(net: Network, spec: UtilitySpec, group=None) -> ValueField:
+    """:func:`solve_value_linear`'s field, or ValueSolveFailed keyed by
+    ``group`` (default: the destination).  The solve is looked up at call
+    time, so a wrapper of it sees every call."""
+    vf, report = solve_value_linear(net, spec)
+    if report.status != SOLVED:
+        raise ValueSolveFailed(net.destination if group is None else group,
+                               f"status {report.status}")
+    return vf
+
+
 def solve_value_iteration(
     net: Network,
     spec: UtilitySpec,
@@ -432,9 +443,9 @@ def path_log_prob(net: Network, spec: UtilitySpec, vf: ValueField, path) -> floa
 
 
 def log_likelihood(net_by_group, spec: UtilitySpec, observations) -> float:
-    """Dataset log-likelihood, sum over destination groups of
-    (attr_total . beta - sum_o count_o V(o)) / mu, which equals the sum of
-    (v(sigma_n) - V(origin_n)) / mu over the observations.
+    """Dataset log-likelihood at mu = 1, sum over destination groups of
+    attr_total . beta - sum_o count_o V(o), which equals the sum of
+    v(sigma_n) - V(origin_n) over the observations.
 
     ``net_by_group`` maps group keys to networks; ``observations`` is an
     ObservationSet.  Raises ValueSolveFailed when a group's value system has
@@ -443,9 +454,7 @@ def log_likelihood(net_by_group, spec: UtilitySpec, observations) -> float:
     total = 0.0
     for group, stats in observations.statistics.groups.items():
         net = net_by_group[group]
-        vf, report = solve_value_linear(net, spec)
-        if report.status != SOLVED:
-            raise ValueSolveFailed(group, f"status {report.status}")
+        vf = solved_values(net, spec, group)
         origins, counts = stats.origin_weights(net)
-        total += float(stats.attr_total @ spec.beta - counts @ vf.values[origins]) / spec.mu
+        total += float(stats.attr_total @ spec.beta - counts @ vf.values[origins])
     return total

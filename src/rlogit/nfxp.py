@@ -11,8 +11,9 @@ value Jacobian J = dV/dbeta, one K-column forward solve.  Inner-solve
 failures during the line search reject the step; persistent failure is
 reported through the result status, never raised past the API boundary.
 
-``bfgs_maximize`` serves the nested-logit estimator, whose joint problem in
-(beta, log mu) is not concave; both ascents share one Armijo backtrack.
+``bfgs_maximize`` serves per-state nested-logit fits, whose (beta, log mu)
+problem is not concave; a shared scale is not identified, so that model is
+RL at beta / mu and takes Newton.  Both ascents share one Armijo backtrack.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ PIVOT_SHARE = 1e-10
 
 @dataclass
 class EstimationOptions:
-    """Outer-loop controls of the Newton (RL) and BFGS (nested logit)
-    ascents."""
+    """Outer-loop controls of the Newton (RL) and BFGS (per-state nested
+    logit) ascents."""
 
     max_iters: int = 200
     tol: float = 1e-6  # scale-aware: ||grad||_inf <= tol * max(1, |L|)
@@ -106,15 +107,13 @@ def loglik_and_gradient(net_by_group, spec: core.UtilitySpec, observations):
     total, grad, hess = 0.0, np.zeros(k), np.zeros((k, k))
     for group, stats in observations.statistics.groups.items():
         net = net_by_group[group]
-        vf, report = core.solve_value_linear(net, spec)
-        if report.status != core.SOLVED:
-            raise ValueSolveFailed(group, f"status {report.status}")
+        vf = core.solved_values(net, spec, group)
         origins, counts = stats.origin_weights(net)
         probs = core.choice_probabilities(net, spec, vf)
         visits = core.visit_flows(net, vf, probs, np.bincount(origins, counts, net.n_states))
-        total += float(stats.attr_total @ spec.beta - counts @ vf.values[origins]) / spec.mu
+        total += float(stats.attr_total @ spec.beta - counts @ vf.values[origins])
         traversals = probs * visits[net.arc_from]
-        grad += (stats.attr_total - net.attrs.T @ traversals) / spec.mu
+        grad += stats.attr_total - net.attrs.T @ traversals
         y = net.attrs + core.value_jacobian(net, vf, probs)[net.arc_to]
         dev = y - core.tail_sums(net, probs[:, None] * y)[net.arc_from]
         hess -= dev.T @ (traversals[:, None] * dev)
@@ -245,7 +244,7 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
 
 def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
     """BFGS ascent with the Armijo backtrack of :func:`_line_search`, for
-    the nested-logit estimator, whose objective is not concave.
+    the per-state nested-logit estimator, whose objective is not concave.
 
     ``evaluate(x) -> (loglik, grad)`` may raise ValueSolveFailed at a trial
     point, which rejects the step.  ``project`` optionally clips iterates

@@ -3,14 +3,14 @@
 The Bellman recursion becomes V_s = mu_s log sum exp((v + V_{s'}) / mu_s);
 there is no linear-system shortcut for heterogeneous scales, so value fields
 come from core's ``iterate_values``: sweeps, then on a cyclic network Newton
-steps on I - P, the scaled operator's Jacobian.  The joint problem is not
-convex in (beta, V, mu), so no conic build exists here — estimation is
-quasi-Newton over (beta, log mu) with an adjoint-based analytic gradient,
-typically warm-started from a plain RL estimate.  A common scale is not
+steps on I - P, the scaled operator's Jacobian.  A common scale is not
 identified: V(k beta, k mu) = k V(beta, mu), so the likelihood depends on
-(beta, mu) only through beta / mu and is flat along every ray k (beta, mu),
-uniform or per-state mu alike.  The adjoint is a visit flow
-(``core.visit_flows``) on the value solve's factor of I - P.
+(beta, mu) only through beta / mu.  A shared scale is normalised to
+``mu_init``, which leaves plain RL at beta / mu, fitted by the RL estimator.
+A per-state field makes the problem non-convex in (beta, V, mu), so no
+conic build exists for it: it is fitted by quasi-Newton over (beta, log mu)
+with an adjoint gradient, a visit flow (``core.visit_flows``) on the value
+solve's factor of I - P.
 
 The likelihood and its gradient read the data only through one arc-count
 vector, built from the ObservationSet's transition counts.
@@ -160,34 +160,29 @@ def nrl_loglik_and_gradient(net: Network, beta, mu: ScaleField, obs):
 def estimate_nrl_nfxp(net: Network, obs, beta_init=None, mu_init: float = 1.0,
                       opts: nfxp.EstimationOptions | None = None,
                       mu_mode: str = "shared") -> NRLResult:
-    """Quasi-Newton estimation over (beta, log mu).
+    """Maximum-likelihood estimation of beta and the scale field.
 
-    ``mu_mode`` selects the scale parameterization: "shared" (one mu for all
-    states), "per_state", or "fixed" (mu pinned at ``mu_init``, beta only).
-    A fixed uniform mu turns the likelihood into the plain RL one at
-    beta / mu, which is concave: that mode runs the RL estimator,
-    ``nfxp.estimate_nfxp``, and scales its result back.
+    ``mu_mode`` is "shared" (one mu for all states), "per_state", or "fixed"
+    (mu pinned at ``mu_init``).  L depends on (beta, mu) only through
+    beta / mu, so a shared scale is not identified: it is normalised to
+    ``mu_init``, as "fixed" pins it, and both fit plain RL at beta / mu_init
+    with ``nfxp.estimate_nfxp`` and scale the result back.  A per-state
+    field runs BFGS over (beta, log mu).
     """
     if mu_mode not in ("shared", "per_state", "fixed"):
         raise ValueError(f"unknown mu_mode {mu_mode!r}")
     opts = opts or nfxp.EstimationOptions()
     k = net.n_attributes
     beta0 = np.asarray(beta_init, dtype=float) if beta_init is not None else nfxp.default_beta_init(k)
-    if mu_mode == "fixed":
+    if mu_mode != "per_state":
         rl = nfxp.estimate_nfxp({net.destination: net}, obs, beta0 / mu_init, opts)
         return NRLResult(**{**vars(rl), "beta_hat": mu_init * rl.beta_hat,
                             "gradient_norm": rl.gradient_norm / mu_init,
                             "trace": [(mu_init * x, ll, g / mu_init) for x, ll, g in rl.trace]},
                          mu_hat=ScaleField.uniform(net, mu_init))
-    shared = mu_mode == "shared"
-    x0 = np.concatenate([beta0, np.full(1 if shared else net.n_states, np.log(mu_init))])
+    x0 = np.concatenate([beta0, np.full(net.n_states, np.log(mu_init))])
     n_obs = max(len(obs), 1)
     start = time.perf_counter()
-
-    def unpack(x):
-        if shared:
-            return x[:k], ScaleField.uniform(net, float(np.exp(x[k])))
-        return x[:k], ScaleField(np.exp(x[k:]))
 
     def project(x):
         out = x.copy()
@@ -195,15 +190,14 @@ def estimate_nrl_nfxp(net: Network, obs, beta_init=None, mu_init: float = 1.0,
         return out
 
     def evaluate(x):
-        beta, mu = unpack(x)
-        loglik, dbeta, dlogmu = nrl_loglik_and_gradient(net, beta, mu, obs)
-        return loglik, np.concatenate([dbeta, [float(dlogmu.sum())] if shared else dlogmu])
+        loglik, dbeta, dlogmu = nrl_loglik_and_gradient(
+            net, x[:k], ScaleField(np.exp(x[k:])), obs)
+        return loglik, np.concatenate([dbeta, dlogmu])
 
     x, loglik, grad_norm, status, iters, trace = nfxp.bfgs_maximize(
         evaluate, x0, opts, project=project)
-    beta_hat, mu_hat = unpack(x)
     return NRLResult(
-        beta_hat=beta_hat,
+        beta_hat=x[:k],
         loglik=loglik,
         loglik_per_obs=loglik / n_obs,
         status=status,
@@ -211,5 +205,5 @@ def estimate_nrl_nfxp(net: Network, obs, beta_init=None, mu_init: float = 1.0,
         gradient_norm=grad_norm,
         wall_time=time.perf_counter() - start,
         trace=trace,
-        mu_hat=mu_hat,
+        mu_hat=ScaleField(np.exp(x[k:])),
     )

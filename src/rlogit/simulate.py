@@ -33,7 +33,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from . import core
-from .errors import InvalidPath, StepCapExceeded, UnknownState, ValueSolveFailed
+from .errors import InvalidPath, StepCapExceeded, UnknownState
 from .generators import _layered_dag, layered_origin
 from .network import Network, canonical_json
 
@@ -294,9 +294,7 @@ def generate_observations(
 def _sample(net: Network, spec: core.UtilitySpec, origin_idx, n_obs: int, seed: int):
     """Index paths in CSR form (see ``_sample_paths_batch``) of ``n_obs``
     walks from origins drawn uniformly from ``origin_idx``."""
-    vf, report = core.solve_value_linear(net, spec)
-    if report.status != core.SOLVED:
-        raise ValueSolveFailed(net.destination, f"status {report.status}")
+    vf = core.solved_values(net, spec)
     probs = core.choice_probabilities(net, spec, vf)
     rng = np.random.Generator(np.random.Philox(seed))
     starts = origin_idx[rng.integers(0, len(origin_idx), size=n_obs)]

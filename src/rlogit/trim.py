@@ -55,9 +55,7 @@ def flow_vector(net: Network, beta0, origin) -> FlowVector:
     """Solve (I - P') F = e_origin for the expected state-visit flows."""
     beta0 = np.atleast_1d(np.asarray(beta0, dtype=float))
     spec = core.UtilitySpec(beta0)
-    vf, report = core.solve_value_linear(net, spec)
-    if report.status != core.SOLVED:
-        raise ValueSolveFailed(net.destination, f"status {report.status}")
+    vf = core.solved_values(net, spec)
     e_o = np.zeros(net.n_states)
     e_o[net.state_index(origin)] = 1.0
     try:

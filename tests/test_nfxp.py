@@ -244,6 +244,25 @@ def test_projected_gradient_norm_at_max_iterations():
     assert grad_norm == 0.0 and trace[-1][2] == 0.0
 
 
+def test_curvature_updates_near_the_optimum():
+    # started 1e-6 from the maximizer of a quadratic with curvatures 1 to
+    # 300, every BFGS step has s'y below 1e-10: an absolute curvature bound
+    # skips each update, and the unit-scaled steepest ascent that is left
+    # takes dozens of iterations; the bound relative to |s| |y| keeps them
+    curvature = np.array([1.0, 30.0, 300.0])
+
+    def objective(x):
+        return -1.0 - 0.5 * float(x @ (curvature * x)), -curvature * x
+
+    _, _, _, status, iters, trace = nfxp.bfgs_maximize(
+        objective, np.array([2e-6, -1e-6, 5e-7]), nfxp.EstimationOptions())
+    assert status == nfxp.CONVERGED
+    assert iters <= 4
+    points = [entry[0] for entry in trace]
+    sy = [float((b - a) @ (curvature * (b - a))) for a, b in zip(points, points[1:])]
+    assert sy and max(sy) < 1e-10
+
+
 def _recorded(monkeypatch):
     """Every point ``estimate_nfxp`` evaluates, with its log-likelihood
     (None where the value system has no solution)."""

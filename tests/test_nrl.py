@@ -273,6 +273,33 @@ def test_estimate_fixed_mu_matches_rl():
         nrl.nrl_log_likelihood(net, scaled.beta_hat, scaled.mu_hat, obs), abs=1e-8)
 
 
+def _shared_scale_instance(name):
+    if name == "dag32":
+        net = random_geometric_network(30, 0.3, seed=1)
+        return net, generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 1000, seed=7), None
+    net = random_geometric_network(30, 0.3, seed=6769, acyclic=False)
+    beta_sim = np.array([-8.0, -0.2, -0.1, -0.6])
+    return net, generate_observations(net, core.UtilitySpec(beta_sim), "o", 300, seed=9), beta_sim
+
+
+@pytest.mark.parametrize("mu_init", [1.0, 2.0])
+@pytest.mark.parametrize("name", ["dag32", "cyclic6769"])
+def test_shared_scale_is_the_fixed_scale_fit(name, mu_init):
+    # a shared scale is not identified, so it is normalised to mu_init: the
+    # fit is the fixed-scale one, RL Newton at beta / mu_init, to the bit
+    net, obs, beta_start = _shared_scale_instance(name)
+    beta_init = None if beta_start is None else mu_init * beta_start
+    shared = nrl.estimate_nrl_nfxp(net, obs, beta_init=beta_init, mu_init=mu_init,
+                                   mu_mode="shared")
+    fixed = nrl.estimate_nrl_nfxp(net, obs, beta_init=beta_init, mu_init=mu_init,
+                                  mu_mode="fixed")
+    assert shared.converged
+    assert np.array_equal(shared.beta_hat, fixed.beta_hat)
+    assert shared.loglik == fixed.loglik
+    assert (shared.status, shared.iterations) == (fixed.status, fixed.iterations)
+    assert np.all(shared.mu_hat.values == mu_init) and np.all(fixed.mu_hat.values == mu_init)
+
+
 def test_estimate_recovers_unit_scale():
     net = random_geometric_network(15, 0.4, seed=1)
     obs = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 3000, seed=3)
