@@ -10,6 +10,8 @@ visits F, and the exact Hessian -sum_s F_s Cov_s(x_a + J_to(a)) adds the
 value Jacobian J = dV/dbeta, one K-column forward solve.  Inner-solve
 failures during the line search reject the step; persistent failure is
 reported through the result status, never raised past the API boundary.
+Steps are bounded relative to ||beta||_inf, so where the likelihood is
+nearly linear the trials do not run far past the solvable region.
 
 ``bfgs_maximize`` serves per-state nested-logit fits, whose (beta, log mu)
 problem is not concave; a shared scale is not identified, so that model is
@@ -39,6 +41,11 @@ ARMIJO_C1 = 1e-4  # sufficient increase of the Armijo test
 # failures, invalid likelihoods, projected steps that do not ascend)
 STEP_SHRINK = 0.5
 MIN_STEP = 1e-12  # the line search gives up below this step (sup norm)
+# a Newton step moves beta by at most this multiple of max(1, ||beta||_inf):
+# where the likelihood is nearly linear the step can be orders of magnitude
+# too long, and each trial past the solvable region costs a value solve.
+# The benchmark DAGs' first steps, up to 5.6 times, keep their length
+STEP_BOUND = 6.0
 # an attribute has curvature of its own when its Cholesky pivot of -H keeps
 # more than this share of its diagonal entry (a share that does not depend
 # on the attributes' units)
@@ -138,18 +145,20 @@ def _first_evaluation(evaluate, x):
     return out, None
 
 
-def _line_search(evaluate, x, loglik, grad, p, project=None):
-    """Armijo backtracking from ``x`` along the ascent direction ``p``.
+def _line_search(evaluate, x, loglik, grad, p, project=None, alpha=1.0):
+    """Armijo backtracking from ``x`` along the ascent direction ``p``,
+    starting at the step fraction ``alpha``.
 
     A trial step that fails the Armijo test at a valid likelihood is cut to
     the maximizer of the quadratic through the current likelihood, its
     slope and the trial's likelihood, kept within [0.1, 0.5] of the step;
     a trial without a usable likelihood (ValueSolveFailed, an invalid
     likelihood, a projected step that does not ascend) is cut by
-    ``STEP_SHRINK``.  Returns (trial point, its evaluation) for the first
-    accepted trial, or None once the step falls below ``MIN_STEP``.
+    ``STEP_SHRINK``.  Returns (trial point, its evaluation, its fraction,
+    whether a trial had no usable likelihood) for the first accepted trial,
+    or None once the step falls below ``MIN_STEP``.
     """
-    alpha = 1.0
+    unusable = False
     while alpha * float(np.max(np.abs(p))) >= MIN_STEP:
         x_new = x + alpha * p
         if project is not None:
@@ -166,9 +175,10 @@ def _line_search(evaluate, x, loglik, grad, p, project=None):
                 pass
         if out is None or not _valid(out[0]):
             alpha *= STEP_SHRINK
+            unusable = True
             continue
         if out[0] >= loglik + ARMIJO_C1 * slope:
-            return x_new, out
+            return x_new, out, alpha, unusable
         # maximizer of the quadratic through L, the slope and the trial
         # (Nocedal & Wright, section 3.5), kept within [0.1, 0.5] of alpha
         alpha *= min(max(slope / (2.0 * (loglik + slope - out[0])), 0.1), 0.5)
@@ -206,13 +216,16 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
 
     ``evaluate(x) -> (loglik, grad, hess)`` may raise ValueSolveFailed at a
     trial point, which rejects the step.  Where the Newton step is zero or
-    not finite, BFGS's first step g / max(1, ||g||_inf) stands in.
-    Converged means ||grad||_inf <= tol * max(1, |L|) and, for a Newton
-    step p at x, a predicted gain g'p / 2 of at most tol^2 * max(1, |L|) / 2:
-    along a weakly curved direction a gradient that passes the first test
-    can leave L further below its maximum, and the step that closes the gap
-    is the one quadratic convergence makes cheapest.  Returns (x, loglik,
-    gradient sup-norm, status, iterations, trace).
+    not finite, BFGS's first step g / max(1, ||g||_inf) stands in.  A step
+    longer than ``STEP_BOUND`` max(1, ||x||_inf) is cut to that length; when
+    trials of a cut step have no usable likelihood, the next line search
+    starts at the fraction this one accepted.  Converged means
+    ||grad||_inf <= tol * max(1, |L|) and, for a Newton step p at x, a
+    predicted gain g'p / 2 of at most tol^2 * max(1, |L|) / 2: along a
+    weakly curved direction a gradient that passes the first test can leave
+    L further below its maximum, and the step that closes the gap is the
+    one quadratic convergence makes cheapest.  Returns (x, loglik, gradient
+    sup-norm, status, iterations, trace).
     """
     x = np.asarray(x0, dtype=float).copy()
     out, stop = _first_evaluation(evaluate, x)
@@ -220,6 +233,7 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
         return stop
     loglik, grad, hess = out
     trace: list = []
+    alpha = 1.0  # the first trial's step fraction in the next line search
     for it in range(1, opts.max_iters + 1):
         grad_norm = float(np.max(np.abs(grad)))
         trace.append((x.copy(), loglik, grad_norm))
@@ -233,10 +247,20 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
         scale = max(1.0, abs(loglik))
         if grad_norm <= opts.tol * scale and decrement <= opts.tol ** 2 * scale:
             return x, loglik, grad_norm, CONVERGED, it - 1, trace
-        step = _line_search(evaluate, x, loglik, grad, p)
+        longest = STEP_BOUND * max(1.0, float(np.max(np.abs(x))))
+        length = float(np.max(np.abs(p)))
+        bounded = length > longest
+        if bounded:
+            p = p * (longest / length)
+        step = _line_search(evaluate, x, loglik, grad, p, alpha=alpha)
         if step is None:
             return x, loglik, grad_norm, LINE_SEARCH_FAILED, it, trace
-        x, (loglik, grad, hess) = step
+        x, (loglik, grad, hess), taken, unusable = step
+        # a bounded step whose longer trials failed ran past the solvable
+        # region, which ends about as far out as the accepted trial: the next
+        # search starts at its fraction, and each later one doubles the start
+        # back toward 1
+        alpha = taken if bounded and unusable else min(1.0, 2.0 * alpha)
     grad_norm = float(np.max(np.abs(grad)))
     trace.append((x.copy(), loglik, grad_norm))
     return x, loglik, grad_norm, MAX_ITERATIONS, opts.max_iters, trace
@@ -288,7 +312,7 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
         step = _line_search(evaluate, x, loglik, grad, p, project)
         if step is None:
             return x, loglik, grad_norm, LINE_SEARCH_FAILED, it, trace
-        x_new, (l_new, g_new) = step
+        x_new, (l_new, g_new), _, _ = step
 
         s = x_new - x
         y = grad - g_new  # gradient change of the negated objective

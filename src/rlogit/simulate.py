@@ -12,8 +12,10 @@ step, from one counter-based stream per dataset, so output is byte-for-byte
 reproducible per seed.  Cyclic ground truth goes through the layered-DAG
 conversion (``generate_observations_via_layered``), which bounds walk length.
 The sampler picks each step's arc within the current state's segment of the
-network's tail layout (``Network.tail_order``) and returns index paths as CSR
-arrays (start states, the arc taken at each step, path lengths); one helper
+network's tail layout (``Network.tail_order``) by comparing the walks' draws
+with a rank-major table of the states' cumulative choice probabilities, built
+once per call and gathered once per step; it returns index paths as CSR arrays
+(start states, the arc taken at each step, path lengths), and one helper
 turns them into a set, summing attributes per path-length group.  Sampled
 paths follow the network's arcs and are not re-validated.
 ``load_observations`` checks a file's paths in one array pass and builds its
@@ -202,9 +204,13 @@ def sample_path(
 def _sample_paths_batch(net, probs, start_states, rng):
     """Vectorized sequential sampling for many paths at once.
 
-    Per step one uniform is drawn for every still-active path (ascending
+    Per step one uniform u is drawn for every still-active path (ascending
     path order), so results are deterministic for a given stream.  A walk
-    may take up to 10 x |states| transitions.
+    at state s takes the arc of rank ``searchsorted(cum_s, u)`` in s's
+    segment of ``Network.tail_order``: the count of ``table[k, s] < u``
+    over the rows k of :func:`_choice_table` below the largest out-degree
+    among the states the walks occupy, gathered for all walks in one
+    ``take``.  A walk may take up to 10 x |states| transitions.
 
     Returns CSR arrays ``(starts, arcs, lengths)``: walk n starts at state
     index ``starts[n]`` and takes the ``lengths[n]`` arcs that follow those of
@@ -212,43 +218,45 @@ def _sample_paths_batch(net, probs, start_states, rng):
     """
     dest = net.destination_index
     cap = STEP_CAP_FACTOR * net.n_states
-    # each state's arcs as one segment of the network's tail order; within a
-    # segment the normalized cumulative probabilities, summed in segment
-    # order exactly as np.cumsum does
-    order, first, deg = net.tail_order, net.tail_offsets[:-1], np.diff(net.tail_offsets)
-    p = probs[order]
-    cum = p.copy()
-    rank = np.arange(len(order)) - net.tail_starts[net.tail_segment]
-    for k in range(1, int(deg.max(initial=0))):
-        at = np.flatnonzero(rank == k)
-        cum[at] = cum[at - 1] + p[at]
-    cum /= cum[net.tail_offsets[net.tail_owners + 1] - 1][net.tail_segment]
-
+    first, ranks = net.tail_offsets[:-1], np.diff(net.tail_offsets) - 1
+    table = _choice_table(net, probs)
     starts = np.array(start_states, dtype=np.intp)
-    cur = starts.copy()
-    active = np.flatnonzero(cur != dest)
+    active = np.flatnonzero(starts != dest)
+    here = starts[active]  # the active walks' states
     walks, taken = [active[:0]], [active[:0]]
     for _ in range(cap):
         if len(active) == 0:
             break
         u = rng.random(len(active))
-        here_first, here_last = first[cur[active]], deg[cur[active]] - 1
-        # searchsorted(segment, u): the number of segment entries below u;
-        # the last entry is 1 and never counts
-        pick = np.zeros(len(active), dtype=np.intp)
-        for k in range(int(here_last.max())):
-            inside = k < here_last
-            pick += inside & (cum[here_first + np.where(inside, k, 0)] < u)
-        arc = order[here_first + pick]
+        at = first.take(here)  # segment starts, moved on by the ranks below u
+        at += (table[:ranks.take(here).max()].take(here, axis=1) < u).sum(axis=0)
+        arc = net.tail_order.take(at)
         walks.append(active)
         taken.append(arc)
-        cur[active] = net.arc_to[arc]
-        active = active[cur[active] != dest]
+        here = net.arc_to.take(arc)
+        going = here != dest
+        active, here = active[going], here[going]
     if len(active):
         raise StepCapExceeded(f"{len(active)} walks still active after {cap} steps")
     walk_of_step = np.concatenate(walks)
     arcs = np.concatenate(taken)[np.argsort(walk_of_step, kind="stable")]
     return starts, arcs, np.bincount(walk_of_step, minlength=len(starts))
+
+
+def _choice_table(net, probs) -> np.ndarray:
+    """Rank-major table of the states' choices: ``table[k, s]`` is state s's
+    cumulative probability of the first k + 1 arcs of its tail segment,
+    summed in segment order as ``np.cumsum`` does and divided by its total.
+    The last arc's entry, which is 1 and never counts, and the ranks past
+    it read +inf, which no uniform draw exceeds."""
+    deg = np.diff(net.tail_offsets)
+    rank = np.arange(net.n_arcs) - net.tail_starts[net.tail_segment]
+    p = np.zeros((max(int(deg.max(initial=0)), 1), net.n_states))
+    p[rank, net.tail_owners[net.tail_segment]] = probs[net.tail_order]
+    cum = np.cumsum(p, axis=0)
+    table = np.full((len(p) - 1, net.n_states), np.inf)
+    np.divide(cum[:-1], cum[-1], out=table, where=np.arange(len(table))[:, None] < deg - 1)
+    return table
 
 
 def _observations(net: Network, starts, arcs, lengths) -> ObservationSet:

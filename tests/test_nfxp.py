@@ -295,15 +295,21 @@ def test_newton_reports_an_unusable_initial_point(monkeypatch):
     assert (res.status, res.iterations, res.trace) == (nfxp.INVALID_LIKELIHOOD, 0, [])
 
 
+def _two_loop_sample():
+    """200 paths at beta = -0.5 on two loops through s0 of utility 2 beta,
+    whose value system has no solution once 2 e^(2 beta) >= 1."""
+    net = build_network(["s0", "s1", "s2", "d"], "d",
+                        [("s0", "s1", [1.0]), ("s0", "s2", [1.0]), ("s1", "s0", [1.0]),
+                         ("s2", "s0", [1.0]), ("s1", "d", [0.0]), ("s2", "d", [0.0])], ["u"])
+    return generate_observations(net, core.UtilitySpec([-0.5]), "s0", 200, seed=1)
+
+
 def test_newton_halves_a_step_into_an_infeasible_cyclic_point(monkeypatch):
     # two loops through s0 of utility 2 beta: the value system has no
     # solution once 2 e^(2 beta) >= 1.  At beta = -3 the likelihood is nearly
     # linear, so the Newton step lands far inside the infeasible region, and
     # every failed trial halves it until the value system solves again
-    net = build_network(["s0", "s1", "s2", "d"], "d",
-                        [("s0", "s1", [1.0]), ("s0", "s2", [1.0]), ("s1", "s0", [1.0]),
-                         ("s2", "s0", [1.0]), ("s1", "d", [0.0]), ("s2", "d", [0.0])], ["u"])
-    obs = generate_observations(net, core.UtilitySpec([-0.5]), "s0", 200, seed=1)
+    obs = _two_loop_sample()
     trials = _recorded(monkeypatch)
     res = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[-3.0])
     assert res.converged and abs(res.beta_hat[0] + 0.5) < 0.05
@@ -313,16 +319,28 @@ def test_newton_halves_a_step_into_an_infeasible_cyclic_point(monkeypatch):
     np.testing.assert_allclose(steps, steps[0] / 2.0 ** np.arange(failed + 1), rtol=1e-12)
 
 
+@pytest.mark.parametrize("beta_init", [-3.0, -5.0, -10.0])
+def test_newton_bounds_its_steps_far_below_the_estimate(monkeypatch, beta_init):
+    # far below the two-loop network's estimate the likelihood is nearly
+    # linear and the Newton step runs 274 (from -3) to 3.4e8 (from -10) long.
+    # Cut to STEP_BOUND |beta| and, after its failed trials, restarted at the
+    # fraction that solved, the fit rejects at most three trials
+    obs = _two_loop_sample()
+    ref = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[-1.0])
+    trials = _recorded(monkeypatch)
+    res = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[beta_init])
+    assert res.converged and res.beta_hat[0] == pytest.approx(ref.beta_hat[0], abs=1e-6)
+    assert trials[1][0][0] - beta_init == pytest.approx(nfxp.STEP_BOUND * -beta_init)
+    assert sum(loglik is None for _, loglik in trials) <= 3
+
+
 @pytest.mark.parametrize("beta_init", [-360.0, -400.0])
 def test_newton_falls_back_where_the_curvature_underflows(monkeypatch, beta_init):
     # the two-loop network far below its estimate: the loops' probability
     # e^(2 beta) leaves a curvature that underflows to zero (-400) or to a
     # subnormal whose Newton step overflows (-360).  BFGS's first step
     # g / max(1, |g|) stands in until Newton has curvature to work with
-    net = build_network(["s0", "s1", "s2", "d"], "d",
-                        [("s0", "s1", [1.0]), ("s0", "s2", [1.0]), ("s1", "s0", [1.0]),
-                         ("s2", "s0", [1.0]), ("s1", "d", [0.0]), ("s2", "d", [0.0])], ["u"])
-    obs = generate_observations(net, core.UtilitySpec([-0.5]), "s0", 200, seed=1)
+    obs = _two_loop_sample()
     trials = _recorded(monkeypatch)
     res = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[beta_init])
     assert res.converged and res.iterations <= 100

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from rlogit import core
@@ -14,6 +15,7 @@ from rlogit.network import build_network, canonical_json, enumerate_paths
 from rlogit.simulate import (
     STEP_CAP_FACTOR,
     ObservationSet,
+    _sample_paths_batch,
     generate_observations,
     generate_observations_via_layered,
     load_observations,
@@ -21,6 +23,8 @@ from rlogit.simulate import (
     sample_path,
     save_observations,
 )
+
+from conftest import _dense_cyclic_instance, cyclic_geometric_networks, dag_samples
 
 
 def spec(*beta):
@@ -330,3 +334,163 @@ def test_generated_observations_golden_digest(n_nodes, radius, n_obs, digest):
 def test_layered_observations_golden_digest(cycle_net):
     obs = generate_observations_via_layered(cycle_net, spec(1.0), "s0", 500, seed=3)
     assert _obs_digest(obs) == "7708ebc8ef0a6ab22e309d8084e8eac09d312db0107b3cd132e26631374f52a6"
+
+
+BETA_CYCLIC = (-8.0, -0.2, -0.1, -0.6)
+
+
+@pytest.mark.parametrize("n_nodes, radius, seed, path_seed, digest", [
+    # the criterion-06 cyclic benchmark instances at their path seeds
+    (20, 0.35, 29, 3, "c953dde4767796da1bc07e41bf258a57c26e82473947cb1004490eee8d3dfa68"),
+    (30, 0.3, 2274, 6, "55dcc96123b0a65312bfdd8f247651b65fca20143d2a1d265c9d1df2ebbc58c3"),
+    (30, 0.3, 6769, 9, "7beadd49981d5cf632e0dc8f75d3168d6068bc1dfb80c2a78c99f740e24ae79d"),
+])
+def test_cyclic_observations_golden_digest(n_nodes, radius, seed, path_seed, digest):
+    net = random_geometric_network(n_nodes, radius, seed=seed, acyclic=False)
+    obs = generate_observations(net, spec(*BETA_CYCLIC), "o", 300, seed=path_seed)
+    assert _obs_digest(obs) == digest
+
+
+def test_dense_cyclic_observations_golden_digest():
+    # the criterion-08 dense instance: one attribute, so K = 1 sums
+    obs = generate_observations(_dense_cyclic_instance(), spec(-2.2), "s0", 300, seed=8)
+    assert _obs_digest(obs) == "1c2f9dd3a6b62057162380069be18c33c105c8005eadfde74354321b06000ef5"
+
+
+# --- the sampler against a reference loop ----------------------------------
+#
+# The reference is the sampler's former inner step: per rank k, a masked
+# gather from the cumulative probabilities in tail order.  Both must give the
+# same walks from the same stream, and stop at the step cap alike.
+
+
+def _reference_sample_paths_batch(net, probs, start_states, rng):
+    dest = net.destination_index
+    cap = STEP_CAP_FACTOR * net.n_states
+    order, first, deg = net.tail_order, net.tail_offsets[:-1], np.diff(net.tail_offsets)
+    p = probs[order]
+    cum = p.copy()
+    rank = np.arange(len(order)) - net.tail_starts[net.tail_segment]
+    for k in range(1, int(deg.max(initial=0))):
+        at = np.flatnonzero(rank == k)
+        cum[at] = cum[at - 1] + p[at]
+    cum /= cum[net.tail_offsets[net.tail_owners + 1] - 1][net.tail_segment]
+
+    starts = np.array(start_states, dtype=np.intp)
+    cur = starts.copy()
+    active = np.flatnonzero(cur != dest)
+    walks, taken = [active[:0]], [active[:0]]
+    for _ in range(cap):
+        if len(active) == 0:
+            break
+        u = rng.random(len(active))
+        here_first, here_last = first[cur[active]], deg[cur[active]] - 1
+        pick = np.zeros(len(active), dtype=np.intp)
+        for k in range(int(here_last.max())):
+            inside = k < here_last
+            pick += inside & (cum[here_first + np.where(inside, k, 0)] < u)
+        arc = order[here_first + pick]
+        walks.append(active)
+        taken.append(arc)
+        cur[active] = net.arc_to[arc]
+        active = active[cur[active] != dest]
+    if len(active):
+        raise StepCapExceeded(f"{len(active)} walks still active after {cap} steps")
+    walk_of_step = np.concatenate(walks)
+    arcs = np.concatenate(taken)[np.argsort(walk_of_step, kind="stable")]
+    return starts, arcs, np.bincount(walk_of_step, minlength=len(starts))
+
+
+def _assert_same_walks(net, probs, starts, seed):
+    """Both samplers on one Philox stream: equal CSR arrays and equal draws
+    taken from the stream, or the same StepCapExceeded."""
+    outcomes = []
+    for sampler in (_sample_paths_batch, _reference_sample_paths_batch):
+        rng = np.random.Generator(np.random.Philox(seed))
+        try:
+            walks = sampler(net, probs, starts, rng)
+        except StepCapExceeded as exc:
+            walks = str(exc)
+        outcomes.append((walks, rng.random(4)))  # the stream past the walks
+    (got, got_next), (want, want_next) = outcomes
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got_next, want_next)
+
+
+def _model_probabilities(net, beta):
+    s = spec(*beta)
+    return core.choice_probabilities(net, s, core.solved_values(net, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dag_samples(), st.lists(st.integers(0, 3), min_size=1, max_size=60),
+       st.integers(0, 2**32 - 1))
+def test_sampler_matches_reference_on_generated_dags(sample, origins, seed):
+    net, _obs, beta, _mu = sample
+    _assert_same_walks(net, _model_probabilities(net, beta), origins, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cyclic_geometric_networks(), st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_sampler_matches_reference_on_cyclic_networks(net, n_walks, seed):
+    # a beta at which every generated network has finite values
+    probs = _model_probabilities(net, [-20.0, -1.0, -1.0, -2.0])
+    starts = np.random.default_rng(seed).integers(0, net.n_states, size=n_walks)
+    _assert_same_walks(net, probs, starts, seed)
+
+
+# exact zeros and repeated cumulative values among hand-drawn weights
+WEIGHTS = st.sampled_from([0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def _hand_built_choices(draw):
+    """(network, per-arc weights, start states): states s0.. with one to
+    five successors each, degree-1 states included, drawn weights of which
+    at least one per state is positive.  The destination need not be
+    reachable, so some walks run into the step cap."""
+    n = draw(st.integers(2, 7))
+    states = [f"s{i}" for i in range(n - 1)] + ["d"]
+    arcs, weights = [], []
+    for i in range(n - 1):
+        heads = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True))
+        drawn = draw(st.lists(WEIGHTS, min_size=len(heads), max_size=len(heads)))
+        drawn[draw(st.integers(0, len(heads) - 1))] = draw(st.sampled_from([0.25, 1.0, 3.0]))
+        arcs += [(states[i], states[j], [0.0]) for j in heads]
+        weights += drawn
+    net = build_network(states, "d", arcs)
+    starts = draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=30))
+    return net, np.array(weights), starts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hand_built_choices(), st.integers(0, 2**32 - 1))
+def test_sampler_matches_reference_on_hand_built_choices(case, seed):
+    net, weights, starts = case
+    _assert_same_walks(net, weights, starts, seed)
+
+
+def test_sampler_matches_reference_where_probabilities_underflow():
+    # at beta = -1 the costs 800 and 900 leave exact zeros among o's and a's
+    # choices, so their cumulative probabilities repeat; b has one successor
+    net = build_network(["o", "a", "b", "d"], "d",
+                        [("o", "a", [1.0]), ("o", "b", [800.0]), ("o", "d", [3.0]),
+                         ("a", "o", [900.0]), ("a", "b", [0.5]), ("a", "d", [900.0]),
+                         ("a", "a", [2.0]), ("b", "d", [0.1])])
+    probs = _model_probabilities(net, [-1.0])
+    assert np.count_nonzero(probs == 0.0) == 3
+    for seed in range(20):
+        _assert_same_walks(net, probs, [0] * 50 + [1] * 50 + [2] * 5, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 148])
+def test_sampler_matches_reference_at_the_step_cap(seed):
+    # seed 148 arrives on the last allowed step, seed 1 runs past it
+    net = _self_loop_net()
+    _assert_same_walks(net, _model_probabilities(net, [-1.0]), [0], seed)

@@ -56,6 +56,24 @@ def test_bench_tracing_installs_and_uninstalls():
         assert all(vars(module)[k] is v for k, v in attrs.items()), module.__name__
 
 
+def test_traced_generation_samples_once():
+    # one generate_observations call runs the batch sampler once, so the
+    # bench's simulate.sample span times every sampled path
+    net = random_geometric_network(15, 0.4, seed=1)
+    spec = core.UtilitySpec(np.array([-4.0, -0.1, -0.05, -0.3]))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        tracer.active = True
+        obs = simulate.generate_observations(net, spec, "o", 50, seed=1)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["simulate.generate.calls"] == 1
+    assert tracer.counts["simulate.sample.calls"] == 1
+    assert tracer.counts["simulate.paths"] == len(obs) == 50
+
+
 def test_traced_newton_fit_counts_every_evaluation(monkeypatch):
     # every trial point goes through the wrapped nfxp.loglik_and_gradient,
     # and each evaluation solves the value system once per group: the
