@@ -3,7 +3,8 @@
 Subcommands: generate, simulate, estimate, trim, export, report.  Every
 command is deterministic given the same config and seeds (modulo wall-time
 fields).  Exit codes: 0 success, 2 usage error, 3 missing input file,
-4 estimation failed on every run.
+4 estimation failed on every run.  ``estimate`` writes each estimator's
+result, its trace included, to ``result_<method>.json``.
 
 Options may come from a config file of ``key = value`` lines (``--config``);
 explicit command-line flags override file values.
@@ -207,24 +208,12 @@ def cmd_estimate(args) -> int:
                          "loglik_per_obs": res.loglik_per_obs,
                          "time": res.wall_time})
             _write_json(out / f"result_{name}.json", res.to_dict())
-            if args.solver_trace and name == "ecp" and getattr(res, "trace", None):
-                _write_trace_csv(out / args.solver_trace, res.trace)
 
     with open(out / "results.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=sorted({k for r in rows for k in r}))
         writer.writeheader()
         writer.writerows(rows)
     return EXIT_OK if any_success else EXIT_ESTIMATION_FAILED
-
-
-def _write_trace_csv(path, trace) -> None:
-    rows = [t for t in trace if isinstance(t, dict)]
-    if not rows:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=sorted({k for r in rows for k in r}))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 # --- trim -------------------------------------------------------------------
@@ -388,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--runs", type=int, default=1)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--solver-tol", type=float, default=1e-8)
-    e.add_argument("--solver-trace", help="CSV filename for per-iteration solver data")
     e.add_argument("--out", default="out")
     e.set_defaults(func=cmd_estimate)
 

@@ -215,22 +215,16 @@ def recover_solution(prog: ConicProgram, sol, layout: VariableLayout, net):
 
 def monotone_tighten(net: Network, spec: core.UtilitySpec, values,
                      tol: float = 1e-10, max_iter: int = 100_000) -> core.ValueField:
-    """Drive a feasible super-solution (V >= T[V]) down to the fixed point by
-    repeated application of the Bellman operator; the sequence is
-    componentwise non-increasing."""
-    values = np.asarray(values, dtype=float).copy()
+    """The fixed point below a feasible super-solution V >= T[V], which
+    bounds it: :func:`core.solve_value_iteration`'s field for ``tol`` and
+    ``max_iter``.  Raises NotSuperSolution when ``values`` is not one."""
+    values = np.asarray(values, dtype=float)
     applied = core.bellman_apply(net, spec, values)
     if np.any(values < applied - 1e-9):
         raise NotSuperSolution(
             f"max violation {float(np.max(applied - values)):.3e}"
         )
-    for _ in range(max_iter):
-        new = core.bellman_apply(net, spec, values)
-        new = np.minimum(new, values)  # guard roundoff; T preserves order
-        if float(np.max(np.abs(new - values))) <= tol:
-            return core.ValueField(new, core.SOLVED)
-        values = new
-    return core.ValueField(values, core.MAX_ITERATIONS)
+    return core.solve_value_iteration(net, spec, tol, max_iter)[0]
 
 
 def export_problem(prog: ConicProgram, path, fmt: str = "json") -> None:
@@ -259,20 +253,11 @@ def estimate_ecp(net_by_group, observations,
     groups = group_observations(observations)
     prog, layout = build_ecp(net_by_group, groups)
     sol = cone_solver.solve(prog, opts, accept=lambda x: _binds(x, layout, net_by_group))
-    n_obs = max(len(observations), 1)
     if sol.status == cone_solver.OPTIMAL:
         beta_hat, _values, _cert = recover_solution(prog, sol, layout, net_by_group)
         loglik = sol.obj_val
     else:
         beta_hat = np.full(layout.n_beta, np.nan)
         loglik = np.nan
-    return nfxp.EstimationResult(
-        beta_hat=beta_hat,
-        loglik=loglik,
-        loglik_per_obs=loglik / n_obs,
-        status=sol.status,
-        iterations=sol.iterations,
-        gradient_norm=np.nan,
-        wall_time=time.perf_counter() - start,
-        trace=sol.trace,
-    )
+    return nfxp.EstimationResult.from_run(
+        (beta_hat, loglik, np.nan, sol.status, sol.iterations, sol.trace), observations, start)

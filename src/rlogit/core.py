@@ -5,8 +5,8 @@ The value function V assigns each state the expected maximum utility of
 reaching the destination, with V(destination) = 0.  Two solvers are provided:
 an exp-space linear-system solve (exact for unit scale) and
 ``iterate_values``, the one iterative solver, which serves the plain and
-the nested (scaled) operator alike.  Both report failure explicitly instead
-of propagating NaN.
+the nested (scaled) operator alike; on a DAG the linear solve falls back to
+it.  Both report failure explicitly instead of propagating NaN.
 
 The Bellman operator and the choice probabilities run segment-wise on the
 network's tail layout (``Network.tail_order``), with no per-state loop.
@@ -180,6 +180,14 @@ def identity_minus(net: Network, per_arc: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data, indices, indptr), shape=(m, m))
 
 
+def _factor_free(net: Network, per_arc: np.ndarray):
+    """splu factor of :func:`identity_minus`, or None when it is singular."""
+    try:
+        return spla.splu(identity_minus(net, per_arc))
+    except RuntimeError:
+        return None
+
+
 def _exp_space_system(net: Network, spec: UtilitySpec):
     """Sparse (I - M, b) with M_{s,s'} = e^{v(s'|s)} for non-destination
     successors and b_s accumulating destination arcs, on the non-destination
@@ -203,11 +211,24 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     ValueField keeps together with z.  Returns V = log z when the system is
     nonsingular, z is strictly positive and the Bellman residual is at most
     ``LINEAR_RESIDUAL_TOL`` relative to max(1, ||V||_inf) (log z carries
-    rounding relative to V); any failure is mapped to SingularOrNonpositive.
+    rounding relative to V).  On a DAG a failed exp-space solve (z
+    underflowing, or failing the residual test) returns
+    :func:`solve_value_iteration`'s field instead.  Any failure is mapped
+    to SingularOrNonpositive.
     """
     if spec.mu != 1.0:
         raise ValueError("linear value solve requires mu = 1")
     _check_successors(net)
+    vf, report = _solve_exp_space(net, spec)
+    if report.status != SOLVED and net.acyclic:
+        swept = solve_value_iteration(net, spec)
+        if swept[1].status == SOLVED:
+            return swept
+    return vf, report
+
+
+def _solve_exp_space(net: Network, spec: UtilitySpec) -> tuple[ValueField, SolveReport]:
+    """:func:`solve_value_linear`'s exp-space solve, with no fallback."""
     sys = _exp_space_system(net, spec)
     vf = ValueField(np.full(net.n_states, np.nan), status=SINGULAR)
     if sys is None:
@@ -228,15 +249,20 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     return ValueField(values, SOLVED, factor=lu, z=z), SolveReport(SOLVED, residual=residual)
 
 
+def solved_field(key, solve: tuple[ValueField, SolveReport]) -> ValueField:
+    """The field of a solver's (field, report), or ValueSolveFailed (``key``)."""
+    vf, report = solve
+    if report.status != SOLVED:
+        raise ValueSolveFailed(key, f"status {report.status}")
+    return vf
+
+
 def solved_values(net: Network, spec: UtilitySpec, group=None) -> ValueField:
     """:func:`solve_value_linear`'s field, or ValueSolveFailed keyed by
     ``group`` (default: the destination).  The solve is looked up at call
     time, so a wrapper of it sees every call."""
-    vf, report = solve_value_linear(net, spec)
-    if report.status != SOLVED:
-        raise ValueSolveFailed(net.destination if group is None else group,
-                               f"status {report.status}")
-    return vf
+    return solved_field(net.destination if group is None else group,
+                        solve_value_linear(net, spec))
 
 
 def solve_value_iteration(
@@ -317,9 +343,8 @@ def _newton_step(net: Network, e: np.ndarray, sums: np.ndarray, residual: np.nda
     """(dV, splu factor of I - P) solving (I - P) dV = T[V] - V on the free
     rows, with P from :func:`scaled_bellman`'s exponentials at V; (None, None)
     when I - P is singular or the step is not finite."""
-    try:
-        lu = spla.splu(identity_minus(net, _probabilities(net, e, sums)))
-    except RuntimeError:
+    lu = _factor_free(net, _probabilities(net, e, sums))
+    if lu is None:
         return None, None
     step = lu.solve(residual)
     return (step, lu) if np.all(np.isfinite(step)) else (None, None)
@@ -348,11 +373,9 @@ def _solve_free(net: Network, vf: ValueField, probs: np.ndarray, rhs: np.ndarray
             out = vf.factor.solve(rhs * scale) / scale
     else:
         if vf.z is not None or vf.factor is None:
-            try:
-                vf.factor = spla.splu(identity_minus(net, probs))
-            except RuntimeError:
-                raise ValueSolveFailed(net.destination, "I - P is singular") from None
-            vf.z = None
+            vf.factor, vf.z = _factor_free(net, probs), None
+            if vf.factor is None:
+                raise ValueSolveFailed(net.destination, "I - P is singular")
         out = vf.factor.solve(rhs, trans=trans)
     if not np.isfinite(out).all():
         raise ValueSolveFailed(net.destination, "the I - P solve is not finite")

@@ -63,7 +63,8 @@ class EstimationOptions:
 
 @dataclass
 class EstimationResult:
-    """Outcome of one estimation run, successful or not."""
+    """Outcome of one estimation run, successful or not.  ``trace`` holds one
+    flat dict per iterate (:func:`trace_record`, or the IPM's records)."""
 
     beta_hat: np.ndarray
     loglik: float
@@ -73,6 +74,17 @@ class EstimationResult:
     gradient_norm: float
     wall_time: float
     trace: list = field(default_factory=list)
+
+    @classmethod
+    def from_run(cls, outcome, observations, start: float, **fields):
+        """The result of a run's (x, loglik, gradient sup-norm, status,
+        iterations, trace) on ``observations``, timed from the
+        ``time.perf_counter()`` reading ``start``; ``fields`` override."""
+        x, loglik, grad_norm, status, iters, trace = outcome
+        return cls(**{"beta_hat": x, "loglik": loglik,
+                      "loglik_per_obs": loglik / max(len(observations), 1),
+                      "status": status, "iterations": iters, "gradient_norm": grad_norm,
+                      "wall_time": time.perf_counter() - start, "trace": trace, **fields})
 
     @property
     def converged(self) -> bool:
@@ -87,6 +99,7 @@ class EstimationResult:
             "iterations": int(self.iterations),
             "gradient_norm": float(self.gradient_norm),
             "wall_time": float(self.wall_time),
+            "trace": self.trace,
         }
 
 
@@ -125,6 +138,12 @@ def loglik_and_gradient(net_by_group, spec: core.UtilitySpec, observations):
         dev = y - core.tail_sums(net, probs[:, None] * y)[net.arc_from]
         hess -= dev.T @ (traversals[:, None] * dev)
     return total, grad, hess
+
+
+def trace_record(steps: int, x, loglik: float, grad_norm: float) -> dict:
+    """The trace record of an ascent's iterate ``x`` after ``steps`` steps."""
+    return {"iter": steps, "x": np.asarray(x, dtype=float).tolist(),
+            "loglik": float(loglik), "grad_norm": float(grad_norm)}
 
 
 def _valid(loglik: float) -> bool:
@@ -225,7 +244,8 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
     weakly curved direction a gradient that passes the first test can leave
     L further below its maximum, and the step that closes the gap is the
     one quadratic convergence makes cheapest.  Returns (x, loglik, gradient
-    sup-norm, status, iterations, trace).
+    sup-norm, status, iterations, trace), with a :func:`trace_record` per
+    iterate reached.
     """
     x = np.asarray(x0, dtype=float).copy()
     out, stop = _first_evaluation(evaluate, x)
@@ -236,7 +256,7 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
     alpha = 1.0  # the first trial's step fraction in the next line search
     for it in range(1, opts.max_iters + 1):
         grad_norm = float(np.max(np.abs(grad)))
-        trace.append((x.copy(), loglik, grad_norm))
+        trace.append(trace_record(it - 1, x, loglik, grad_norm))
         p = _newton_direction(grad, hess)
         with np.errstate(over="ignore", invalid="ignore"):
             decrement = float(grad @ p)
@@ -262,7 +282,7 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
         # back toward 1
         alpha = taken if bounded and unusable else min(1.0, 2.0 * alpha)
     grad_norm = float(np.max(np.abs(grad)))
-    trace.append((x.copy(), loglik, grad_norm))
+    trace.append(trace_record(opts.max_iters, x, loglik, grad_norm))
     return x, loglik, grad_norm, MAX_ITERATIONS, opts.max_iters, trace
 
 
@@ -273,7 +293,8 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
     ``evaluate(x) -> (loglik, grad)`` may raise ValueSolveFailed at a trial
     point, which rejects the step.  ``project`` optionally clips iterates
     into box bounds; the reported gradient norm is then the projected one.
-    Returns (x, loglik, gradient sup-norm, status, iterations, trace).
+    Returns (x, loglik, gradient sup-norm, status, iterations, trace), with
+    a :func:`trace_record` per iterate reached.
     """
     x = np.asarray(x0, dtype=float).copy()
     if project is not None:
@@ -300,7 +321,7 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
     h_inv = fresh_h_inv(grad)
     for it in range(1, opts.max_iters + 1):
         grad_norm = projected_grad_norm(x, grad)
-        trace.append((x.copy(), loglik, grad_norm))
+        trace.append(trace_record(it - 1, x, loglik, grad_norm))
         if grad_norm <= opts.tol * max(1.0, abs(loglik)):
             return x, loglik, grad_norm, CONVERGED, it - 1, trace
 
@@ -326,7 +347,7 @@ def bfgs_maximize(evaluate, x0, opts: EstimationOptions, project=None):
         x, loglik, grad = x_new, l_new, g_new
 
     grad_norm = projected_grad_norm(x, grad)
-    trace.append((x.copy(), loglik, grad_norm))
+    trace.append(trace_record(opts.max_iters, x, loglik, grad_norm))
     return x, loglik, grad_norm, MAX_ITERATIONS, opts.max_iters, trace
 
 
@@ -348,23 +369,12 @@ def estimate_nfxp(
     opts = opts or EstimationOptions()
     k = next(iter(net_by_group.values())).n_attributes
     x0 = np.asarray(beta_init, dtype=float) if beta_init is not None else default_beta_init(k)
-    n_obs = max(len(observations), 1)
     start = time.perf_counter()
 
     def evaluate(beta):
         return loglik_and_gradient(net_by_group, core.UtilitySpec(beta), observations)
 
-    x, loglik, grad_norm, status, iters, trace = newton_maximize(evaluate, x0, opts)
-    return EstimationResult(
-        beta_hat=x,
-        loglik=loglik,
-        loglik_per_obs=loglik / n_obs,
-        status=status,
-        iterations=iters,
-        gradient_norm=grad_norm,
-        wall_time=time.perf_counter() - start,
-        trace=trace,
-    )
+    return EstimationResult.from_run(newton_maximize(evaluate, x0, opts), observations, start)
 
 
 def uniform_beta_init_sampler(k: int, seed: int):

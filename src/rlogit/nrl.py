@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, nfxp
-from .errors import ValueSolveFailed
 from .network import Network
 
 LOG_MU_BOUND = 3.0  # mu is searched inside [e^-3, e^3]
@@ -105,10 +104,7 @@ def _value_coefficients(net: Network, weight: np.ndarray) -> np.ndarray:
 
 
 def _value_or_raise(net, beta, mu, tol=1e-10):
-    vf, report = solve_nrl_value(net, beta, mu, tol=tol)
-    if report.status != core.SOLVED:
-        raise ValueSolveFailed(net.destination, f"status {report.status}")
-    return vf
+    return core.solved_field(net.destination, solve_nrl_value(net, beta, mu, tol=tol))
 
 
 def nrl_log_likelihood(net: Network, beta, mu: ScaleField, obs,
@@ -178,10 +174,11 @@ def estimate_nrl_nfxp(net: Network, obs, beta_init=None, mu_init: float = 1.0,
         rl = nfxp.estimate_nfxp({net.destination: net}, obs, beta0 / mu_init, opts)
         return NRLResult(**{**vars(rl), "beta_hat": mu_init * rl.beta_hat,
                             "gradient_norm": rl.gradient_norm / mu_init,
-                            "trace": [(mu_init * x, ll, g / mu_init) for x, ll, g in rl.trace]},
+                            "trace": [{**r, "x": [mu_init * b for b in r["x"]],
+                                       "grad_norm": r["grad_norm"] / mu_init}
+                                      for r in rl.trace]},
                          mu_hat=ScaleField.uniform(net, mu_init))
     x0 = np.concatenate([beta0, np.full(net.n_states, np.log(mu_init))])
-    n_obs = max(len(obs), 1)
     start = time.perf_counter()
 
     def project(x):
@@ -194,16 +191,7 @@ def estimate_nrl_nfxp(net: Network, obs, beta_init=None, mu_init: float = 1.0,
             net, x[:k], ScaleField(np.exp(x[k:])), obs)
         return loglik, np.concatenate([dbeta, dlogmu])
 
-    x, loglik, grad_norm, status, iters, trace = nfxp.bfgs_maximize(
-        evaluate, x0, opts, project=project)
-    return NRLResult(
-        beta_hat=x[:k],
-        loglik=loglik,
-        loglik_per_obs=loglik / n_obs,
-        status=status,
-        iterations=iters,
-        gradient_norm=grad_norm,
-        wall_time=time.perf_counter() - start,
-        trace=trace,
-        mu_hat=ScaleField(np.exp(x[k:])),
-    )
+    outcome = nfxp.bfgs_maximize(evaluate, x0, opts, project=project)
+    x = outcome[0]
+    return NRLResult.from_run(outcome, obs, start, beta_hat=x[:k],
+                              mu_hat=ScaleField(np.exp(x[k:])))

@@ -81,7 +81,7 @@ def test_estimate_both_methods(workspace, tmp_path):
     net_path = workspace / "nets" / "net_dag_20_0.json"
     code = run("estimate", "--network", str(net_path),
                "--observations", str(workspace / "train.jsonl"),
-               "--method", "nfxp,ecp", "--solver-trace", "trace.csv",
+               "--method", "nfxp,ecp",
                "--out", str(tmp_path))
     assert code == 0
     r_nfxp = json.loads((tmp_path / "result_nfxp.json").read_text())
@@ -91,9 +91,8 @@ def test_estimate_both_methods(workspace, tmp_path):
     with open(tmp_path / "results.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["estimator"] for r in rows} == {"nfxp", "ecp"}
-    with open(tmp_path / "trace.csv", newline="") as fh:
-        trace_rows = list(csv.DictReader(fh))
-    assert trace_rows and "pres" in trace_rows[0]
+    assert r_ecp["trace"] and all("pres" in record for record in r_ecp["trace"])
+    assert r_nfxp["trace"] and all("loglik" in record for record in r_nfxp["trace"])
 
 
 def test_estimate_missing_observations(workspace, tmp_path):

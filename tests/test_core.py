@@ -227,6 +227,46 @@ def test_dag_value_equals_path_logsumexp():
     assert vf[net.state_index("n0_0")] == pytest.approx(logsumexp(path_utils))
 
 
+BETA_DAG = np.array([-4.0, -0.1, -0.05, -0.3])
+
+
+def test_linear_solve_on_a_dag_where_exp_values_underflow():
+    # e^V(o) = e^-800 underflows to 0, so the exp-space solve fails; the
+    # sweeps of the fallback reach V exactly
+    net = build_network(["o", "a", "d"], "d",
+                        [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5])], ["cost"])
+    vf, rep = core.solve_value_linear(net, spec(-400.0))
+    assert rep.status == vf.status == core.SOLVED
+    np.testing.assert_array_equal(vf.values, [-800.0, -400.0, 0.0])
+
+
+@pytest.mark.parametrize("nodes, radius, seed", [
+    (80, 0.18, 1), (80, 0.18, 4), (50, 0.22, 2), (50, 0.22, 4), (50, 0.22, 5)])
+def test_linear_solve_on_dags_at_a_large_beta(nodes, radius, seed):
+    # at 200 times the simulation coefficients e^V underflows at most states
+    net = random_geometric_network(nodes, radius, seed=seed)
+    s = core.UtilitySpec(200 * BETA_DAG)
+    vf, rep = core.solve_value_linear(net, s)
+    assert net.acyclic and rep.status == core.SOLVED
+    assert np.all(np.isfinite(vf.values))
+    assert core.bellman_residual(net, s, vf.values) <= 1e-9 * np.max(np.abs(vf.values))
+
+
+def test_nfxp_on_a_dag_where_the_exp_space_solve_is_inaccurate():
+    # 3,410 states: the exp-space solve leaves a Bellman residual of 5.3e-3
+    # at BETA_DAG and 4.9e-7 at the default start, and reports Singular;
+    # the fallback's sweeps solve both
+    net = random_geometric_network(500, 0.11, seed=1)
+    s = core.UtilitySpec(BETA_DAG)
+    vf, rep = core.solve_value_linear(net, s)
+    assert net.n_states == 3410 and net.acyclic and rep.status == core.SOLVED
+    obs = generate_observations(net, s, "o", 3000, seed=7)
+    assert len(obs) == 3000
+    res = nfxp.estimate_nfxp(obs.net_by_group(), obs)
+    assert res.converged and res.iterations <= 10
+    np.testing.assert_allclose(res.beta_hat, BETA_DAG, atol=0.5)
+
+
 def test_empty_successor_set_rejected():
     net = build_network(["a", "b", "d"], "d", [("a", "d", [1.0]), ("a", "b", [1.0])])
     with pytest.raises(EmptySuccessorSet, match="'b'"):

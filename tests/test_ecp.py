@@ -237,6 +237,20 @@ def test_monotone_tighten_rejects_subsolution(cycle_net):
         builder.monotone_tighten(cycle_net, spec, vf.values - 0.5)
 
 
+@pytest.mark.parametrize("name, beta", [("cycle_net", 1.0), ("two_route_net", -1.0)])
+def test_monotone_tighten_is_the_value_iteration_fixed_point(name, beta, request):
+    net = request.getfixturevalue(name)
+    spec = core.UtilitySpec(np.array([beta]))
+    swept, report = core.solve_value_iteration(net, spec)
+    assert report.status == core.SOLVED
+    above = swept.values + np.where(np.arange(net.n_states) == net.destination_index, 0.0, 1.0)
+    tightened = builder.monotone_tighten(net, spec, above)
+    assert tightened.status == core.SOLVED
+    np.testing.assert_allclose(tightened.values, swept.values, rtol=0, atol=1e-10)
+    with pytest.raises(NotSuperSolution):
+        builder.monotone_tighten(net, spec, swept.values - 0.5)
+
+
 def test_monotone_sequence_property(two_route_net):
     spec = core.UtilitySpec(np.array([-1.0]))
     vf, _ = core.solve_value_linear(two_route_net, spec)

@@ -1,10 +1,13 @@
 """NFXP estimation: gradient oracle, ascent behavior, failure taxonomy."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from rlogit import core, nfxp, nrl
+from rlogit.conic import builder
 from rlogit.errors import ValueSolveFailed
 from rlogit.generators import bic_dag, random_geometric_network
 from rlogit.network import build_network
@@ -181,7 +184,7 @@ def test_monotone_ascent_and_trace():
     groups, obs = _instance(seed=2, n_obs=200)
     res = nfxp.estimate_nfxp(groups, obs)
     assert res.status == nfxp.CONVERGED
-    logliks = [entry[1] for entry in res.trace]
+    logliks = [entry["loglik"] for entry in res.trace]
     assert all(b >= a - 1e-12 for a, b in zip(logliks, logliks[1:]))
     assert len(res.trace) == res.iterations + 1
 
@@ -241,7 +244,7 @@ def test_projected_gradient_norm_at_max_iterations():
         evaluate, np.zeros(1), nfxp.EstimationOptions(max_iters=1),
         project=lambda x: np.clip(x, -1.0, 1.0))
     assert status == nfxp.MAX_ITERATIONS and iters == 1 and x[0] == 1.0
-    assert grad_norm == 0.0 and trace[-1][2] == 0.0
+    assert grad_norm == 0.0 and trace[-1]["grad_norm"] == 0.0
 
 
 def test_curvature_updates_near_the_optimum():
@@ -258,7 +261,7 @@ def test_curvature_updates_near_the_optimum():
         objective, np.array([2e-6, -1e-6, 5e-7]), nfxp.EstimationOptions())
     assert status == nfxp.CONVERGED
     assert iters <= 4
-    points = [entry[0] for entry in trace]
+    points = [np.array(entry["x"]) for entry in trace]
     sy = [float((b - a) @ (curvature * (b - a))) for a, b in zip(points, points[1:])]
     assert sy and max(sy) < 1e-10
 
@@ -373,7 +376,7 @@ def test_newton_max_iterations():
     res = nfxp.estimate_nfxp(groups, obs, opts=nfxp.EstimationOptions(max_iters=2))
     assert (res.status, res.iterations) == (nfxp.MAX_ITERATIONS, 2)
     assert len(res.trace) == res.iterations + 1
-    assert res.gradient_norm == res.trace[-1][2] > 0
+    assert res.gradient_norm == res.trace[-1]["grad_norm"] > 0
 
 
 def test_newton_warm_start_at_the_estimate(monkeypatch):
@@ -423,9 +426,31 @@ def test_result_serialization():
         "iterations",
         "gradient_norm",
         "wall_time",
+        "trace",
     }
     assert doc["status"] == "Converged"
     assert len(doc["beta_hat"]) == 4
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda net, obs: nfxp.estimate_nfxp(obs.net_by_group(), obs),
+    lambda net, obs: builder.estimate_ecp(obs.net_by_group(), obs),
+    lambda net, obs: nrl.estimate_nrl_nfxp(net, obs, mu_init=2.0, mu_mode="fixed"),
+    lambda net, obs: nrl.estimate_nrl_nfxp(net, obs, mu_mode="shared"),
+    lambda net, obs: nrl.estimate_nrl_nfxp(net, obs, mu_mode="per_state",
+                                           opts=nfxp.EstimationOptions(max_iters=5)),
+], ids=["nfxp", "ecp", "nrl-fixed", "nrl-shared", "nrl-per-state"])
+def test_every_trace_is_a_list_of_flat_records(estimate):
+    net = random_geometric_network(15, 0.4, seed=1)
+    obs = generate_observations(net, core.UtilitySpec(BETA_TRUE), "o", 200, seed=8)
+    res = estimate(net, obs)
+    assert isinstance(res.trace, list) and res.trace
+    for record in res.trace:
+        assert isinstance(record, dict) and type(record["iter"]) is int
+        for value in record.values():
+            assert isinstance(value, (bool, int, float)) or (
+                isinstance(value, list) and all(type(b) is float for b in value))
+    assert json.loads(json.dumps(res.to_dict()))["trace"] == res.trace
 
 
 def test_success_rate_harness_all_converge():

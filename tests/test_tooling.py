@@ -56,6 +56,26 @@ def test_bench_tracing_installs_and_uninstalls():
         assert all(vars(module)[k] is v for k, v in attrs.items()), module.__name__
 
 
+def test_traced_dag_fallback_is_one_solved_value_solve():
+    # at 200 times beta e^V underflows on this DAG: the exp-space solve
+    # fails and solve_value_linear returns the sweeps' field from the same
+    # call, which the bench counts as one solve and no failure
+    net = random_geometric_network(15, 0.4, seed=1)
+    spec = core.UtilitySpec(200 * np.array([-4.0, -0.1, -0.05, -0.3]))
+    assert core._solve_exp_space(net, spec)[1].status == core.SINGULAR
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        tracer.active = True
+        _, report = core.solve_value_linear(net, spec)
+    finally:
+        tracer.uninstall()
+    assert report.status == core.SOLVED
+    assert tracer.counts["core.value_solve.calls"] == 1
+    assert tracer.counts["core.value_solve_failed"] == 0
+
+
 def test_traced_generation_samples_once():
     # one generate_observations call runs the batch sampler once, so the
     # bench's simulate.sample span times every sampled path
