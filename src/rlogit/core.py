@@ -8,6 +8,14 @@ an exp-space linear-system solve (exact for unit scale) and
 the nested (scaled) operator alike; on a DAG the linear solve falls back to
 it.  Both report failure explicitly instead of propagating NaN.
 
+The value system (I - M) z = b has no positive solution when the spectral
+radius rho(M) exceeds 1 (a z > 0 would give Mz <= z, hence rho(M) <= 1).
+Before it factors anything, the linear solve tries to prove rho(M) > 1
+from the arc arrays: a gate on the largest row sum of M, then a few power
+steps and the Collatz-Wielandt lower bound on rho(M).  A proof is a true
+SingularOrNonpositive, so the networks a cyclic instance search rejects
+cost neither a sparse pattern nor a factorization.
+
 The Bellman operator and the choice probabilities run segment-wise on the
 network's tail layout (``Network.tail_order``), with no per-state loop.
 
@@ -52,6 +60,15 @@ NEWTON_AFTER = 5
 
 # exponent cap: anything above this in exp-space is treated as a failed solve
 _EXP_CAP = 500.0
+# below this, e^V is subnormal and log z carries its rounding
+_TINY = np.finfo(float).tiny
+
+# the spectral-radius test: power steps, the share of max(x) below which an
+# entry of x is dropped, and the Collatz-Wielandt bound that proves
+# rho(M) > 1 past the rounding of Mx
+_POWER_STEPS = 20
+_NEGLIGIBLE = 1e-6
+_ABOVE_ONE = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -211,8 +228,11 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     ValueField keeps together with z.  Returns V = log z when the system is
     nonsingular, z is strictly positive and the Bellman residual is at most
     ``LINEAR_RESIDUAL_TOL`` relative to max(1, ||V||_inf) (log z carries
-    rounding relative to V).  On a DAG a failed exp-space solve (z
-    underflowing, or failing the residual test) returns
+    rounding relative to V).  On a cyclic network the factorization runs
+    only after :func:`_spectral_radius_above_one` fails to prove
+    rho(M) > 1, which leaves no positive solution.  On a DAG a failed
+    exp-space solve (z underflowing, or failing the residual test), or one
+    whose z has a subnormal entry (e^V rounded to a few bits), returns
     :func:`solve_value_iteration`'s field instead.  Any failure is mapped
     to SingularOrNonpositive.
     """
@@ -220,7 +240,8 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
         raise ValueError("linear value solve requires mu = 1")
     _check_successors(net)
     vf, report = _solve_exp_space(net, spec)
-    if report.status != SOLVED and net.acyclic:
+    subnormal = report.status == SOLVED and vf.z.min(initial=np.inf) < _TINY
+    if (report.status != SOLVED or subnormal) and net.acyclic:
         swept = solve_value_iteration(net, spec)
         if swept[1].status == SOLVED:
             return swept
@@ -229,8 +250,10 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
 
 def _solve_exp_space(net: Network, spec: UtilitySpec) -> tuple[ValueField, SolveReport]:
     """:func:`solve_value_linear`'s exp-space solve, with no fallback."""
-    sys = _exp_space_system(net, spec)
     vf = ValueField(np.full(net.n_states, np.nan), status=SINGULAR)
+    if _spectral_radius_above_one(net, spec):
+        return vf, SolveReport(SINGULAR)
+    sys = _exp_space_system(net, spec)
     if sys is None:
         return vf, SolveReport(SINGULAR, residual=np.inf)
     system, b, rows = sys
@@ -239,7 +262,7 @@ def _solve_exp_space(net: Network, spec: UtilitySpec) -> tuple[ValueField, Solve
     except RuntimeError:
         return vf, SolveReport(SINGULAR)
     z = lu.solve(b)
-    if not np.all(np.isfinite(z)) or np.any(z <= 0):
+    if not (z.min(initial=np.inf) > 0 and z.max(initial=0.0) < np.inf):  # NaN fails too
         return vf, SolveReport(SINGULAR)
     values = np.zeros(net.n_states)
     values[rows] = np.log(z)
@@ -247,6 +270,52 @@ def _solve_exp_space(net: Network, spec: UtilitySpec) -> tuple[ValueField, Solve
     if not residual <= LINEAR_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(values)))):
         return vf, SolveReport(SINGULAR, residual=residual)
     return ValueField(values, SOLVED, factor=lu, z=z), SolveReport(SOLVED, residual=residual)
+
+
+def _spectral_radius_above_one(net: Network, spec: UtilitySpec) -> bool:
+    """Whether rho(M) > 1 is proved for the exp-space transition matrix M
+    (e^v on the arcs between non-destination states), from the arc arrays
+    alone.
+
+    No positive z solves (I - M) z = b >= 0 when rho(M) > 1: such a z would
+    give Mz <= z, hence rho(M) <= 1.  So a proved rho(M) > 1 is a true
+    SingularOrNonpositive, found before the network's pattern is built or a
+    factorization runs.  The proof is the Collatz-Wielandt bound: for any
+    x >= 0, x != 0, rho(M) is at least the smallest (Mx)_i / x_i over
+    {i : x_i > 0}.
+
+    Nothing is tested where M has an empty row
+    (``Network.has_exit_only_state``), as it has on every DAG, nor where the
+    largest row sum of M is at most 1, since rho(M) is at most that.
+    Otherwise x <- Mx / max(Mx) runs from x = 1 for up to ``_POWER_STEPS``
+    steps, its entries below ``_NEGLIGIBLE`` set to zero so that the bound
+    is taken on the support of x.  The steps end on a bound above 1, or once
+    a positive x has (Mx)_i <= x_i everywhere, which shows rho(M) <= 1."""
+    if net.has_exit_only_state:
+        return False
+    v = arc_utilities(net, spec)
+    if np.any(v > _EXP_CAP):
+        return False
+    inner = net.arc_to != net.destination_index
+    tail, head, w = net.arc_from[inner], net.arc_to[inner], np.exp(v[inner])
+    n = net.n_states
+    mx = np.bincount(tail, w, minlength=n)  # M x for x = 1: the row sums
+    if not mx.max() > 1.0:
+        return False
+    x = np.ones(n)
+    x[net.destination_index] = 0.0
+    for _ in range(_POWER_STEPS):
+        on = x > 0
+        ratio = mx[on] / x[on]
+        if ratio.min() > _ABOVE_ONE:
+            return True
+        top = mx.max()
+        if not top > 0 or (len(ratio) == n - 1 and ratio.max() <= 1.0):
+            return False
+        x = mx / top
+        x[x < _NEGLIGIBLE] = 0.0
+        mx = np.bincount(tail, w * x[head], minlength=n)
+    return False
 
 
 def solved_field(key, solve: tuple[ValueField, SolveReport]) -> ValueField:

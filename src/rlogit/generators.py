@@ -12,10 +12,12 @@ Three families are produced here:
   origin-to-destination paths are in bijection with selections of between L
   and U of m elemental alternatives.
 
-The geometric and layered generators build their arc tables as arrays (road
-arcs from ``np.nonzero``, successor blocks from one stable argsort, turn
-angles from one ``arctan2`` over all arc pairs), cut them to the
-origin-destination corridor with an index mask and hand the result to
+The geometric and layered generators build their arc tables as bare integer
+arrays (road arcs from ``np.nonzero``, successor blocks from one stable
+argsort) and cut them to the origin-destination corridor first, with one
+:func:`~rlogit.network._on_walk` search from both ends.  Only then are state
+names, turn angles (one ``arctan2`` over the kept arc pairs) and attribute
+rows built, for the kept states and arcs alone, and handed to
 :func:`~rlogit.network.network_from_arrays` once.
 """
 
@@ -26,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DisconnectedInstance, InvalidBounds, UnknownState
-from .network import Network, _reach, build_network, network_from_arrays
+from .network import Network, _on_walk, build_network, network_from_arrays
 
 ROUTE_ATTRIBUTES = ("TT", "LT", "RT", "UT")
 
@@ -54,18 +56,16 @@ def _turn_angles(cross: np.ndarray, dot: np.ndarray) -> np.ndarray:
 
     np.arctan2 differs from math.atan2 by one ulp on some inputs, which can
     flip an indicator at exactly +-30 or +-150 degrees; angles within 1e-9
-    degrees of a threshold are therefore recomputed with math.atan2, so the
-    indicators match the scalar computation on every input.
+    degrees of either threshold (two comparisons on |angle|) are therefore
+    recomputed with math.atan2, so the indicators match the scalar
+    computation on every input.
     """
     angle = np.degrees(np.arctan2(cross, dot))
-    near = np.abs(np.abs(angle)[:, None] - [30.0, 150.0]).min(axis=1, initial=np.inf) < 1e-9
+    size = np.abs(angle)
+    near = (np.abs(size - 30.0) < 1e-9) | (np.abs(size - 150.0) < 1e-9)
     for i in np.flatnonzero(near):
         angle[i] = math.degrees(math.atan2(cross[i], dot[i]))
     return angle
-
-
-def arc_state_id(i: int, j: int) -> str:
-    return f"{i}-{j}"
 
 
 def random_geometric_network(
@@ -82,13 +82,13 @@ def random_geometric_network(
     and the leftmost / rightmost nodes act as origin and destination;
     otherwise both directions are present (the cyclic variant).
 
-    States are directed road arcs plus a virtual origin state ``"o"`` (a
-    zero-length arc into the origin node) and an absorbing destination state
-    ``"d"``.  A transition to arc (j, k) carries TT equal to the arc length
-    and LT/RT/UT turn indicators.  States not on any origin-to-destination
-    walk are dropped.  ``extra_attributes`` appends that many i.i.d. uniform
-    [0, 1] columns (used by parameter-count sweeps); it must be a
-    nonnegative integer.
+    States are directed road arcs ``"i-j"`` plus a virtual origin state
+    ``"o"`` (a zero-length arc into the origin node) and an absorbing
+    destination state ``"d"``.  A transition to arc (j, k) carries TT equal
+    to the arc length and LT/RT/UT turn indicators.  States not on any
+    origin-to-destination walk are dropped.  ``extra_attributes`` appends
+    that many i.i.d. uniform [0, 1] columns (used by parameter-count
+    sweeps); it must be a nonnegative integer.
 
     Raises DisconnectedInstance when the origin cannot reach the destination;
     the caller regenerates with a new seed.
@@ -121,12 +121,20 @@ def random_geometric_network(
     else:
         tail, head = np.stack([lo, hi], 1).ravel(), np.stack([hi, lo], 1).ravel()
     n_road = len(tail)
-    length = dist[tail, head]
+    # cut to the corridor first, on the road graph: "o" enters every arc
+    # leaving the origin node and every arc into a node turns into every arc
+    # leaving it, so road arc (i, j) lies on a walk from "o" to "d" exactly
+    # when nodes i and j lie on one from the origin to the destination node
+    on = _on_walk(n_nodes, tail, head, origin_node, dest_node)
+    road = on[tail] & on[head]
+    if not road.any():
+        raise DisconnectedInstance("origin cannot reach destination")
 
-    # virtual origin: straight entry into each arc leaving the origin node
+    # state 0 is "o", road arc r is state r + 1, and "d" comes last.  The
+    # transitions: "o" enters each arc leaving the origin node, road arc r1
+    # turns into each arc r2 leaving its head (the arcs leaving each node
+    # taken in road order), and each arc into the destination node exits
     entry = np.flatnonzero(tail == origin_node)
-    # arc-to-arc transitions: road arc r1 into each arc r2 leaving its head,
-    # the arcs leaving each node taken in road order
     out = np.argsort(tail, kind="stable")
     out_deg = np.bincount(tail, minlength=n_nodes)
     out_start = np.cumsum(out_deg) - out_deg
@@ -134,51 +142,60 @@ def random_geometric_network(
     r1 = np.repeat(np.arange(n_road), fan)
     offset = np.arange(len(r1)) - np.repeat(np.cumsum(fan) - fan, fan)
     r2 = out[np.repeat(out_start[head], fan) + offset]
-    v1 = pos[head[r1]] - pos[tail[r1]]
-    v2 = pos[head[r2]] - pos[tail[r2]]
-    angle = _turn_angles(v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0],
-                         v1[:, 0] * v2[:, 0] + v1[:, 1] * v2[:, 1])
-    # absorbing destination
     exits = np.flatnonzero(head == dest_node)
-
-    # state 0 is "o", road arc r is state r + 1, and "d" comes last
     dest = n_road + 1
     arc_from = np.concatenate([np.zeros(len(entry), dtype=int), r1 + 1, exits + 1])
     arc_to = np.concatenate([entry + 1, r2 + 1, np.full(len(exits), dest)])
-    attrs = np.zeros((len(arc_from), 4))
+
+    keep = np.concatenate([[True], road, [True]])
+    arcs, kept_from, kept_to = _kept_arcs(keep, arc_from, arc_to)
+    # names, angles and attributes are built for what is kept only
+    kept_turns = arcs[len(entry):len(entry) + len(r1)]
+    entry, r1, r2 = entry[arcs[:len(entry)]], r1[kept_turns], r2[kept_turns]
+    # each road arc's vector once, then the angle between consecutive ones
+    vx, vy = pos[head, 0] - pos[tail, 0], pos[head, 1] - pos[tail, 1]
+    angle = _turn_angles(vx[r1] * vy[r2] - vy[r1] * vx[r2], vx[r1] * vx[r2] + vy[r1] * vy[r2])
+    length = dist[tail, head]
+    attrs = np.zeros((len(kept_from), 4))
     attrs[:len(entry), 0] = length[entry]
     turns = slice(len(entry), len(entry) + len(r1))
     attrs[turns, 0] = length[r2]
     attrs[turns, 1:] = np.stack(turn_indicators(angle), 1)
     if n_extra:
-        attrs = np.hstack([attrs, rng.random((len(arc_from), n_extra))])
+        attrs = np.hstack([attrs, rng.random((len(arc_from), n_extra))[arcs]])
 
-    states = ([ORIGIN_STATE]
-              + [arc_state_id(i, j) for i, j in zip(tail.tolist(), head.tolist())]
-              + [DEST_STATE])
+    node = [str(i) for i in range(n_nodes)]
+    states = [ORIGIN_STATE]
+    states += [node[i] + "-" + node[j] for i, j in zip(tail[road].tolist(), head[road].tolist())]
+    states.append(DEST_STATE)
     names = ROUTE_ATTRIBUTES + tuple(f"X{i}" for i in range(n_extra))
-    positions = {str(i): (x, y) for i, (x, y) in enumerate(pos.tolist())}
-    return _corridor_network(states, 0, dest, arc_from, arc_to, attrs, names, positions)[0]
+    positions = dict(zip(node, map(tuple, pos.tolist())))
+    return network_from_arrays(states, DEST_STATE, kept_from, kept_to, attrs, names, positions)
+
+
+def _kept_arcs(keep, arc_from, arc_to):
+    """The mask of the arcs between ``keep`` states, and those arcs'
+    endpoints numbered among the kept states."""
+    arcs = keep[arc_from] & keep[arc_to]
+    new_index = np.cumsum(keep) - 1
+    return arcs, new_index[arc_from[arcs]], new_index[arc_to[arcs]]
 
 
 def _corridor_network(states, origin, dest, arc_from, arc_to, attrs, names,
                       positions=None):
     """The network on the states (indices ``origin`` and ``dest`` among
     ``states``) that lie on some origin-to-destination walk, with the arcs
-    between them; raises DisconnectedInstance if that leaves no path.
-    Returns (network, kept-state mask, kept-arc mask)."""
-    n = len(states)
-    keep = (_reach(n, arc_from, arc_to, [origin])
-            & _reach(n, arc_from, arc_to, [dest], reverse=True))
-    keep[dest] = True
+    between them; raises DisconnectedInstance if that leaves no path.  The
+    cut runs on the bare integer arc arrays first, and only the kept states
+    and rows of ``attrs`` are handed to
+    :func:`~rlogit.network.network_from_arrays`.  Returns (network,
+    kept-state mask, kept-arc mask)."""
+    keep = _on_walk(len(states), arc_from, arc_to, origin, dest)
     if not keep[origin] or keep.sum() < 2:
         raise DisconnectedInstance("origin cannot reach destination")
-    arcs = keep[arc_from] & keep[arc_to]
-    new_index = np.cumsum(keep) - 1
-    net = network_from_arrays(
-        [s for s, k in zip(states, keep.tolist()) if k], states[dest],
-        new_index[arc_from[arcs]], new_index[arc_to[arcs]], attrs[arcs], names, positions,
-    )
+    arcs, kept_from, kept_to = _kept_arcs(keep, arc_from, arc_to)
+    net = network_from_arrays([s for s, k in zip(states, keep.tolist()) if k], states[dest],
+                              kept_from, kept_to, attrs[arcs], names, positions)
     return net, keep, arcs
 
 

@@ -127,6 +127,17 @@ class Network:
         return True
 
     @cached_property
+    def has_exit_only_state(self) -> bool:
+        """Whether some non-destination state has no arc to a
+        non-destination state: its row of the value system's transition
+        matrix is empty.  Every DAG has one, its last non-destination state
+        in topological order, so a network without one has a cycle."""
+        continues = np.zeros(self.n_states, dtype=bool)
+        continues[self.arc_from[self.arc_to != self.destination_index]] = True
+        continues[self.destination_index] = True
+        return not continues.all()
+
+    @cached_property
     def free_pattern(self) -> tuple[np.ndarray, ...]:
         """Canonical CSC pattern of I - W on the free rows, where W has one
         entry per arc between free states: (indptr, indices, the slot of
@@ -348,20 +359,33 @@ def _reachable(net: Network, starts, reverse: bool = False, allowed=None) -> np.
 
 
 def _reach(n_states, arc_from, arc_to, starts, reverse=False, allowed=None) -> np.ndarray:
-    """:func:`_reachable` on bare arc arrays, for arcs not yet in a network."""
+    """:func:`_reachable` on bare arc arrays, for arcs not yet in a network.
+    Each pass marks the heads of the arcs out of every marked state, one
+    breadth-first level per pass, until a pass marks nothing new."""
     src, dst = (arc_to, arc_from) if reverse else (arc_from, arc_to)
     if allowed is not None:
         usable = allowed[src] & allowed[dst]
         src, dst = src[usable], dst[usable]
     seen = np.zeros(n_states, dtype=bool)
     seen[np.asarray(starts, dtype=int)] = True
-    frontier = seen.copy()
-    while frontier.any():
-        nxt = np.zeros_like(seen)
-        nxt[dst[frontier[src]]] = True
-        frontier = nxt & ~seen
-        seen |= frontier
+    count, marked = 0, np.count_nonzero(seen)
+    while marked > count:
+        seen[dst[seen[src]]] = True
+        count, marked = marked, np.count_nonzero(seen)
     return seen
+
+
+def _on_walk(n_states, arc_from, arc_to, origin, dest, allowed=None) -> np.ndarray:
+    """Mask of the states on some walk from ``origin`` to ``dest`` (through
+    ``allowed`` states only, when a mask is given): the states reachable
+    from ``origin`` that reach ``dest``.  Both searches run as one
+    :func:`_reach` on two copies of the states, the second walked backwards,
+    so they take as many passes as the longer of them."""
+    n = n_states
+    both = _reach(2 * n, np.concatenate([arc_from, arc_to + n]),
+                  np.concatenate([arc_to, arc_from + n]), [origin, dest + n],
+                  allowed=None if allowed is None else np.tile(allowed, 2))
+    return both[:n] & both[n:]
 
 
 def reachable_from(net: Network, origin: StateId) -> set[StateId]:

@@ -238,7 +238,9 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
     not finite, BFGS's first step g / max(1, ||g||_inf) stands in.  A step
     longer than ``STEP_BOUND`` max(1, ||x||_inf) is cut to that length; when
     trials of a cut step have no usable likelihood, the next line search
-    starts at the fraction this one accepted.  Converged means
+    starts at the fraction this one accepted, and each later one's first
+    trial is at most twice as long as the one before it, until a whole
+    Newton step fits.  Converged means
     ||grad||_inf <= tol * max(1, |L|) and, for a Newton step p at x, a
     predicted gain g'p / 2 of at most tol^2 * max(1, |L|) / 2: along a
     weakly curved direction a gradient that passes the first test can leave
@@ -253,7 +255,8 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
         return stop
     loglik, grad, hess = out
     trace: list = []
-    alpha = 1.0  # the first trial's step fraction in the next line search
+    restart = None  # the next search's first fraction, after a cut step's failed trials
+    reach = np.inf  # otherwise the longest first trial (sup norm)
     for it in range(1, opts.max_iters + 1):
         grad_norm = float(np.max(np.abs(grad)))
         trace.append(trace_record(it - 1, x, loglik, grad_norm))
@@ -271,16 +274,20 @@ def newton_maximize(evaluate, x0, opts: EstimationOptions):
         length = float(np.max(np.abs(p)))
         bounded = length > longest
         if bounded:
-            p = p * (longest / length)
+            p, length = p * (longest / length), longest
+        alpha = restart if restart is not None else min(1.0, reach / length)
         step = _line_search(evaluate, x, loglik, grad, p, alpha=alpha)
         if step is None:
             return x, loglik, grad_norm, LINE_SEARCH_FAILED, it, trace
         x, (loglik, grad, hess), taken, unusable = step
         # a bounded step whose longer trials failed ran past the solvable
         # region, which ends about as far out as the accepted trial: the next
-        # search starts at its fraction, and each later one doubles the start
-        # back toward 1
-        alpha = taken if bounded and unusable else min(1.0, 2.0 * alpha)
+        # search starts at its fraction, and each later first trial is at
+        # most twice as long as the one before it, until a whole Newton step
+        # fits
+        restart = taken if bounded and unusable else None
+        if restart is None:
+            reach = np.inf if alpha == 1.0 else 2.0 * alpha * length
     grad_norm = float(np.max(np.abs(grad)))
     trace.append(trace_record(opts.max_iters, x, loglik, grad_norm))
     return x, loglik, grad_norm, MAX_ITERATIONS, opts.max_iters, trace

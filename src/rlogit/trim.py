@@ -22,7 +22,7 @@ from .errors import (
     SingularFlowSystem,
     ValueSolveFailed,
 )
-from .network import Network, _reachable, build_network, reachable_from
+from .network import Network, _on_walk, build_network, reachable_from
 
 
 @dataclass
@@ -87,8 +87,7 @@ def trim(net: Network, flow: FlowVector, epsilon: float, protected=()) -> Networ
 
     # restrict to states on some origin-to-destination walk inside the kept
     # set; this prunes dead ends and orphans in one pass
-    on_walk = (_reachable(net, [o], allowed=keep)
-               & _reachable(net, [d], reverse=True, allowed=keep))
+    on_walk = _on_walk(net.n_states, net.arc_from, net.arc_to, o, d, allowed=keep)
     good = {net.states[i] for i in np.flatnonzero(on_walk)}
     if origin not in good or net.destination not in good:
         raise OriginTrimmed(

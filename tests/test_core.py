@@ -19,6 +19,7 @@ from scipy.special import logsumexp
 
 from rlogit import core, nfxp, nrl, trim
 from rlogit.errors import (
+    DisconnectedInstance,
     EmptySuccessorSet,
     InvalidPath,
     UnsolvedValueField,
@@ -238,6 +239,74 @@ def test_linear_solve_on_a_dag_where_exp_values_underflow():
     vf, rep = core.solve_value_linear(net, spec(-400.0))
     assert rep.status == vf.status == core.SOLVED
     np.testing.assert_array_equal(vf.values, [-800.0, -400.0, 0.0])
+
+
+def test_linear_solve_on_a_dag_where_exp_values_are_subnormal():
+    # e^V(o) = e^-720 is subnormal: log z would carry its rounding, so on a
+    # DAG the sweeps answer instead
+    net = build_network(["o", "a", "d"], "d",
+                        [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5])], ["cost"])
+    s = spec(-360.0)
+    exp_space, _ = core._solve_exp_space(net, s)
+    assert 0 < exp_space.z.min() < np.finfo(float).tiny
+    vf, rep = core.solve_value_linear(net, s)
+    swept, _ = core.solve_value_iteration(net, s)
+    assert rep.status == core.SOLVED
+    np.testing.assert_array_equal(vf.values, swept.values)
+
+
+def _factorized_status(monkeypatch, net, s):
+    """The exp-space solve's status with the spectral-radius test bypassed."""
+    with monkeypatch.context() as m:
+        m.setattr(core, "_spectral_radius_above_one", lambda *args: False)
+        return core._solve_exp_space(net, s)[1].status
+
+
+def test_spectral_radius_test_agrees_with_the_factorized_solve(monkeypatch):
+    # the cyclic networks criterion 06's search draws first, at its beta and
+    # at one more: every network the test rejects, the factorization rejects
+    betas = [BETA_CYCLIC, np.array([-10.0, -0.4, -0.2, -1.0])]
+    caught, rejected = np.zeros(2), np.zeros(2)
+    for nodes, radius in ((20, 0.35), (30, 0.3)):
+        for seed in range(10, 210):
+            try:
+                net = random_geometric_network(nodes, radius, seed=seed, acyclic=False)
+            except DisconnectedInstance:
+                continue
+            for k, s in enumerate(map(core.UtilitySpec, betas)):
+                status = core.solve_value_linear(net, s)[1].status
+                assert status == _factorized_status(monkeypatch, net, s)
+                caught[k] += core._spectral_radius_above_one(net, s)
+                rejected[k] += status == core.SINGULAR
+    assert np.all(rejected > 100) and np.all(caught > 0.8 * rejected)
+
+
+def _two_cycle(u):
+    """s <-> t with utility u each way and exits to d: M = [[0, e^u], [e^u, 0]]
+    and rho(M) = e^u."""
+    return build_network(["s", "t", "d"], "d",
+                         [("s", "t", [u]), ("t", "s", [u]), ("s", "d", [0.0]), ("t", "d", [0.0])],
+                         ["u"])
+
+
+def test_spectral_radius_test_rejects_before_the_factorization(monkeypatch):
+    factorizations = []
+
+    def counted(*args, **kwargs):
+        factorizations.append(args)
+        return splu(*args, **kwargs)
+
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", counted)
+    net = _two_cycle(0.1)
+    vf, rep = core.solve_value_linear(net, spec(1.0))
+    assert rep.status == vf.status == core.SINGULAR and factorizations == []
+    assert "free_pattern" not in net.__dict__
+    net = _two_cycle(-0.1)
+    vf, rep = core.solve_value_linear(net, spec(1.0))
+    # z = 1 + e^u z at both states
+    assert rep.status == core.SOLVED and len(factorizations) == 1
+    np.testing.assert_allclose(vf.values[:2], -math.log(1 - math.exp(-0.1)), rtol=1e-14)
 
 
 @pytest.mark.parametrize("nodes, radius, seed", [

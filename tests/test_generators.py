@@ -245,6 +245,29 @@ def test_cyclic_scan_golden_digest():
     assert h.hexdigest() == "bfb9f9307286411b43acd151ecb709e0f1da6d57b6785519f1c324becee5099e"
 
 
+def _raw_digest(net) -> str:
+    """sha256 of a network's fields as stored: cheaper than its canonical
+    JSON, and as strict (attributes and positions bit for bit)."""
+    h = hashlib.sha256()
+    h.update(repr((net.states, net.destination, net.attribute_names, net.positions)).encode())
+    for a in (net.arc_from.astype(np.int64), net.arc_to.astype(np.int64), net.attrs):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_criterion_06_search_golden_digest():
+    # the cyclic networks that criterion 06's instance search draws first
+    h = hashlib.sha256()
+    for n_nodes, radius in ((20, 0.35), (30, 0.3)):
+        for seed in range(10, 210):
+            try:
+                net = random_geometric_network(n_nodes, radius, seed=seed, acyclic=False)
+                h.update(_raw_digest(net).encode())
+            except DisconnectedInstance:
+                h.update(b"disconnected")
+    assert h.hexdigest() == "fd344b0c654de2272d07fa73bf5c2391fdffb2e9d2946b32346c7c51cafc264b"
+
+
 @pytest.mark.parametrize("n_nodes, radius, seed, acyclic, digest", [
     # criterion-06 instances of the benchmark
     (20, 0.35, 29, False, "7eaa91a56c81ba1b23c723cb70490f44479eda6f2d81e7d5822db87cc1ac2204"),

@@ -13,7 +13,8 @@ from rlogit.generators import bic_dag, random_geometric_network
 from rlogit.network import build_network
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
-from conftest import differenced_hessian, make_infeasible_net, path_information
+from conftest import (_dense_cyclic_instance, differenced_hessian, make_infeasible_net,
+                      path_information)
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
 BETA_CYCLIC = np.array([-8.0, -0.2, -0.1, -0.6])
@@ -335,6 +336,22 @@ def test_newton_bounds_its_steps_far_below_the_estimate(monkeypatch, beta_init):
     assert res.converged and res.beta_hat[0] == pytest.approx(ref.beta_hat[0], abs=1e-6)
     assert trials[1][0][0] - beta_init == pytest.approx(nfxp.STEP_BOUND * -beta_init)
     assert sum(loglik is None for _, loglik in trials) <= 3
+
+
+def test_newton_restart_after_a_bounded_step_does_not_crawl(monkeypatch):
+    # the criterion-08 dense instance from beta = -5: the bounded first step
+    # is accepted at 1/16 of its length.  The next search starts at that
+    # fraction, and later first trials may double in length each search, so
+    # the fit leaves the cut region in two steps; restarting each search
+    # at a fraction that only doubled took 8 iterations
+    obs = generate_observations(_dense_cyclic_instance(), core.UtilitySpec([-2.2]), "s0", 300,
+                                seed=8)
+    ref = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[-2.2])
+    trials = _recorded(monkeypatch)
+    res = nfxp.estimate_nfxp(obs.net_by_group(), obs, beta_init=[-5.0])
+    assert res.converged and res.iterations <= 6
+    assert res.beta_hat[0] == pytest.approx(ref.beta_hat[0], abs=1e-6)
+    assert sum(loglik is None for _, loglik in trials) == 4
 
 
 @pytest.mark.parametrize("beta_init", [-360.0, -400.0])

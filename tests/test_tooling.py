@@ -76,6 +76,26 @@ def test_traced_dag_fallback_is_one_solved_value_solve():
     assert tracer.counts["core.value_solve_failed"] == 0
 
 
+def test_traced_rejection_before_the_factorization_is_one_failed_solve():
+    # a (20, 0.35) network of criterion 06's search with rho(M) > 1 at its
+    # beta: the spectral-radius test rejects it before the network's pattern
+    # is built, and the bench counts one solve and one failure
+    net = random_geometric_network(20, 0.35, seed=14, acyclic=False)
+    spec = core.UtilitySpec(np.array([-8.0, -0.2, -0.1, -0.6]))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        tracer.active = True
+        _, report = core.solve_value_linear(net, spec)
+    finally:
+        tracer.uninstall()
+    assert report.status == core.SINGULAR
+    assert tracer.counts["core.value_solve.calls"] == 1
+    assert tracer.counts["core.value_solve_failed"] == 1
+    assert "free_pattern" not in net.__dict__
+
+
 def test_traced_generation_samples_once():
     # one generate_observations call runs the batch sampler once, so the
     # bench's simulate.sample span times every sampled path
