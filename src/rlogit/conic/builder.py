@@ -217,7 +217,8 @@ def monotone_tighten(net: Network, spec: core.UtilitySpec, values,
                      tol: float = 1e-10, max_iter: int = 100_000) -> core.ValueField:
     """The fixed point below a feasible super-solution V >= T[V], which
     bounds it: :func:`core.solve_value_iteration`'s field for ``tol`` and
-    ``max_iter``.  Raises NotSuperSolution when ``values`` is not one."""
+    ``max_iter`` (exact on a DAG, where they do not apply).  Raises
+    NotSuperSolution when ``values`` is not one."""
     values = np.asarray(values, dtype=float)
     applied = core.bellman_apply(net, spec, values)
     if np.any(values < applied - 1e-9):

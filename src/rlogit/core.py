@@ -2,32 +2,32 @@
 solving, choice probabilities and path/dataset log-likelihood.
 
 The value function V assigns each state the expected maximum utility of
-reaching the destination, with V(destination) = 0.  Two solvers are provided:
-an exp-space linear-system solve (exact for unit scale) and
-``iterate_values``, the one iterative solver, which serves the plain and
-the nested (scaled) operator alike; on a DAG the linear solve falls back to
-it.  Both report failure explicitly instead of propagating NaN.
+reaching the destination, with V(destination) = 0.  On a DAG the value
+system is triangular: V, the value Jacobian J = dV/dbeta and the expected
+state visits F are one pass each over the network's levels
+(``Network.levels``), and nothing is factored.
 
-The value system (I - M) z = b has no positive solution when the spectral
-radius rho(M) exceeds 1 (a z > 0 would give Mz <= z, hence rho(M) <= 1).
-Before it factors anything, the linear solve tries to prove rho(M) > 1
-from the arc arrays: a gate on the largest row sum of M, then a few power
-steps and the Collatz-Wielandt lower bound on rho(M).  A proof is a true
-SingularOrNonpositive, so the networks a cyclic instance search rejects
-cost neither a sparse pattern nor a factorization.
+On a cyclic network the unit-scale solve factors the exp-space system
+(I - M) z = b, M = e^v, after trying to prove from the arc arrays that it
+has no positive solution: rho(M) > 1 (a z > 0 would give Mz <= z, hence
+rho(M) <= 1), by a gate on the largest row sum of M, a few power steps and
+the Collatz-Wielandt bound.  A proof is a true SingularOrNonpositive, so the
+networks a cyclic instance search rejects cost no factorization.  Any other
+failure goes to ``iterate_values``, the one iterative solver for the plain
+and the nested (scaled) operator alike.  Every solver reports failure by
+its status, never by a NaN value.
 
 The Bellman operator and the choice probabilities run segment-wise on the
 network's tail layout (``Network.tail_order``), with no per-state loop.
 
-Both solvers factor a matrix I - W on the free rows, filled into one sparse
-pattern cached on the network (``Network.free_pattern``): the linear solve
-I - M with M = e^v, and the Newton steps of ``iterate_values`` I - P with P
-the choice probabilities.  Each leaves its factor on the returned
-ValueField.  Two solves with I - P read that factor: ``visit_flows``, the
-expected state visits (I - P)' F = w, and ``value_jacobian``, the forward
-solve (I - P) J = R for J = dV/dbeta.  The NFXP gradient, the NRL adjoint
-and flow trimming are visit flows for their own weights; the NFXP Hessian
-adds the value Jacobian.
+On a cyclic network each solver factors I - W on the free rows, filled into
+one sparse pattern cached on the network (``Network.free_pattern``): I - M,
+or I - P in the Newton steps of ``iterate_values``, with P the choice
+probabilities.  The factor stays on the returned ValueField for
+``visit_flows``, the expected state visits (I - P)' F = w, and
+``value_jacobian``, the forward solve (I - P) J = R.  The NFXP gradient, the
+NRL adjoint and flow trimming are visit flows for their own weights; the
+NFXP Hessian adds the value Jacobian.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ class UtilitySpec:
 class ValueField:
     """Vector of state values for one destination; values[destination] = 0.
 
-    The exp-space solve also keeps its splu factor of I - M and z = e^V on
-    the non-destination rows; ``iterate_values`` keeps the factor of I - P
-    of its last Newton step (``None`` when it ended in sweeps).  Only
-    :func:`visit_flows` and :func:`value_jacobian` read them; where they
+    On a cyclic network the exp-space solve also keeps its splu factor of
+    I - M and z = e^V on the free rows; ``iterate_values`` keeps the factor
+    of I - P of its last Newton step (``None`` when it ended in sweeps).
+    Only :func:`visit_flows` and :func:`value_jacobian` read them; where they
     factor I - P themselves, that factor replaces these (and z becomes
     ``None``), so the next solve on the same field reuses it."""
 
@@ -221,38 +221,34 @@ def _exp_space_system(net: Network, spec: UtilitySpec):
 
 
 def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, SolveReport]:
-    """Solve the Bellman equalities via the exp-space linear system.
+    """Solve the Bellman equalities at unit scale.
 
-    Valid for unit scale: substituting z = e^V turns the fixed point into
-    (I - M) z = b, solved with one splu factorization that the returned
-    ValueField keeps together with z.  Returns V = log z when the system is
-    nonsingular, z is strictly positive and the Bellman residual is at most
-    ``LINEAR_RESIDUAL_TOL`` relative to max(1, ||V||_inf) (log z carries
-    rounding relative to V).  On a cyclic network the factorization runs
-    only after :func:`_spectral_radius_above_one` fails to prove
-    rho(M) > 1, which leaves no positive solution.  On a DAG a failed
-    exp-space solve (z underflowing, or failing the residual test), or one
-    whose z has a subnormal entry (e^V rounded to a few bits), returns
-    :func:`solve_value_iteration`'s field instead.  Any failure is mapped
-    to SingularOrNonpositive.
+    On a DAG this is :func:`solve_value_iteration`'s level pass.  On a cyclic
+    network, once :func:`_spectral_radius_above_one` fails to prove
+    rho(M) > 1, z = e^V solves (I - M) z = b with one splu factorization,
+    kept with z on the returned ValueField.  V = log z is returned when z is
+    finite and positive, with no subnormal entry (e^V rounded to a few bits),
+    and the Bellman residual is at most ``LINEAR_RESIDUAL_TOL`` relative to
+    max(1, ||V||_inf).  Otherwise :func:`solve_value_iteration` answers if it
+    solves; any failure is SingularOrNonpositive.
     """
     if spec.mu != 1.0:
         raise ValueError("linear value solve requires mu = 1")
+    if net.levels is not None:
+        return solve_value_iteration(net, spec)
     _check_successors(net)
+    if _spectral_radius_above_one(net, spec):
+        return ValueField(np.full(net.n_states, np.nan), status=SINGULAR), SolveReport(SINGULAR)
     vf, report = _solve_exp_space(net, spec)
-    subnormal = report.status == SOLVED and vf.z.min(initial=np.inf) < _TINY
-    if (report.status != SOLVED or subnormal) and net.acyclic:
-        swept = solve_value_iteration(net, spec)
-        if swept[1].status == SOLVED:
-            return swept
-    return vf, report
+    if report.status == SOLVED and vf.z.min(initial=np.inf) >= _TINY:
+        return vf, report
+    swept = solve_value_iteration(net, spec)
+    return swept if swept[1].status == SOLVED else (vf, report)
 
 
 def _solve_exp_space(net: Network, spec: UtilitySpec) -> tuple[ValueField, SolveReport]:
-    """:func:`solve_value_linear`'s exp-space solve, with no fallback."""
+    """:func:`solve_value_linear`'s factorization, with no test or fallback."""
     vf = ValueField(np.full(net.n_states, np.nan), status=SINGULAR)
-    if _spectral_radius_above_one(net, spec):
-        return vf, SolveReport(SINGULAR)
     sys = _exp_space_system(net, spec)
     if sys is None:
         return vf, SolveReport(SINGULAR, residual=np.inf)
@@ -284,15 +280,12 @@ def _spectral_radius_above_one(net: Network, spec: UtilitySpec) -> bool:
     x >= 0, x != 0, rho(M) is at least the smallest (Mx)_i / x_i over
     {i : x_i > 0}.
 
-    Nothing is tested where M has an empty row
-    (``Network.has_exit_only_state``), as it has on every DAG, nor where the
-    largest row sum of M is at most 1, since rho(M) is at most that.
-    Otherwise x <- Mx / max(Mx) runs from x = 1 for up to ``_POWER_STEPS``
-    steps, its entries below ``_NEGLIGIBLE`` set to zero so that the bound
-    is taken on the support of x.  The steps end on a bound above 1, or once
-    a positive x has (Mx)_i <= x_i everywhere, which shows rho(M) <= 1."""
-    if net.has_exit_only_state:
-        return False
+    Nothing is tested where the largest row sum of M is at most 1, since
+    rho(M) is at most that.  Otherwise x <- Mx / max(Mx) runs from x = 1 for
+    up to ``_POWER_STEPS`` steps, its entries below ``_NEGLIGIBLE`` set to
+    zero so that the bound is taken on the support of x.  The steps end on a
+    bound above 1, or once a positive x has (Mx)_i <= x_i everywhere, which
+    shows rho(M) <= 1."""
     v = arc_utilities(net, spec)
     if np.any(v > _EXP_CAP):
         return False
@@ -340,8 +333,8 @@ def solve_value_iteration(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> tuple[ValueField, SolveReport]:
-    """Fixed point of the Bellman operator by sweeps and Newton steps; see
-    :func:`iterate_values`."""
+    """Fixed point of the Bellman operator by :func:`iterate_values`: exact
+    on a DAG, where ``tol`` and ``max_iter`` do not apply."""
     return iterate_values(net, arc_utilities(net, spec), np.full(net.n_states, spec.mu),
                           tol, max_iter)
 
@@ -349,20 +342,22 @@ def solve_value_iteration(
 def iterate_values(net: Network, v: np.ndarray, mu: np.ndarray, tol: float = 1e-10,
                    max_iter: int = 10_000) -> tuple[ValueField, SolveReport]:
     """Fixed point V = T[V] of the scaled log-sum-exp operator for per-arc
-    utilities ``v`` and per-state scales ``mu``, from V = 0, after Rust's
-    polyalgorithm.
+    utilities ``v`` and per-state scales ``mu``.
 
-    Sweeps V <- T[V] end once the change drops below ``tol``.  On an acyclic
-    network they reach the fixed point after depth + 1 sweeps, and nothing
-    else runs.  On a cyclic network every iteration after the first
-    ``NEWTON_AFTER`` is a Newton step (I - P) dV = T[V] - V on the free rows,
-    P being the choice probabilities at V: the Jacobian of T for every scale
-    field.  T is convex and I - P an M-matrix, so from the first step on the
-    iterates rise monotonically to the fixed point.  The step bounds the
-    error of V, so the loop ends once it drops below ``tol``, and the
-    returned ValueField keeps that step's splu factor of I - P.  A Newton
-    step that cannot be taken (singular I - P, non-finite step) or that is
-    not shorter than the one before hands the rest back to sweeps.
+    On a DAG it is backward induction, one pass per level of ``Network.levels``
+    from the destination up in :func:`scaled_bellman`'s arithmetic, so
+    V = T[V] exactly; ``tol`` and ``max_iter`` do not apply, and the report
+    counts the levels as iterations.  On a cyclic network it runs from V = 0,
+    after Rust's polyalgorithm.  Sweeps V <- T[V] end once the change drops
+    below ``tol``; every iteration after the first ``NEWTON_AFTER`` is a
+    Newton step (I - P) dV = T[V] - V on the free rows, P being the choice
+    probabilities at V: the Jacobian of T for every scale field.  T is convex
+    and I - P an M-matrix, so from the first step on the iterates rise
+    monotonically to the fixed point.  The step bounds the error of V, so the
+    loop ends once it drops below ``tol``, and the returned ValueField keeps
+    that step's splu factor of I - P.  A Newton step that cannot be taken
+    (singular I - P, non-finite step) or that is not shorter than the one
+    before hands the rest back to sweeps.
 
     Sweeps are non-expansive in sup norm (the Jacobian is nonnegative and
     row-substochastic), so their change does not grow beyond rounding; in
@@ -372,16 +367,24 @@ def iterate_values(net: Network, v: np.ndarray, mu: np.ndarray, tol: float = 1e-
     if not tol > 0:
         raise ValueError("tol must be positive")
     _check_successors(net)
-    rows = net.free_states
-    values = np.zeros(net.n_states)
-    history: list[float] = []
-    window = 200
-    newton, last_step = not net.acyclic, np.inf
 
     def solved(values, it, factor=None):
         res = float(np.max(np.abs(values - scaled_bellman(net, v, mu, values)[0])))
         return ValueField(values, SOLVED, factor=factor), SolveReport(SOLVED, it, res)
 
+    values = np.zeros(net.n_states)
+    if net.levels is not None:
+        for arcs, starts, tails, seg in net.levels:
+            w = (v[arcs] + values[net.arc_to[arcs]]) / mu[tails][seg]
+            mx = np.maximum.reduceat(w, starts)
+            values[tails] = mu[tails] * (mx + np.log(np.add.reduceat(np.exp(w - mx[seg]), starts)))
+        if np.all(np.isfinite(values)):
+            return solved(values, len(net.levels))
+        return ValueField(values, DIVERGED), SolveReport(DIVERGED, len(net.levels))
+    rows = net.free_states
+    history: list[float] = []
+    window = 200
+    newton, last_step = True, np.inf
     for it in range(1, max_iter + 1):
         new, e, sums = scaled_bellman(net, v, mu, values)
         if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > DIVERGENCE_BOUND:
@@ -421,19 +424,30 @@ def _newton_step(net: Network, e: np.ndarray, sums: np.ndarray, residual: np.nda
 
 def _solve_free(net: Network, vf: ValueField, probs: np.ndarray, rhs: np.ndarray,
                 trans: str) -> np.ndarray:
-    """x solving (I - P) x = rhs (``trans`` "N") or (I - P)' x = rhs ("T")
-    on the free rows, for the choice probabilities ``probs`` at ``vf`` and
-    one or more right-hand-side columns.  A Newton factor of I - P is used
-    as it stands.  The exp-space factor serves through
-    I - P = Z^-1 (I - M) Z for Z = diag(e^(V - c)) and any c; the midpoint c
-    keeps Z within e^(+-_EXP_CAP / 2) while V spans at most ``_EXP_CAP``
-    (e^V itself may underflow).  Otherwise I - P is factored here and the
-    factor kept on ``vf``.  Raises ValueSolveFailed when I - P is singular
-    or x is not finite."""
-    v = vf.values[net.free_states]
-    hi, lo = v.max(), v.min()
-    if vf.z is not None and hi - lo <= _EXP_CAP:
-        scale = np.exp(v - 0.5 * (hi + lo))
+    """x solving (I - P) x = rhs (``trans`` "N") or (I - P)' x = rhs ("T") on
+    the free rows, for the choice probabilities ``probs`` at ``vf`` and one or
+    more right-hand-side columns.  On a DAG, x = rhs + Px runs level by level
+    from the destination up, x = rhs + P'x from the top down.  On a cyclic
+    network a Newton factor of I - P is used as it stands.  The exp-space
+    factor serves through I - P = Z^-1 (I - M) Z for Z = diag(e^(V - c)) and
+    any c; the midpoint c keeps Z within e^(+-_EXP_CAP / 2) while V spans at
+    most ``_EXP_CAP`` (e^V itself may underflow).  Otherwise I - P is factored
+    here and the factor kept on ``vf``.  Raises ValueSolveFailed when I - P is
+    singular or x is not finite."""
+    rows = net.free_states
+    if net.levels is not None:
+        x = np.zeros((net.n_states,) + rhs.shape[1:])
+        x[rows] = rhs
+        p = probs if rhs.ndim == 1 else probs[:, None]
+        if trans == "N":
+            for arcs, _, tails, seg in net.levels:
+                np.add.at(x, tails[seg], p[arcs] * x[net.arc_to[arcs]])
+        else:
+            for arcs, _, tails, seg in reversed(net.levels):
+                np.add.at(x, net.arc_to[arcs], p[arcs] * x[tails[seg]])
+        out = x[rows]
+    elif vf.z is not None and np.ptp(v := vf.values[rows]) <= _EXP_CAP:
+        scale = np.exp(v - 0.5 * (v.max() + v.min()))
         if rhs.ndim > 1:
             scale = scale[:, None]
         if trans == "T":
@@ -455,9 +469,8 @@ def visit_flows(net: Network, vf: ValueField, probs: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
     """Expected state visits F of ``weights[s]`` units starting at each state
     s under the choice probabilities ``probs`` at ``vf``: F = w + P'F, so
-    (I - P)' F = w on the free rows, solved on the value solve's factor
-    (see :func:`_solve_free`).  Raises ValueSolveFailed when I - P is
-    singular or F is not finite."""
+    (I - P)' F = w on the free rows, solved by :func:`_solve_free`.  Raises
+    ValueSolveFailed when I - P is singular or F is not finite."""
     rows = net.free_states
     flows = np.zeros(net.n_states)
     flows[rows] = _solve_free(net, vf, probs, weights[rows], "T")
@@ -479,8 +492,8 @@ def value_jacobian(net: Network, vf: ValueField, probs: np.ndarray) -> np.ndarra
     """(n_states, K) matrix J = dV/dbeta at ``vf`` for the choice
     probabilities ``probs``.  J_s = sum_a P_a (x_a + J_to(a)) over the arcs
     leaving s and J_d = 0, so (I - P) J = R on the free rows with
-    R_s = sum_a P_a x_a: one K-column forward solve on the factor that
-    :func:`visit_flows` reads, under the same rules.  Raises
+    R_s = sum_a P_a x_a: one K-column forward solve by :func:`_solve_free`,
+    under the same rules as :func:`visit_flows`.  Raises
     ValueSolveFailed when I - P is singular or J is not finite."""
     rows = net.free_states
     jac = np.zeros((net.n_states, net.n_attributes))

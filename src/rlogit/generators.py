@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DisconnectedInstance, InvalidBounds, UnknownState
-from .network import Network, _on_walk, build_network, network_from_arrays
+from .network import Network, _kept_arcs, _on_walk, build_network, network_from_arrays
 
 ROUTE_ATTRIBUTES = ("TT", "LT", "RT", "UT")
 
@@ -171,14 +171,6 @@ def random_geometric_network(
     names = ROUTE_ATTRIBUTES + tuple(f"X{i}" for i in range(n_extra))
     positions = dict(zip(node, map(tuple, pos.tolist())))
     return network_from_arrays(states, DEST_STATE, kept_from, kept_to, attrs, names, positions)
-
-
-def _kept_arcs(keep, arc_from, arc_to):
-    """The mask of the arcs between ``keep`` states, and those arcs'
-    endpoints numbered among the kept states."""
-    arcs = keep[arc_from] & keep[arc_to]
-    new_index = np.cumsum(keep) - 1
-    return arcs, new_index[arc_from[arcs]], new_index[arc_to[arcs]]
 
 
 def _corridor_network(states, origin, dest, arc_from, arc_to, attrs, names,

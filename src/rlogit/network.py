@@ -13,8 +13,8 @@ is its front end for ``(from, to, attributes)`` triples; generators call the
 constructor directly.
 
 Indices derived from the arc arrays (the CSR grouping of arcs by tail state,
-the free rows of the value system, the sorted pair keys) are computed once,
-on the network, and every consumer reads them there.
+a DAG's levels, the free rows of the value system, the sorted pair keys) are
+computed once, on the network, and every consumer reads them there.
 """
 
 from __future__ import annotations
@@ -114,28 +114,34 @@ class Network:
         return _read_only(row)
 
     @cached_property
-    def acyclic(self) -> bool:
-        """Whether no directed cycle exists: peeling off, round by round, the
-        states with no arc to a state still left empties the network."""
-        left = np.ones(self.n_states, dtype=bool)
-        while left.any():
-            live = left[self.arc_from] & left[self.arc_to]
-            sinks = left & (np.bincount(self.arc_from[live], minlength=self.n_states) == 0)
-            if not sinks.any():
-                return False
-            left &= ~sinks
-        return True
+    def levels(self) -> tuple | None:
+        """The arcs by their tail's level from level 1 up; None if the network
+        has a directed cycle.  A state's level, the length of its longest walk
+        to a state with no out-arc, is set once none of its arcs is ``left`` to
+        an unlevelled state.  Each level is read-only arrays: its arcs in tail
+        order, each tail segment's start and tail, and each arc's segment."""
+        left, level = np.diff(self.tail_offsets), np.full(self.n_states, -1)
+        front, k = left == 0, 0
+        while front.any():
+            level[front] = k
+            left = left - np.bincount(self.arc_from, front[self.arc_to], self.n_states)
+            front, k = (left == 0) & (level < 0), k + 1
+        if np.any(level < 0):
+            return None
+        order = self.tail_order[np.argsort(level[self.arc_from[self.tail_order]], kind="stable")]
+        tails = self.arc_from[order]
+        new_tail = np.diff(tails, prepend=-1) != 0
+        first, seg = np.flatnonzero(new_tail), np.cumsum(new_tail) - 1
+        arc_end, seg_end = (np.searchsorted(level[t], np.arange(1, k + 1))
+                            for t in (tails, tails[first]))
+        return tuple(tuple(_read_only(a) for a in (order[a0:a1], first[s0:s1] - a0,
+                                                    tails[first[s0:s1]], seg[a0:a1] - s0))
+                     for a0, a1, s0, s1 in zip(arc_end, arc_end[1:], seg_end, seg_end[1:]))
 
-    @cached_property
-    def has_exit_only_state(self) -> bool:
-        """Whether some non-destination state has no arc to a
-        non-destination state: its row of the value system's transition
-        matrix is empty.  Every DAG has one, its last non-destination state
-        in topological order, so a network without one has a cycle."""
-        continues = np.zeros(self.n_states, dtype=bool)
-        continues[self.arc_from[self.arc_to != self.destination_index]] = True
-        continues[self.destination_index] = True
-        return not continues.all()
+    @property
+    def acyclic(self) -> bool:
+        """Whether no directed cycle exists (``levels`` is not None)."""
+        return self.levels is not None
 
     @cached_property
     def free_pattern(self) -> tuple[np.ndarray, ...]:
@@ -386,6 +392,14 @@ def _on_walk(n_states, arc_from, arc_to, origin, dest, allowed=None) -> np.ndarr
                   np.concatenate([arc_to, arc_from + n]), [origin, dest + n],
                   allowed=None if allowed is None else np.tile(allowed, 2))
     return both[:n] & both[n:]
+
+
+def _kept_arcs(keep, arc_from, arc_to):
+    """The mask of the arcs between ``keep`` states, and those arcs'
+    endpoints numbered among the kept states."""
+    arcs = keep[arc_from] & keep[arc_to]
+    new_index = np.cumsum(keep) - 1
+    return arcs, new_index[arc_from[arcs]], new_index[arc_to[arcs]]
 
 
 def reachable_from(net: Network, origin: StateId) -> set[StateId]:

@@ -4,7 +4,7 @@ The outer loop is a Newton ascent on the dataset log-likelihood, which is
 concave in beta wherever the value system is solvable (Rust, Econometrica
 1987; Fosgerau, Frejinger & Karlstrom, TR-B 2013).  Every evaluation solves
 the value system once per destination group (the inner fixed point) and
-differentiates it implicitly on that solve's factor: the gradient is
+differentiates it implicitly (``core.visit_flows``): the gradient is
 observed minus expected attribute totals over the origins' expected state
 visits F, and the exact Hessian -sum_s F_s Cov_s(x_a + J_to(a)) adds the
 value Jacobian J = dV/dbeta, one K-column forward solve.  Inner-solve
@@ -118,7 +118,7 @@ def loglik_and_gradient(net_by_group, spec: core.UtilitySpec, observations):
     where d_a = y_a - sum_b P_b y_b over the arcs b leaving from(a) and
     y_a = x_a + J_to(a) with J = dV/dbeta (``core.value_jacobian``): minus
     the visit-weighted covariance of y over each state's choice.  Both
-    solves run on the value solve's factor.  Requires mu = 1.
+    solves reuse the value solve (``core._solve_free``).  Requires mu = 1.
 
     Raises ValueSolveFailed when any destination group's value system has no
     solution (the caller maps this to InnerSolveFailed).

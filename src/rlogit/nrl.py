@@ -2,15 +2,14 @@
 
 The Bellman recursion becomes V_s = mu_s log sum exp((v + V_{s'}) / mu_s);
 there is no linear-system shortcut for heterogeneous scales, so value fields
-come from core's ``iterate_values``: sweeps, then on a cyclic network Newton
-steps on I - P, the scaled operator's Jacobian.  A common scale is not
-identified: V(k beta, k mu) = k V(beta, mu), so the likelihood depends on
-(beta, mu) only through beta / mu.  A shared scale is normalised to
-``mu_init``, which leaves plain RL at beta / mu, fitted by the RL estimator.
-A per-state field makes the problem non-convex in (beta, V, mu), so no
-conic build exists for it: it is fitted by quasi-Newton over (beta, log mu)
-with an adjoint gradient, a visit flow (``core.visit_flows``) on the value
-solve's factor of I - P.
+come from core's ``iterate_values``: one pass per level on a DAG, else
+sweeps and Newton steps on I - P, the scaled operator's Jacobian.  A common
+scale is not identified: V(k beta, k mu) = k V(beta, mu), so the likelihood
+depends on (beta, mu) only through beta / mu.  A shared scale is normalised
+to ``mu_init``, which leaves plain RL at beta / mu, fitted by the RL
+estimator.  A per-state field makes the problem non-convex in (beta, V, mu),
+so no conic build exists for it: it is fitted by quasi-Newton over
+(beta, log mu) with an adjoint gradient, a visit flow (``core.visit_flows``).
 
 The likelihood and its gradient read the data only through one arc-count
 vector, built from the ObservationSet's transition counts.
@@ -75,9 +74,9 @@ def nrl_bellman_apply(net: Network, beta, mu: ScaleField, values) -> np.ndarray:
 
 def solve_nrl_value(net: Network, beta, mu: ScaleField, tol: float = 1e-10,
                     max_iter: int = 10_000):
-    """Fixed point of the scaled recursion by core's sweeps and Newton
-    steps; at uniform mu = 1 it is exactly ``core.solve_value_iteration``.
-    Reports Diverged on blow-up or sustained stalls."""
+    """Fixed point of the scaled recursion by ``core.iterate_values``: exact
+    on a DAG, where ``tol`` and ``max_iter`` do not apply, and Diverged on
+    blow-up or sustained stalls.  At mu = 1 it is ``solve_value_iteration``."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     return core.iterate_values(net, net.attrs @ beta, mu.values, tol, max_iter)
 

@@ -3,7 +3,7 @@
 Under a reference parameter the expected number of visits to each state by a
 unit of flow injected at the origin solves the sparse linear system
 (I - P') F = e_o, where P is the transition matrix of the choice process;
-``core.visit_flows`` solves it with the value solve's own factor.
+``core.visit_flows`` solves it by level passes or on the value solve's factor.
 States whose flow falls below a threshold are dropped together with their
 incident arcs; the trimmed network provably keeps every surviving state
 reachable from the origin, which is asserted on every output.
@@ -22,7 +22,8 @@ from .errors import (
     SingularFlowSystem,
     ValueSolveFailed,
 )
-from .network import Network, _on_walk, build_network, reachable_from
+from .network import Network, _kept_arcs, _on_walk, network_from_arrays, reachable_from
+from .network import build_network  # noqa: F401 (bench/tracing.py wraps trim.build_network)
 
 
 @dataclass
@@ -88,20 +89,20 @@ def trim(net: Network, flow: FlowVector, epsilon: float, protected=()) -> Networ
     # restrict to states on some origin-to-destination walk inside the kept
     # set; this prunes dead ends and orphans in one pass
     on_walk = _on_walk(net.n_states, net.arc_from, net.arc_to, o, d, allowed=keep)
-    good = {net.states[i] for i in np.flatnonzero(on_walk)}
-    if origin not in good or net.destination not in good:
+    if not (on_walk[o] and on_walk[d]):
         raise OriginTrimmed(
             f"epsilon {epsilon} disconnects {origin!r} from the destination"
         )
-    lost = (set(protected) | {origin}) - good
+    states = [s for s, k in zip(net.states, on_walk.tolist()) if k]
+    lost = set(protected) - set(states)
     if lost:
         raise OriginTrimmed(
             f"protected states cut off at epsilon {epsilon}: {sorted(map(str, lost))[:5]}"
         )
 
-    states = [s for s in net.states if s in good]
-    arcs = [(u, v, vec) for u, v, vec in net.arcs() if u in good and v in good]
-    trimmed = build_network(states, net.destination, arcs, net.attribute_names, net.positions)
+    arcs, kept_from, kept_to = _kept_arcs(on_walk, net.arc_from, net.arc_to)
+    trimmed = network_from_arrays(states, net.destination, kept_from, kept_to, net.attrs[arcs],
+                                  net.attribute_names, net.positions)
     assert reachable_from(trimmed, origin) >= set(trimmed.states)
     return trimmed
 

@@ -25,8 +25,9 @@ from rlogit.errors import (
     UnsolvedValueField,
     ValueSolveFailed,
 )
-from rlogit.generators import bic_dag, random_geometric_network
-from rlogit.network import build_network, enumerate_paths
+from rlogit.generators import (bic_dag, layered_dag_from_undirected, muc_dag,
+                               random_geometric_network)
+from rlogit.network import build_network, enumerate_paths, network_from_arrays
 from rlogit.simulate import ObservationSet, generate_observations, make_observation
 
 from conftest import cyclic_geometric_networks, dag_samples, make_infeasible_net
@@ -110,18 +111,36 @@ def test_value_iteration_on_dag_matches_linear():
 
 
 def test_linear_solve_on_a_large_dag_is_not_singular():
-    # 843 states with V up to 30.8: log z carries a Bellman residual of
-    # 1.6e-10, above LINEAR_RESIDUAL_TOL in absolute terms but not relative
-    # to ||V||_inf, so the solve and the sampler built on it succeed
+    # 843 states with V up to 30.8: the level pass has Bellman residual 0,
+    # and it agrees with the exp-space factorization, whose log z carries a
+    # residual of 1.6e-10; the sampler built on it succeeds
     net = random_geometric_network(300, 0.11, seed=1)
     s = spec(-4.0, -0.1, -0.05, -0.3)
     vf_lin, rep_lin = core.solve_value_linear(net, s)
-    vf_it, rep_it = core.solve_value_iteration(net, s)
+    exp_space, rep_exp = core._solve_exp_space(net, s)
     assert net.n_states == 843 and net.acyclic
-    assert rep_lin.status == rep_it.status == core.SOLVED
-    assert rep_lin.residual > core.LINEAR_RESIDUAL_TOL
-    np.testing.assert_allclose(vf_lin.values, vf_it.values, rtol=0, atol=1e-9)
+    assert rep_lin.status == rep_exp.status == core.SOLVED and rep_lin.residual == 0.0
+    np.testing.assert_allclose(vf_lin.values, exp_space.values, rtol=0, atol=1e-9)
     assert len(generate_observations(net, s, "o", 50, seed=7)) == 50
+
+
+def test_relative_residual_rule_on_a_large_cyclic_network():
+    # the 843-state DAG with one costly arc back along one of its arcs: on
+    # this cyclic network the exp-space solve answers, and its log z carries
+    # a Bellman residual of 1.6e-10, above LINEAR_RESIDUAL_TOL in absolute
+    # terms but not relative to ||V||_inf = 30.8
+    dag = random_geometric_network(300, 0.11, seed=1)
+    head, tail = dag.arc_from[50], dag.arc_to[50]
+    net = network_from_arrays(dag.states, dag.destination, np.append(dag.arc_from, tail),
+                              np.append(dag.arc_to, head), np.vstack([dag.attrs, [12.5, 0, 0, 0]]),
+                              dag.attribute_names)
+    s = spec(-4.0, -0.1, -0.05, -0.3)
+    vf_lin, rep_lin = core.solve_value_linear(net, s)
+    vf_it, rep_it = core.solve_value_iteration(net, s)
+    assert not net.acyclic and vf_lin.z is not None
+    assert rep_lin.status == rep_it.status == core.SOLVED
+    assert core.LINEAR_RESIDUAL_TOL < rep_lin.residual <= core.LINEAR_RESIDUAL_TOL * 30.8
+    np.testing.assert_allclose(vf_lin.values, vf_it.values, rtol=0, atol=1e-9)
 
 
 BETA_CYCLIC = np.array([-8.0, -0.2, -0.1, -0.6])
@@ -175,6 +194,55 @@ def _dense_visits(net, probs, weights):
     return np.linalg.solve(np.eye(net.n_states) - p.T, weights)
 
 
+@st.composite
+def _generated_dags(draw):
+    """(DAG, per-arc utilities, per-state scales): a random geometric DAG,
+    a composite-choice DAG or the layered DAG of a cyclic network, at unit
+    or per-state scales."""
+    kind = draw(st.sampled_from(["geometric", "bic", "muc", "layered"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "geometric":
+        try:
+            net = random_geometric_network(draw(st.integers(10, 60)), 0.3,
+                                           seed=draw(st.integers(0, 500)))
+        except DisconnectedInstance:
+            assume(False)
+        beta = BETA_DAG * draw(st.sampled_from([0.5, 1.0, 50.0]))
+    elif kind == "layered":
+        base = random_geometric_network(30, 0.3, seed=draw(st.sampled_from([2274, 6769])),
+                                        acyclic=False)
+        net, beta = layered_dag_from_undirected(base, "o"), BETA_CYCLIC
+    else:
+        m = draw(st.integers(1, 7))
+        low = draw(st.integers(0, m))
+        up = draw(st.integers(low, m))
+        net = (bic_dag if kind == "bic" else muc_dag)(m, low, up, rng.uniform(-2, 2, (m, 1)))
+        beta = np.array([-1.0])
+    mu = np.ones(net.n_states) if draw(st.booleans()) else rng.uniform(0.5, 1.5, net.n_states)
+    return net, core.arc_utilities(net, core.UtilitySpec(beta)), mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generated_dags())
+def test_level_passes_on_generated_dags(case):
+    # V is the fixed point to the bit; J and F equal dense solves
+    net, v, mu = case
+    vf, rep = core.iterate_values(net, v, mu)
+    assert net.acyclic and rep.status == core.SOLVED and vf.factor is None
+    assert rep.residual == 0.0 and rep.iterations == len(net.levels)
+    _, e, sums = core.scaled_bellman(net, v, mu, vf.values)
+    probs = core._probabilities(net, e, sums)
+    weights = np.random.default_rng(2).uniform(0.0, 3.0, net.n_states)
+    np.testing.assert_allclose(core.visit_flows(net, vf, probs, weights),
+                               _dense_visits(net, probs, weights), rtol=1e-10, atol=1e-12)
+    p = np.zeros((net.n_states, net.n_states))
+    np.add.at(p, (net.arc_from, net.arc_to), probs)
+    rhs = core.tail_sums(net, probs[:, None] * net.attrs)
+    np.testing.assert_allclose(core.value_jacobian(net, vf, probs),
+                               np.linalg.solve(np.eye(net.n_states) - p, rhs),
+                               rtol=1e-10, atol=1e-12)
+
+
 def test_visit_flows_agree_on_every_factor():
     # the exp-space factor of I - M, the Newton factor of I - P and a fresh
     # factor of I - P give the same visits as a dense solve
@@ -192,9 +260,8 @@ def test_visit_flows_agree_on_every_factor():
                                    rtol=1e-10, atol=0)
 
 
-def test_visit_flows_reuse_the_value_factor(monkeypatch):
-    # flows and the NFXP gradient factor nothing beyond the value solve: one
-    # splu per destination group, and no spsolve
+def _count_factorizations(monkeypatch):
+    """The list that every splu and spsolve call appends its name to."""
     calls = []
 
     def counted(name, fn):
@@ -205,14 +272,35 @@ def test_visit_flows_reuse_the_value_factor(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
     monkeypatch.setattr(spla, "spsolve", counted("spsolve", spla.spsolve))
-    net = random_geometric_network(20, 0.35, seed=2)
-    trim.flow_vector(net, np.full(net.n_attributes, -1.0), "o")
+    return calls
+
+
+def test_visit_flows_reuse_the_value_factor(monkeypatch):
+    # on a cyclic network, flows and the NFXP gradient factor nothing beyond
+    # the exp-space value solve: one splu per destination group, no spsolve
+    calls = _count_factorizations(monkeypatch)
+    net = random_geometric_network(30, 0.3, seed=2274, acyclic=False)
+    s = core.UtilitySpec(BETA_CYCLIC)
+    trim.flow_vector(net, s.beta, "o")
     assert calls == ["splu"]
-    s = spec(-4.0, -0.1, -0.05, -0.3)
     obs = generate_observations(net, s, ["o", net.states[3]], 100, seed=1)
     del calls[:]
     nfxp.loglik_and_gradient(obs.net_by_group(), s, obs)
     assert calls == ["splu"]
+
+
+def test_nothing_is_factored_on_a_dag(monkeypatch):
+    # values, flows, the NFXP gradient and Hessian and the NRL adjoint come
+    # from level passes
+    calls = _count_factorizations(monkeypatch)
+    net = random_geometric_network(20, 0.35, seed=2)
+    s = spec(-4.0, -0.1, -0.05, -0.3)
+    trim.flow_vector(net, np.full(net.n_attributes, -1.0), "o")
+    obs = generate_observations(net, s, ["o", net.states[3]], 100, seed=1)
+    nfxp.loglik_and_gradient(obs.net_by_group(), s, obs)
+    mu = nrl.ScaleField(np.exp(np.random.default_rng(1).uniform(-0.4, 0.0, net.n_states)))
+    nrl.nrl_loglik_and_gradient(net, s.beta, mu, obs)
+    assert calls == [] and "free_pattern" not in net.__dict__
 
 
 def test_dag_value_equals_path_logsumexp():
@@ -232,8 +320,8 @@ BETA_DAG = np.array([-4.0, -0.1, -0.05, -0.3])
 
 
 def test_linear_solve_on_a_dag_where_exp_values_underflow():
-    # e^V(o) = e^-800 underflows to 0, so the exp-space solve fails; the
-    # sweeps of the fallback reach V exactly
+    # e^V(o) = e^-800 underflows to 0, where the exp-space solve fails; the
+    # level pass reaches V exactly
     net = build_network(["o", "a", "d"], "d",
                         [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5])], ["cost"])
     vf, rep = core.solve_value_linear(net, spec(-400.0))
@@ -241,28 +329,36 @@ def test_linear_solve_on_a_dag_where_exp_values_underflow():
     np.testing.assert_array_equal(vf.values, [-800.0, -400.0, 0.0])
 
 
-def test_linear_solve_on_a_dag_where_exp_values_are_subnormal():
-    # e^V(o) = e^-720 is subnormal: log z would carry its rounding, so on a
-    # DAG the sweeps answer instead
+def test_linear_solve_on_a_cycle_where_exp_values_underflow():
+    # e^V(a) = e^-800 underflows to 0, so the exp-space solve fails, and
+    # rho(M) > 1 is not proved: the sweeps and Newton steps answer, exactly
+    net = build_network(["o", "a", "b", "d"], "d",
+                        [("o", "a", [1.0]), ("a", "b", [1.0]), ("b", "a", [1.0]),
+                         ("b", "d", [1.0])], ["cost"])
+    s = spec(-400.0)
+    assert core._solve_exp_space(net, s)[1].status == core.SINGULAR
+    assert not core._spectral_radius_above_one(net, s)
+    vf, rep = core.solve_value_linear(net, s)
+    assert rep.status == vf.status == core.SOLVED
+    np.testing.assert_array_equal(vf.values, [-1200.0, -800.0, -400.0, 0.0])
+
+
+def test_linear_solve_where_exp_values_are_subnormal():
+    # e^V(o) = e^-720 is subnormal: log z would carry its rounding, so on
+    # this cyclic network the sweeps and Newton steps answer instead
     net = build_network(["o", "a", "d"], "d",
-                        [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5])], ["cost"])
+                        [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5]),
+                         ("a", "o", [1.0])], ["cost"])
     s = spec(-360.0)
     exp_space, _ = core._solve_exp_space(net, s)
-    assert 0 < exp_space.z.min() < np.finfo(float).tiny
+    assert not net.acyclic and 0 < exp_space.z.min() < np.finfo(float).tiny
     vf, rep = core.solve_value_linear(net, s)
     swept, _ = core.solve_value_iteration(net, s)
-    assert rep.status == core.SOLVED
+    assert rep.status == core.SOLVED and vf.z is None
     np.testing.assert_array_equal(vf.values, swept.values)
 
 
-def _factorized_status(monkeypatch, net, s):
-    """The exp-space solve's status with the spectral-radius test bypassed."""
-    with monkeypatch.context() as m:
-        m.setattr(core, "_spectral_radius_above_one", lambda *args: False)
-        return core._solve_exp_space(net, s)[1].status
-
-
-def test_spectral_radius_test_agrees_with_the_factorized_solve(monkeypatch):
+def test_spectral_radius_test_agrees_with_the_factorized_solve():
     # the cyclic networks criterion 06's search draws first, at its beta and
     # at one more: every network the test rejects, the factorization rejects
     betas = [BETA_CYCLIC, np.array([-10.0, -0.4, -0.2, -1.0])]
@@ -275,7 +371,7 @@ def test_spectral_radius_test_agrees_with_the_factorized_solve(monkeypatch):
                 continue
             for k, s in enumerate(map(core.UtilitySpec, betas)):
                 status = core.solve_value_linear(net, s)[1].status
-                assert status == _factorized_status(monkeypatch, net, s)
+                assert status == core._solve_exp_space(net, s)[1].status
                 caught[k] += core._spectral_radius_above_one(net, s)
                 rejected[k] += status == core.SINGULAR
     assert np.all(rejected > 100) and np.all(caught > 0.8 * rejected)
@@ -322,17 +418,18 @@ def test_linear_solve_on_dags_at_a_large_beta(nodes, radius, seed):
 
 
 def test_nfxp_on_a_dag_where_the_exp_space_solve_is_inaccurate():
-    # 3,410 states: the exp-space solve leaves a Bellman residual of 5.3e-3
-    # at BETA_DAG and 4.9e-7 at the default start, and reports Singular;
-    # the fallback's sweeps solve both
+    # 3,410 states: the exp-space factorization leaves a Bellman residual of
+    # 5.3e-3 at BETA_DAG and 4.9e-7 at the default start; the level pass
+    # solves both exactly
     net = random_geometric_network(500, 0.11, seed=1)
     s = core.UtilitySpec(BETA_DAG)
     vf, rep = core.solve_value_linear(net, s)
     assert net.n_states == 3410 and net.acyclic and rep.status == core.SOLVED
+    assert core._solve_exp_space(net, s)[1].status == core.SINGULAR
     obs = generate_observations(net, s, "o", 3000, seed=7)
     assert len(obs) == 3000
     res = nfxp.estimate_nfxp(obs.net_by_group(), obs)
-    assert res.converged and res.iterations <= 10
+    assert res.converged and res.iterations == 5
     np.testing.assert_allclose(res.beta_hat, BETA_DAG, atol=0.5)
 
 

@@ -164,14 +164,32 @@ def test_arc_groups_match_per_arc_loop(case):
         return False
 
     assert net.acyclic == (not any(colour[i] == 0 and closes_cycle(i) for i in range(n)))
+    if net.acyclic:
+        # every arc once, in tail order within its level, each to a lower level
+        level = np.zeros(n, dtype=int)
+        for k, (arcs, starts, tails, seg) in enumerate(net.levels, 1):
+            level[tails] = k
+            assert net.arc_from[arcs].tolist() == sorted(net.arc_from[arcs].tolist())
+            assert net.arc_from[arcs[starts]].tolist() == tails.tolist()
+            assert tails[seg].tolist() == net.arc_from[arcs].tolist()
+        assert sorted(a for arcs, *_ in net.levels for a in arcs.tolist()) == list(range(len(pairs)))
+        assert np.all(level[net.arc_to] < level[net.arc_from])
+        assert all(np.any(level[net.arc_to[succ[i]]] == level[i] - 1) for i in owners)
 
     for i, s in enumerate(states):
         assert net.successors(s) == [states[pairs[a][1]] for a in succ[i]]
         assert net.predecessors(s) == [states[pairs[a][0]] for a in pred[i]]
     for derived in (net.tail_order, net.tail_offsets, net.tail_owners, net.tail_starts,
                     net.tail_segment, net.free_states, net.free_row, *net._arc_keys,
-                    *net.free_pattern):
+                    *net.free_pattern, *(a for level in net.levels or () for a in level)):
         assert not derived.flags.writeable
+
+
+def test_levels_of_a_network_without_arcs_and_of_a_self_loop():
+    empty = network_from_arrays(["a", "b", "d"], "d", [], [], np.zeros((0, 1)))
+    assert empty.levels == () and empty.acyclic
+    loop = network_from_arrays(["a", "d"], "d", [0, 0], [0, 1], np.ones((2, 1)))
+    assert loop.levels is None and not loop.acyclic
 
 
 def test_array_constructor_checks():

@@ -31,8 +31,8 @@ def test_gradient_where_exp_values_underflow(beta):
     # V(o) = 2 beta sits near the bottom of the floating-point range, where
     # e^V / e^V(o) scales overflow; 5 of the 55 paths take the direct arc, so
     # the gradient is 5 * 2.5 + 50 * 2 - 55 * 2 = 2.5 up to e^(0.5 beta).
-    # e^V(o) is subnormal at beta = -360, which costs V(o) about 1e-10.  The
-    # Hessian, -55 * 0.25 p (1 - p) for the direct arc's p ~ e^(0.5 beta),
+    # e^V(o) is subnormal at beta = -360, where the level pass still gives
+    # V(o) exactly.  The Hessian, -55 * 0.25 p (1 - p) for the direct arc's p ~ e^(0.5 beta),
     # is far below any difference quotient: path enumeration is its oracle
     net = build_network(["o", "a", "d"], "d",
                         [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5])], ["cost"])
@@ -46,29 +46,31 @@ def test_gradient_where_exp_values_underflow(beta):
 
 
 def test_gradient_where_values_span_beyond_the_exp_range(monkeypatch):
-    # V spans about 719 at beta = -360: the gradient comes from a factor of
-    # I - P and matches the log-space NRL gradient at mu = 1, up to the
-    # rounding of the subnormal e^V(o) in the exp-space value solve.  The
-    # Hessian's forward solve reuses that factor: one splu for the value
-    # solve, one for I - P
-    net = build_network(["o", "a", "b", "d"], "d",
-                        [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5]),
-                         ("o", "b", [2.0]), ("b", "d", [0.001])], ["cost"])
-    paths = [["o", "a", "d"]] * 50 + [["o", "d"]] * 5 + [["o", "b", "d"]] * 5
+    # on this cyclic network V runs from 300.5 at o to -299.5 at a and b, a
+    # span of 600 with every e^V normal: the exp-space value solve answers,
+    # but its factor would scale I - P by e^(+-300), so the gradient comes
+    # from a factor of I - P.  The Hessian's forward solve reuses that
+    # factor: one splu for the value solve, one for I - P
+    net = build_network(["o", "c", "a", "b", "d"], "d",
+                        [("o", "c", [300.0]), ("c", "a", [300.0]), ("a", "d", [-300.0]),
+                         ("a", "b", [-1.0]), ("b", "a", [-1.0]), ("b", "d", [-300.0])], ["u"])
+    paths = ([["o", "c", "a", "d"]] * 30 + [["o", "c", "a", "b", "d"]] * 15
+             + [["o", "c", "a", "b", "a", "d"]] * 5)
     obs = ObservationSet(net, [make_observation(net, p) for p in paths])
-    beta = np.array([-360.0])
+    beta = np.array([1.0])
     vf, _ = core.solve_value_linear(net, core.UtilitySpec(beta))
-    assert np.ptp(vf.values) > core._EXP_CAP
+    assert not net.acyclic and vf.z is not None and np.ptp(vf.values) > core._EXP_CAP
     factors = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(1) or splu(*a, **k))
     _, grad, hess = nfxp.loglik_and_gradient(obs.net_by_group(), core.UtilitySpec(beta), obs)
     assert len(factors) == 2
-    _, ref, _ = nrl.nrl_loglik_and_gradient(net, beta, nrl.ScaleField.uniform(net), obs)
-    assert np.all(np.isfinite(grad))
-    np.testing.assert_allclose(grad, ref, rtol=1e-9)
-    np.testing.assert_allclose(hess, -60 * path_information(obs.net_by_group(), beta, obs),
-                               rtol=1e-8)
+    h = 1e-6
+    fd = (core.log_likelihood(obs.net_by_group(), core.UtilitySpec(beta + h), obs)
+          - core.log_likelihood(obs.net_by_group(), core.UtilitySpec(beta - h), obs)) / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6)
+    np.testing.assert_allclose(hess, differenced_hessian(obs.net_by_group(), beta, obs),
+                               rtol=1e-6)
 
 
 def _cyclic_instance():

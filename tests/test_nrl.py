@@ -252,8 +252,8 @@ def test_adjoint_reuses_the_newton_factor(monkeypatch):
     beta = np.array([-8.0, -0.2, -0.1, -0.6])
     _, report = nrl.solve_nrl_value(cyclic, beta, nrl.ScaleField.uniform(cyclic))
     assert gradient_factorizations(cyclic, beta) == report.iterations - core.NEWTON_AFTER
-    # acyclic: the sweeps leave no factor, and the adjoint factors I - P once
-    assert gradient_factorizations(random_geometric_network(15, 0.4, seed=1), BETA_TRUE) == 1
+    # acyclic: the value solve and the adjoint are level passes
+    assert gradient_factorizations(random_geometric_network(15, 0.4, seed=1), BETA_TRUE) == 0
 
 
 def test_estimate_fixed_mu_matches_rl():

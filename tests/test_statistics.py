@@ -22,6 +22,7 @@ from conftest import (
     objective_coefficients,
     path_information,
     pooled_set,
+    relabel,
 )
 
 BETA_TRUE = np.array([-4.0, -0.1, -0.05, -0.3])
@@ -96,9 +97,9 @@ def test_hessian_of_a_three_destination_set():
 
 
 def test_one_assembly_and_factorization_per_group(pooled, monkeypatch):
-    """One NFXP evaluation assembles and factors each group's exp-space
-    system once: the value Jacobian reuses the value solve's factor."""
-    nets, obs = pooled
+    """One NFXP evaluation assembles and factors each cyclic group's
+    exp-space system once: the value Jacobian reuses the value solve's
+    factor.  The DAG groups of ``pooled`` assemble and factor nothing."""
     calls = Counter()
 
     def counted(name, fn):
@@ -109,8 +110,19 @@ def test_one_assembly_and_factorization_per_group(pooled, monkeypatch):
 
     monkeypatch.setattr(core, "_exp_space_system", counted("assemble", core._exp_space_system))
     monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    nets, obs = pooled
     nfxp.loglik_and_gradient(nets, core.UtilitySpec(BETA_TRUE), obs)
-    assert len(nets) == 2
+    assert len(nets) == 2 and calls == {}
+    beta = np.array([-8.0, -0.2, -0.1, -0.6])
+    nets, members = {}, []
+    for k, seed in enumerate((2274, 6769)):
+        net = relabel(random_geometric_network(30, 0.3, seed=seed, acyclic=False), f"d{k}")
+        nets[net.destination] = net
+        members += generate_observations(net, core.UtilitySpec(beta), "o", 100,
+                                         seed=k).observations
+    obs = ObservationSet(nets["d0"], members)
+    calls.clear()
+    nfxp.loglik_and_gradient(nets, core.UtilitySpec(beta), obs)
     assert calls == {"assemble": 2, "splu": 2}
 
 

@@ -56,12 +56,14 @@ def test_bench_tracing_installs_and_uninstalls():
         assert all(vars(module)[k] is v for k, v in attrs.items()), module.__name__
 
 
-def test_traced_dag_fallback_is_one_solved_value_solve():
-    # at 200 times beta e^V underflows on this DAG: the exp-space solve
-    # fails and solve_value_linear returns the sweeps' field from the same
-    # call, which the bench counts as one solve and no failure
-    net = random_geometric_network(15, 0.4, seed=1)
-    spec = core.UtilitySpec(200 * np.array([-4.0, -0.1, -0.05, -0.3]))
+def test_traced_fallback_is_one_solved_value_solve():
+    # e^V underflows on this cyclic network: the exp-space solve fails and
+    # solve_value_linear returns the sweeps' and Newton steps' field from
+    # the same call, which the bench counts as one solve and no failure
+    net = network.build_network(["o", "a", "b", "d"], "d",
+                                [("o", "a", [1.0]), ("a", "b", [1.0]), ("b", "a", [1.0]),
+                                 ("b", "d", [1.0])], ["cost"])
+    spec = core.UtilitySpec(np.array([-400.0]))
     assert core._solve_exp_space(net, spec)[1].status == core.SINGULAR
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -148,6 +150,23 @@ def test_traced_newton_fit_counts_every_evaluation(monkeypatch):
     assert tracer.counts["nfxp.evaluation.calls"] == len(evaluations)
     assert tracer.counts["core.value_solve.calls"] == 2 * len(evaluations)
     assert tracer.counts["nfxp.iterations"] == res.iterations
+
+
+def test_bench_dag_instances_regenerate(monkeypatch):
+    # the DAG half of bench/instances.json, re-selected as
+    # ``bench/instances.py`` selects it: a change to the value solve or the
+    # sampler that moves the bench's instances fails here
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_instances", ROOT / "bench" / "instances.py")
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    stored, seed = instances.load(), instances.load()["scan_seed"]
+    many = instances._identified_dags(30, 0.3, seed, 1) + instances._identified_dags(50, 0.22, seed, 1)
+    assert many == stored["dag_many_obs"]
+    assert instances._identified_dags(80, 0.18, seed, 2, min_states=instances.LARGE_MIN_STATES) \
+        == stored["dag_large_ipm"]
+    assert instances._identified_dags(50, 0.22, many[1]["seed"] + 1, 3) \
+        == stored["multi_destination"]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
