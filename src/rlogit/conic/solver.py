@@ -39,15 +39,18 @@ variables r).  Each such cone's 3x3 scaling block becomes its Schur
 complement on the eliminated slot, and each orthant row of eliminated
 columns adds one rank-one term (Sherman-Morrison), which leaves the Schur
 complement S on the kept columns (for the ECP, beta and u, where S is nearly
-full).  S's index pattern is built once per solve, so each iteration writes
-S densely with one bincount and factors S + D by LAPACK's Cholesky; D is reg
-plus a 1e-14 multiple of N's own diagonal on the kept columns (static
-regularization as in ECOS), and equality rows take a second Cholesky of
-reg I + A S^-1 A'.  Two steps of iterative refinement solve against the
-unregularized S, and the eliminated block is recovered from the kept one.
-The dense factor costs the cube of the kept columns, a fraction of a
-millisecond at a few hundred (see :class:`_ReducedKKT` for where it stops
-paying).  The slack step ds is taken from the primal row, so the
+full).  S's index pattern is built once per solve from G's nonzeros, so
+each iteration writes S densely with one bincount and factors it, shifted by
+a 1e-14 multiple of N's own diagonal on the kept columns, by LAPACK's
+Cholesky, which is backward stable on a positive definite S: each KKT solve
+is one pair of triangular solves, and the eliminated block is recovered
+from the kept one.  Where that factor does not exist, or the program has
+equality rows, a fallback adds reg to that shift (static regularization as
+in ECOS); equality rows take a second Cholesky of reg I + A S^-1 A', and two
+steps of iterative refinement solve against the unregularized S.  The dense
+factor costs the cube of the kept columns, a fraction of a
+millisecond at a few hundred (see :class:`_ReducedKKT` for a fit near a
+thousand).  The slack step ds is taken from the primal row, so the
 residual G x + s - h tau shrinks by the factor (1 - alpha eta) of each step,
 up to rounding, also after convergence.  The step search backtracks by 0.8
 from the largest step the orthant allows, with one full interior test per
@@ -408,9 +411,10 @@ def _step_length(cone, s, ds, z, dz, tau, dtau, kappa, dkappa, ftb, min_step, ma
     return 0.0
 
 
-# relative part of the diagonal regularization: a diagonal entry of G'HG can
-# be 1e8 times reg, and reg alone then vanishes in rounding, leaving the
-# reduced matrix singular in floating point when G is rank deficient
+# relative part of the diagonal regularization, and all of it on the exact
+# path: a diagonal entry of G'HG can be 1e8 times reg, and reg alone then
+# vanishes in rounding, leaving the reduced matrix singular in floating point
+# when G is rank deficient
 _REG_REL = 1e-14
 
 
@@ -419,34 +423,31 @@ def _entries(indptr, rows):
     ``rows`` of its row and its position in the data array."""
     start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
     k = np.repeat(np.arange(len(rows)), count)
-    pos = start[k] + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    pos = np.arange(len(k)) + np.repeat(start - np.cumsum(count) + count, count)
     return k, pos
 
 
-def _eliminated_columns(a_mat, g_mat, l):
-    """Mask of the columns :class:`_ReducedKKT` eliminates from G (stored
-    without zeros): those with no equality entry, one cone-row entry and at
-    most one orthant row.  Of several in one cone only the last is
-    eliminated, and none in an orthant row that holds any other column, so
-    each orthant row touches eliminated columns only or kept columns only."""
-    n = g_mat.shape[1]
-    g = g_mat.tocsc()
-    a = a_mat.tocsc(copy=True)
-    a.eliminate_zeros()
-    col = np.repeat(np.arange(n), np.diff(g.indptr))
-    lin = g.indices < l
-    cand = ((np.diff(a.indptr) == 0) & (np.bincount(col[~lin], minlength=n) == 1)
-            & (np.bincount(col[lin], minlength=n) <= 1))
+def _eliminated_columns(a_cols, rows, cols, n, cone):
+    """Mask of the n columns :class:`_ReducedKKT` eliminates, given the
+    column of each nonzero of A and G's nonzeros as (row, column) pairs:
+    those with no equality entry, one cone-row entry and at most one orthant
+    row.  Of several in one cone only the last is eliminated, and none in an
+    orthant row that holds any other column, so each orthant row touches
+    eliminated columns only or kept columns only."""
+    lin = rows < cone.l
+    cand = ((np.bincount(a_cols, minlength=n) == 0)
+            & (np.bincount(cols[~lin], minlength=n) == 1)
+            & (np.bincount(cols[lin], minlength=n) <= 1))
     cone_of = np.full(n, -1)
-    cone_of[col[~lin]] = (g.indices[~lin] - l) // 3
-    cols = np.flatnonzero(cand)
-    last = np.full((g.shape[0] - l) // 3, -1)
-    np.maximum.at(last, cone_of[cols], cols)
-    cand[cols[last[cone_of[cols]] != cols]] = False
-    rows, cols = g.indices[lin], col[lin]
-    mixed = np.zeros(l, dtype=bool)
-    mixed[rows[~cand[cols]]] = True
-    cand[cols[mixed[rows]]] = False
+    cone_of[cols[~lin]] = (rows[~lin] - cone.l) // 3
+    cand_cols = np.flatnonzero(cand)
+    last = np.full(cone.ne, -1)
+    np.maximum.at(last, cone_of[cand_cols], cand_cols)
+    cand[cand_cols[last[cone_of[cand_cols]] != cand_cols]] = False
+    o_rows, o_cols = rows[lin], cols[lin]
+    mixed = np.zeros(cone.l, dtype=bool)
+    mixed[o_rows[~cand[o_cols]]] = True
+    cand[o_cols[mixed[o_rows]]] = False
     return cand
 
 
@@ -464,58 +465,74 @@ class _ReducedKKT:
     where H^ is H with each such cone's block replaced by its Schur
     complement on slot t, H_c - H_c[:,t] H_c[t,:] / H_c[t,t],
     gamma_o = h_o / (1 + h_o sum_j g_oj^2 / D_j) and
-    v_o = sum_j g_oj / (G[t,j] H_c[t,t]) G_cF' H_c[:,t].  Index patterns fixed
-    once per solve let each factorization write S's lower triangle densely
-    with one bincount.  LAPACK's Cholesky factors S + D, with
-    D = reg + _REG_REL |diag N_FF| on the kept columns only (N_EE is positive
-    definite without it); equality rows take a second, p x p Cholesky of
-    reg I + A_F (S + D)^-1 A_F'.  The dense factor's cost grows with the cube
-    of the kept columns, so it pays for the few hundred of the ECP's beta and
-    u but not near a thousand: on random_geometric_network(300, 0.11, seed=1)
+    v_o = sum_j g_oj / (G[t,j] H_c[t,t]) G_F' H_c[:,t].  Index patterns,
+    built once per solve from G's nonzeros, let each factorization write S's
+    lower triangle densely with one bincount.
+
+    S is positive definite wherever N_FF is, and LAPACK's Cholesky is
+    backward stable there, so S + _REG_REL |diag N_FF| is factored and each
+    solve is one pair of triangular solves.  Where that factor does not
+    exist (S singular in floating point, as when an attribute is zero on
+    every arc) or the program has equality rows, the fallback factors S + D
+    with D = reg + _REG_REL |diag N_FF| (static regularization as in ECOS),
+    the equality rows take a second, p x p Cholesky of
+    reg I + A_F (S + D)^-1 A_F', and two steps of iterative refinement solve
+    against the unregularized S and A_F; ``regularized`` says which path
+    the last factorization took.  The dense factor's cost grows with the
+    cube of the kept columns: on random_geometric_network(300, 0.11, seed=1)
     with 3,000 paths (843 states, 846 kept of 4,722 columns) an ECP fit
-    takes 1.15 s against 0.90-1.02 s for a sparse LU of the full N (shared
-    2-core x86_64 VM, one BLAS thread).  Vectors passed to and returned by
-    :meth:`solve` are in the program's own order.
+    takes 0.72 s in 47 iterations (shared 2-core x86_64 VM, one BLAS
+    thread).  Vectors passed to and returned by :meth:`solve` are in the
+    program's own order.
     """
 
     def __init__(self, a_mat, g_mat, cone, reg):
         p, n = a_mat.shape
         self.n, self.p, self.cone, self.reg = n, p, cone, reg
         l = cone.l
-        g = g_mat.tocsr(copy=True)
-        g.eliminate_zeros()
-        self.gt_mat = g.T.tocsr()
-        elim = _eliminated_columns(a_mat, g, l)
-        # working order: kept columns first, then eliminated ones
+        a_mat, g_mat = a_mat.tocsr(), g_mat.tocsr()
+        self.g_mat, self.gt_mat = g_mat, g_mat.T
+        # G's nonzeros as (row, column, value) triplets, by rows
+        nz = g_mat.data != 0
+        rows = np.repeat(np.arange(g_mat.shape[0]), np.diff(g_mat.indptr))[nz]
+        cols, vals = g_mat.indices[nz], g_mat.data[nz]
+        elim = _eliminated_columns(a_mat.indices[a_mat.data != 0], rows, cols, n, cone)
         self.kept, self.elim = np.flatnonzero(~elim), np.flatnonzero(elim)
-        self._order = np.concatenate([self.kept, self.elim])
         nf = self.nf = len(self.kept)
-        self._gp = g[:, self._order].tocsr()
-        self._gpt = self._gp.T.tocsr()
-        a_f = a_mat.tocsc()[:, self.kept]
-        self._af, self._aft = a_f.tocsr(), a_f.T.tocsr()
+        # each column's index among the kept or among the eliminated ones
+        pos = np.empty(n, dtype=np.intp)
+        pos[self.kept], pos[self.elim] = np.arange(nf), np.arange(n - nf)
 
-        # each eliminated column: its cone entry G[t,j] at slot t of cone c,
-        # and its orthant entry g_oj, numbered by the mass rows that hold them
-        ge = self._gp[:, nf:].tocsc()
-        col = np.repeat(np.arange(n - nf), np.diff(ge.indptr))
-        lin = ge.indices < l
-        self._gt = ge.data[~lin]
-        cone_e, slot_e = np.divmod(ge.indices[~lin] - l, 3)
+        # each eliminated column: its one cone entry G[t,j] at slot t of cone
+        # c, and its orthant entry g_oj, numbered by the mass rows that hold
+        # them
+        in_e = elim[cols]
+        e, e_row, e_val = pos[cols[in_e]], rows[in_e], vals[in_e]
+        lin = e_row < l
+        self._gt, t_row = np.empty(n - nf), np.empty(n - nf, dtype=np.intp)
+        self._gt[e[~lin]], t_row[e[~lin]] = e_val[~lin], e_row[~lin]
+        cone_e, slot_e = np.divmod(t_row - l, 3)
         block = l + 9 * cone_e
         self._e_tt = block + 4 * slot_e  # position of H_c[t,t] in H's values
         self._e_col = block[:, None] + 3 * np.arange(3) + slot_e[:, None]  # of H_c[:,t]
-        self._me, self._go = col[lin], ge.data[lin]
-        self._mass_rows, self._mass_id = np.unique(ge.indices[lin], return_inverse=True)
+        self._rows3 = l + 3 * cone_e[:, None] + np.arange(3)  # the rows of cone c
+        o_row, go = np.full(n - nf, -1), np.zeros(n - nf)
+        o_row[e[lin]], go[e[lin]] = e_row[lin], e_val[lin]
+        self._me = np.flatnonzero(o_row >= 0)
+        self._go = go[self._me]
+        self._mass_rows, self._mass_id = np.unique(o_row[self._me], return_inverse=True)
 
-        # S's lower triangle, column by column: the terms of G_F' H^ G_F ...
-        gf = self._gp[:, :nf].tocsr()
+        # G on the kept columns, by rows; then S's lower triangle, column by
+        # column: the terms of G_F' H^ G_F ...
+        gf_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[~in_e],
+                                                            minlength=g_mat.shape[0]))])
+        gf_col, gf_val = pos[cols[~in_e]], vals[~in_e]
         h_rows, h_cols = cone.scaling_pattern()
-        k, pa = _entries(gf.indptr, h_rows)
-        t, pb = _entries(gf.indptr, h_cols[k])
+        k, pa = _entries(gf_ptr, h_rows)
+        t, pb = _entries(gf_ptr, h_cols[k])
         hi, pa = k[t], pa[t]
-        i, j = gf.indices[pa], gf.indices[pb]
-        coef = gf.data[pa] * gf.data[pb]
+        i, j = gf_col[pa], gf_col[pb]
+        coef = gf_val[pa] * gf_val[pb]
         diag = i == j
         self._diag_col, self._diag_coef, self._diag_h = i[diag], coef[diag], hi[diag]
         # H^[a,b] = H[a,b] - H[a,t] H[b,t] / H[t,t]; where no column of the
@@ -523,7 +540,8 @@ class _ReducedKKT:
         # values and H[t,t] at a 1; rows and columns t of H^ are zero
         cone_slot = np.full(cone.ne + 1, -1)
         cone_slot[cone_e] = slot_e
-        c, a, b = np.maximum(hi - l, 0) // 9, (hi - l) % 9 // 3, (hi - l) % 3
+        c, a = np.divmod(np.maximum(hi - l, 0), 9)
+        a, b = np.divmod(a, 3)
         ts = np.where(hi >= l, cone_slot[c], -1)
         keep = (i >= j) & (a != ts) & (b != ts)
         hi, ts, elim_cone = hi[keep], ts[keep], ts[keep] >= 0
@@ -535,28 +553,42 @@ class _ReducedKKT:
         self._h_tt = np.where(elim_cone, base + 3 * ts, zero + 1)
         # ... the entries of every v_o, and the pairs of entries of one v_o
         me = self._me
-        kq, pv = _entries(gf.indptr, (l + 3 * cone_e[me][:, None] + np.arange(3)).ravel())
+        kq, pv = _entries(gf_ptr, self._rows3[me].ravel())
         e = me[kq // 3]
         self._v_h, self._v_tt = self._e_col[e, kq % 3], self._e_tt[e]
-        self._v_coef = gf.data[pv] * (self._go / self._gt[me])[kq // 3]
-        keys, self._v_slot = np.unique(self._mass_id[kq // 3] * nf + gf.indices[pv],
+        self._v_coef = gf_val[pv] * (self._go / self._gt[me])[kq // 3]
+        keys, self._v_slot = np.unique(self._mass_id[kq // 3] * nf + gf_col[pv],
                                        return_inverse=True)
         v_row, v_col = np.divmod(keys, max(nf, 1))
         pa, pb = _entries(np.searchsorted(v_row, np.arange(len(self._mass_rows) + 1)), v_row)
         low = v_col[pa] >= v_col[pb]
         self._pair_a, self._pair_b, self._pair_row = pa[low], pb[low], v_row[pa[low]]
-        self._slots = np.concatenate([j[keep] * nf + i[keep],
-                                      v_col[self._pair_b] * nf + v_col[self._pair_a]])
+        slots = np.concatenate([j[keep] * nf + i[keep],
+                                v_col[self._pair_b] * nf + v_col[self._pair_a]])
+        self._s_slots, self._slot_id = np.unique(slots, return_inverse=True)
         self._n_v = len(keys)
-        # G_F' on the three rows of each eliminated column's cone: with the
-        # column H_c[:,t] G[t,j] it gives N_FE and N_EF
-        rows3 = (l + 3 * cone_e[:, None] + np.arange(3)).ravel()
-        self._b_mat = self._gpt[:nf][:, rows3].tocsr()
-        self._bt_mat = self._b_mat.T.tocsr()
+        # S and the matrix factored in place are written into buffers kept
+        # for the whole solve: fresh nf x nf arrays at every factorization
+        # cost more than assembling S
+        self._s_flat = np.zeros(nf * nf)
+        self.s_mat = self._s_flat.reshape((nf, nf), order="F")
+        self._k_mat = np.zeros((nf, nf), order="F")
+        if p:
+            self._af = a_mat[:, self.kept]
+            self._aft = self._af.T
+
+    def _cholesky(self, shift):
+        """LAPACK's Cholesky factor of S + diag(shift) and its info, which
+        is nonzero when that matrix is not positive definite."""
+        k_mat = self._k_mat
+        np.copyto(k_mat, self.s_mat)
+        k_mat.flat[::self.nf + 1] += shift
+        return lapack.dpotrf(k_mat, lower=1, clean=0, overwrite_a=1)
 
     def factor(self, hvals):
-        """Assemble S and factor S + D; raises RuntimeError when it is not
-        positive definite in floating point."""
+        """Assemble S and factor it, exactly or on the fallback; raises
+        RuntimeError when the fallback's matrices are not positive definite
+        in floating point."""
         self.hvals = hvals
         nf = self.nf
         htt = hvals[self._e_tt]
@@ -572,17 +604,20 @@ class _ReducedKKT:
         weights = np.concatenate([
             self._coef * (hv[self._h] - hv[self._h_at] * hv[self._h_bt] / hv[self._h_tt]),
             self._gamma[self._pair_row] * v[self._pair_a] * v[self._pair_b]])
-        # (bincount gives integers when there are no terms at all)
-        self.s_mat = np.bincount(self._slots, weights, minlength=nf * nf).astype(
-            float, copy=False).reshape((nf, nf), order="F")
-        diag_n = np.bincount(self._diag_col, self._diag_coef * hvals[self._diag_h],
-                             minlength=nf)
-        k_mat = self.s_mat.copy(order="F")
-        k_mat.flat[::nf + 1] += self.reg + _REG_REL * np.abs(diag_n)
-        self._chol, info = lapack.dpotrf(k_mat, lower=1, clean=0, overwrite_a=1)
+        self._s_flat[self._s_slots] = np.bincount(self._slot_id, weights,
+                                                  minlength=len(self._s_slots))
+        self._ecol = hvals[self._e_col] * self._gt[:, None]
+        diag_n = np.abs(np.bincount(self._diag_col, self._diag_coef * hvals[self._diag_h],
+                                    minlength=nf))
+        self.regularized = True
+        if not self.p:
+            self._chol, info = self._cholesky(_REG_REL * diag_n)
+            if not info:
+                self.regularized = False
+                return
+        self._chol, info = self._cholesky(self.reg + _REG_REL * diag_n)
         if info:
             raise RuntimeError("reduced normal matrix is not positive definite")
-        self._ecol = hvals[self._e_col] * self._gt[:, None]
         if self.p:
             self._x_mat = lapack.dpotrs(self._chol, self._aft.toarray(), lower=1)[0]
             m_mat = self._af @ self._x_mat
@@ -600,7 +635,7 @@ class _ReducedKKT:
         x[me] -= u * corr[self._mass_id]
         return x
 
-    def _solve_regularized(self, f, g):
+    def _solve_factored(self, f, g):
         u = lapack.dpotrs(self._chol, f, lower=1)[0] if self.nf else f
         if not self.p:
             return u, g
@@ -610,28 +645,32 @@ class _ReducedKKT:
     def solve(self, r1, r2, hr3):
         """(dx, dy, dz) solving the unregularized KKT system for the
         right-hand side (r1, r2, r3), given ``hr3`` = H r3: the eliminated
-        block solved out of f = r1 + G' H r3, a regularized solve on the kept
-        columns, two steps of iterative refinement against S and A_F, the
-        eliminated block recovered from the kept one, then
-        dz = H G dx - H r3, which meets the cone row exactly."""
-        nf = self.nf
-        f = r1[self._order] + self._gpt @ hr3
-        f_e = f[nf:]
-        rhs = f[:nf] - self._b_mat @ (self._ecol * self._solve_eliminated(f_e)[:, None]).ravel()
-        x, y = self._solve_regularized(rhs, r2)
-        for _ in range(2 if nf else 0):  # (BLAS rejects an empty S)
+        block solved out of f = r1 + G' H r3, one solve by the factor on the
+        kept columns (on the fallback, followed by two steps of iterative
+        refinement against S and A_F), the eliminated block recovered from
+        the kept one, then dz = H G dx - H r3, which meets the cone row
+        exactly."""
+        f = r1 + self.gt_mat @ hr3
+        f_e = f[self.elim]
+        # N_FE N_EE^-1 f_E, as G_F' on each eliminated column's cone rows
+        w = np.zeros(self.cone.dim)
+        w[self._rows3] = self._ecol * self._solve_eliminated(f_e)[:, None]
+        rhs = f[self.kept] - (self.gt_mat @ w)[self.kept]
+        x, y = self._solve_factored(rhs, r2)
+        # (BLAS rejects an empty S)
+        for _ in range(2 if self.regularized and self.nf else 0):
             res_x = rhs - blas.dsymv(1.0, self.s_mat, x, lower=1)
             res_y = r2
             if self.p:
                 res_x -= self._aft @ y
                 res_y = r2 - self._af @ x
-            step_x, step_y = self._solve_regularized(res_x, res_y)
+            step_x, step_y = self._solve_factored(res_x, res_y)
             x, y = x + step_x, y + step_y
-        nef = _dot(self._ecol, (self._bt_mat @ x).reshape(-1, 3))
-        xp = np.concatenate([x, self._solve_eliminated(f_e - nef)])
-        dz = self.cone.apply_scaling(self.hvals, self._gp @ xp) - hr3
-        dx = np.empty(self.n)
-        dx[self._order] = xp
+        dx = np.zeros(self.n)
+        dx[self.kept] = x
+        nef = _dot(self._ecol, (self.g_mat @ dx)[self._rows3])
+        dx[self.elim] = self._solve_eliminated(f_e - nef)
+        dz = self.cone.apply_scaling(self.hvals, self.g_mat @ dx) - hr3
         return dx, y, dz
 
 
@@ -659,8 +698,10 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
     deflated x of every in-tolerance iterate that becomes the best one; when
     it returns True that iterate is returned at once, ending polishing
     early.  Each trace record holds the iterate's ``mu``,
-    residuals, ``tau`` and ``kappa``; a record of an iteration that went on
-    to search also holds the step length ``alpha`` found, the centering
+    residuals, ``tau`` and ``kappa``; a record of an iteration that factored
+    the KKT system also holds whether that factorization took the
+    ``regularized`` fallback of :class:`_ReducedKKT`, and one that went on
+    to search holds the step length ``alpha`` found, the centering
     parameter ``sigma`` used and whether the dual iterate was ``recentered``
     in place of taking that step.
     """
@@ -670,7 +711,7 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
     n = len(c)
     p = len(b)
     cone = _Cone(prog.n_ineq, prog.n_cones)
-    at_mat = a_mat.T.tocsr()
+    at_mat = a_mat.T
     kkt = _ReducedKKT(a_mat, g_mat, cone, REGULARIZATION)
     gt_mat = kkt.gt_mat
 
@@ -782,6 +823,7 @@ def solve(prog: ConicProgram, opts: SolverOptions | None = None,
             kkt.factor(hvals)
         except RuntimeError:
             return failure()
+        trace[-1]["regularized"] = kkt.regularized
         h_rz = cone.apply_scaling(hvals, rz)
 
         dx2, dy2, dz2 = kkt.solve(-c, b, cone.apply_scaling(hvals, h))

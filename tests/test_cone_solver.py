@@ -2,6 +2,7 @@
 
 import copy
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from rlogit import core
 from rlogit.conic import builder, solver
@@ -499,18 +500,28 @@ def _one_arc_program():
 
 
 class _CountingLapack:
-    """Stands in for ``scipy.linalg.lapack`` in the solver module and keeps
-    the shape of every matrix passed to ``dpotrf``."""
+    """Stands in for ``scipy.linalg.lapack`` (or ``blas``) in the solver
+    module: counts the calls of each routine in ``calls`` and keeps the
+    shape of every matrix passed to ``dpotrf``."""
 
-    def __init__(self):
+    def __init__(self, module=lapack):
+        self.module = module
         self.shapes = []
+        self.calls = Counter()
 
     def dpotrf(self, mat, *args, **kwargs):
         self.shapes.append(mat.shape)
-        return lapack.dpotrf(mat, *args, **kwargs)
+        self.calls["dpotrf"] += 1
+        return self.module.dpotrf(mat, *args, **kwargs)
 
     def __getattr__(self, name):
-        return getattr(lapack, name)
+        routine = getattr(self.module, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
 
 
 @pytest.mark.parametrize("make_prog, kept", [(_one_arc_program, 2), (_logsumexp_program, 4)],
@@ -528,6 +539,70 @@ def test_factored_rows_are_kept_columns_and_equalities(monkeypatch, make_prog, k
     # one factorization of S, and one of the equality block if there is
     # one, for the start and per iteration that searched for a step
     assert len(counting.shapes) == (1 + (p > 0)) * (1 + sum("alpha" in r for r in sol.trace))
+
+
+def _counted_solve(monkeypatch, prog):
+    """Solve ``prog`` counting the LAPACK and BLAS calls and the KKT
+    factorizations and solves; also returns the solution."""
+    counting = {"lapack": _CountingLapack(), "blas": _CountingLapack(blas)}
+    for name, stand_in in counting.items():
+        monkeypatch.setattr(solver, name, stand_in)
+    kkt_calls = Counter()
+    for method in ("factor", "solve"):
+        real = getattr(solver._ReducedKKT, method)
+
+        def counted(self, *args, _real=real, _method=method):
+            kkt_calls[_method] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(solver._ReducedKKT, method, counted)
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    return sol, counting["lapack"].calls + counting["blas"].calls, kkt_calls
+
+
+def test_ecp_kkt_solve_is_one_triangular_pair_per_solve(monkeypatch):
+    # an ECP has no equality rows and S is positive definite: one Cholesky
+    # per factorization, never the fallback, one dpotrs per KKT solve, and
+    # no refinement
+    sol, calls, kkt_calls = _counted_solve(monkeypatch, _ecp_program())
+    factored = [r["regularized"] for r in sol.trace if "regularized" in r]
+    assert factored and not any(factored)
+    assert calls["dpotrf"] == kkt_calls["factor"] == 1 + len(factored)
+    assert calls["dpotrs"] == kkt_calls["solve"]
+    assert calls["dsymv"] == 0
+
+
+def test_equality_rows_refine_on_the_regularized_factor(monkeypatch):
+    # each factorization: Cholesky of S + D, its solve for A_F', and the
+    # Cholesky of the equality block; each KKT solve and each of its two
+    # refinement steps: two pairs of triangular solves, the steps one dsymv
+    sol, calls, kkt_calls = _counted_solve(monkeypatch, _logsumexp_program())
+    assert all(r["regularized"] for r in sol.trace if "regularized" in r)
+    assert calls["dpotrf"] == 2 * kkt_calls["factor"]
+    assert calls["dpotrs"] == kkt_calls["factor"] + 6 * kkt_calls["solve"]
+    assert calls["dsymv"] == 2 * kkt_calls["solve"]
+
+
+def test_zero_attribute_takes_the_regularized_fallback():
+    # an attribute that is zero on every arc leaves S singular, so every
+    # factorization falls back to the regularized, refined solve; beta is
+    # the regularized solver's (29 iterations), with 0 for that attribute
+    net = random_geometric_network(20, 0.35, seed=4)
+    zero = build_network(list(net.states), net.destination,
+                         [(u, v, np.append(a, 0.0)) for u, v, a in net.arcs()],
+                         list(net.attribute_names) + ["zero"])
+    beta = np.array([-4.0, -0.1, -0.05, -0.3, 0.0])
+    obs = generate_observations(zero, core.UtilitySpec(beta), "o", 300, seed=4)
+    prog, layout = builder.build_ecp(obs.net_by_group(), builder.group_observations(obs))
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    factored = [r["regularized"] for r in sol.trace if "regularized" in r]
+    assert factored and all(factored)
+    assert sol.x[layout.n_beta - 1] == 0.0
+    np.testing.assert_allclose(sol.x[:layout.n_beta - 1],
+                               [-3.88655759, 0.03753695, -0.04371795, -0.33133178],
+                               rtol=0, atol=1e-7)
 
 
 def _exp_minus_one_program(with_w):
