@@ -2,9 +2,10 @@
 
 Subcommands: generate, simulate, estimate, trim, export, report.  Every
 command is deterministic given the same config and seeds (modulo wall-time
-fields).  Exit codes: 0 success, 2 usage error, 3 missing input file,
-4 estimation failed on every run.  ``estimate`` writes each estimator's
-result, its trace included, to ``result_<method>.json``.
+fields).  Exit codes: 0 success, 2 usage error (also when ``generate`` finds
+no connected instance in ``MAX_DISCONNECTED_SEEDS`` consecutive seeds),
+3 missing input file, 4 estimation failed on every run.  ``estimate`` writes
+each estimator's result, its trace included, to ``result_<method>.json``.
 
 Options may come from a config file of ``key = value`` lines (``--config``);
 explicit command-line flags override file values.
@@ -44,6 +45,9 @@ EXIT_MISSING_INPUT = 3
 EXIT_ESTIMATION_FAILED = 4
 
 DEFAULT_BETA_TRUE = "-4,-0.1,-0.05,-0.3"
+
+# generate gives up after this many consecutive disconnected seeds
+MAX_DISCONNECTED_SEEDS = 1000
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -93,7 +97,8 @@ def cmd_generate(args) -> int:
         seed = args.seed
         for i in range(args.instances):
             # skip seeds whose random geometry has no origin-destination path
-            while True:
+            first = seed
+            for seed in range(first, first + MAX_DISCONNECTED_SEEDS):
                 try:
                     net = random_geometric_network(
                         args.nodes,
@@ -104,7 +109,11 @@ def cmd_generate(args) -> int:
                     )
                     break
                 except DisconnectedInstance:
-                    seed += 1
+                    pass
+            else:
+                print(f"error: no connected instance at --nodes {args.nodes} --radius "
+                      f"{args.radius} in seeds {first}-{seed}", file=sys.stderr)
+                return EXIT_USAGE
             path = out / f"net_{args.kind}_{args.nodes}_{i}.json"
             save_network(net, path)
             written.append({"file": path.name, "seed": seed, "states": net.n_states,
@@ -166,6 +175,10 @@ def _estimators(methods, solver_opts):
 
 
 def cmd_estimate(args) -> int:
+    if args.runs > 1 and (args.beta_init or args.init_from):
+        print("usage error: --runs > 1 draws every start at random; it takes neither "
+              "--beta-init nor --init-from", file=sys.stderr)
+        return EXIT_USAGE
     net = load_network(_require_file(args.network))
     obs = load_observations(_require_file(args.observations), net)
     nets = obs.net_by_group()

@@ -54,10 +54,6 @@ MAX_ITERATIONS = "MaxIterations"
 LINEAR_RESIDUAL_TOL = 1e-10
 DIVERGENCE_BOUND = 1e10
 
-# contraction sweeps before iterate_values' first Newton step on a cyclic
-# network
-NEWTON_AFTER = 5
-
 # exponent cap: anything above this in exp-space is treated as a failed solve
 _EXP_CAP = 500.0
 # below this, e^V is subnormal and log z carries its rounding
@@ -96,8 +92,8 @@ class ValueField:
     """Vector of state values for one destination; values[destination] = 0.
 
     On a cyclic network the exp-space solve also keeps its splu factor of
-    I - M and z = e^V on the free rows; ``iterate_values`` keeps the factor
-    of I - P of its last Newton step (``None`` when it ended in sweeps).
+    I - M and z = e^V on the free rows, and ``iterate_values`` the factor of
+    I - P of its last Newton step.
     Only :func:`visit_flows` and :func:`value_jacobian` read them; where they
     factor I - P themselves, that factor replaces these (and z becomes
     ``None``), so the next solve on the same field reuses it."""
@@ -229,8 +225,8 @@ def solve_value_linear(net: Network, spec: UtilitySpec) -> tuple[ValueField, Sol
     kept with z on the returned ValueField.  V = log z is returned when z is
     finite and positive, with no subnormal entry (e^V rounded to a few bits),
     and the Bellman residual is at most ``LINEAR_RESIDUAL_TOL`` relative to
-    max(1, ||V||_inf).  Otherwise :func:`solve_value_iteration` answers if it
-    solves; any failure is SingularOrNonpositive.
+    max(1, ||V||_inf).  Otherwise :func:`solve_value_iteration`'s Newton
+    steps answer if they solve; any failure is SingularOrNonpositive.
     """
     if spec.mu != 1.0:
         raise ValueError("linear value solve requires mu = 1")
@@ -347,22 +343,18 @@ def iterate_values(net: Network, v: np.ndarray, mu: np.ndarray, tol: float = 1e-
     On a DAG it is backward induction, one pass per level of ``Network.levels``
     from the destination up in :func:`scaled_bellman`'s arithmetic, so
     V = T[V] exactly; ``tol`` and ``max_iter`` do not apply, and the report
-    counts the levels as iterations.  On a cyclic network it runs from V = 0,
-    after Rust's polyalgorithm.  Sweeps V <- T[V] end once the change drops
-    below ``tol``; every iteration after the first ``NEWTON_AFTER`` is a
-    Newton step (I - P) dV = T[V] - V on the free rows, P being the choice
-    probabilities at V: the Jacobian of T for every scale field.  T is convex
-    and I - P an M-matrix, so from the first step on the iterates rise
-    monotonically to the fixed point.  The step bounds the error of V, so the
-    loop ends once it drops below ``tol``, and the returned ValueField keeps
-    that step's splu factor of I - P.  A Newton step that cannot be taken
-    (singular I - P, non-finite step) or that is not shorter than the one
-    before hands the rest back to sweeps.
-
-    Sweeps are non-expansive in sup norm (the Jacobian is nonnegative and
-    row-substochastic), so their change does not grow beyond rounding; in
-    log space divergence shows up as a change that stops shrinking, or as
-    values beyond the divergence bound, and is reported as Diverged.
+    counts the levels as iterations.  On a cyclic network it is policy
+    iteration, Newton's method on V = T[V] (Puterman & Brumelle, Math. Oper.
+    Res. 1979), from the uniform policy's value, a sub-solution V <= T[V].
+    Each of at most ``max_iter`` iterations is a Newton step
+    (I - P) dV = T[V] - V on the free rows, P being the choice probabilities
+    at V: the Jacobian of T for every scale field.  T is convex and I - P an
+    M-matrix, so every iterate is a sub-solution and they rise monotonically
+    to the fixed point.  The loop ends once a step is at most ``tol``, and
+    the returned ValueField keeps that step's splu factor of I - P.  A
+    singular I - P, or values that are not finite or exceed the divergence
+    bound (with no fixed point, the policies' values grow without bound), end
+    it as Diverged.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -381,45 +373,25 @@ def iterate_values(net: Network, v: np.ndarray, mu: np.ndarray, tol: float = 1e-
         if np.all(np.isfinite(values)):
             return solved(values, len(net.levels))
         return ValueField(values, DIVERGED), SolveReport(DIVERGED, len(net.levels))
-    rows = net.free_states
-    history: list[float] = []
-    window = 200
-    newton, last_step = True, np.inf
-    for it in range(1, max_iter + 1):
-        new, e, sums = scaled_bellman(net, v, mu, values)
-        if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > DIVERGENCE_BOUND:
-            return ValueField(new, DIVERGED), SolveReport(DIVERGED, it)
-        change = float(np.max(np.abs(new - values)))
-        if change <= tol and not (newton and last_step < np.inf):  # Newton stops on its step
-            return solved(new, it)
-        if newton and it > NEWTON_AFTER:
-            step, lu = _newton_step(net, e, sums, (new - values)[rows])
-            size = np.inf if step is None else float(np.max(np.abs(step)))
-            if size < last_step:
-                last_step = size
-                values[rows] += step
-                if size <= tol:
-                    return solved(values, it, lu)
-                continue
-            newton = False
-        values = new
-        history.append(change)
-        # flag sustained stalls of the sweeps well above the tolerance
-        if (len(history) > window and change > 1e3 * tol
-                and change >= 0.99 * history[-window]):
+    # step 0 solves V = r + P_u V for the uniform policy's value: r_s is the
+    # mean utility of s's arcs plus mu_s log(out-degree)
+    rows, owners, deg = net.free_states, net.tail_owners, np.diff(net.tail_offsets)
+    reward = tail_sums(net, v)
+    reward[owners] = reward[owners] / deg[owners] + mu[owners] * np.log(deg[owners])
+    probs, rhs = 1.0 / deg[net.arc_from], reward[rows]
+    for it in range(max_iter + 1):
+        if it:
+            new, e, sums = scaled_bellman(net, v, mu, values)
+            probs, rhs = _probabilities(net, e, sums), (new - values)[rows]
+        lu = _factor_free(net, probs)
+        if lu is not None:
+            step = lu.solve(rhs)
+            values[rows] += step
+        if lu is None or not np.max(np.abs(values)) <= DIVERGENCE_BOUND:  # NaN fails too
             return ValueField(values, DIVERGED), SolveReport(DIVERGED, it)
+        if it and np.max(np.abs(step)) <= tol:
+            return solved(values, it, lu)
     return ValueField(values, MAX_ITERATIONS), SolveReport(MAX_ITERATIONS, max_iter)
-
-
-def _newton_step(net: Network, e: np.ndarray, sums: np.ndarray, residual: np.ndarray):
-    """(dV, splu factor of I - P) solving (I - P) dV = T[V] - V on the free
-    rows, with P from :func:`scaled_bellman`'s exponentials at V; (None, None)
-    when I - P is singular or the step is not finite."""
-    lu = _factor_free(net, _probabilities(net, e, sums))
-    if lu is None:
-        return None, None
-    step = lu.solve(residual)
-    return (step, lu) if np.all(np.isfinite(step)) else (None, None)
 
 
 def _solve_free(net: Network, vf: ValueField, probs: np.ndarray, rhs: np.ndarray,

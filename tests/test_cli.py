@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -208,3 +209,27 @@ def test_config_file_defaults(workspace, tmp_path):
     # explicit flag overrides the config value
     assert run("--config", str(cfg), "estimate", "--out", str(tmp_path / "flag_out")) == 0
     assert (tmp_path / "flag_out" / "result_nfxp.json").is_file()
+
+
+@pytest.mark.parametrize("init", [["--beta-init=-9,-9,-9,-9"], ["--init-from", "prior.json"]])
+def test_estimate_runs_take_no_fixed_start(workspace, tmp_path, capsys, init):
+    # every start of a multi-run fit is drawn at random, so a given start is
+    # a usage error rather than an ignored input
+    code = run("estimate", "--network", str(workspace / "nets" / "net_dag_20_0.json"),
+               "--observations", str(workspace / "train.jsonl"), "--method", "nfxp",
+               "--runs", "2", *init, "--out", str(tmp_path))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--beta-init" in err and "--init-from" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_generate_gives_up_on_disconnected_seeds(tmp_path, capsys):
+    # no seed connects the origin to the destination at this radius
+    t0 = time.perf_counter()
+    code = run("generate", "--kind", "undirected", "--nodes", "20", "--radius", "0.001",
+               "--seed", "5", "--instances", "1", "--out", str(tmp_path))
+    assert code == cli.EXIT_USAGE and time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert f"seeds 5-{5 + cli.MAX_DISCONNECTED_SEEDS - 1}" in err
+    assert not (tmp_path / "generate_meta.json").exists()

@@ -98,7 +98,7 @@ def test_opposed_loops_have_no_solution(t):
     _, rep = core.solve_value_linear(net, s)
     assert rep.status == core.SINGULAR
     _, rep_it = core.solve_value_iteration(net, s)
-    assert rep_it.status == core.DIVERGED
+    assert rep_it.status == core.DIVERGED and rep_it.iterations <= 10
 
 
 def test_value_iteration_on_dag_matches_linear():
@@ -178,8 +178,62 @@ def test_newton_value_solve_with_per_state_scales():
     np.testing.assert_allclose(vf.values, ref, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("nodes, radius, seed, beta", [
+    (300, 0.11, 1, (-120.0, -0.2, -0.1, -0.6)),
+    (300, 0.11, 1, (-200.0, -0.2, -0.1, -0.6)),
+    *[(30, 0.3, seed, beta) for seed in (29, 2274, 6769, 3680)
+      for beta in ((-80.0, -0.2, -0.1, -0.6), (-400.0, -2.0, -1.0, -6.0))],
+])
+def test_newton_solves_cyclic_networks_at_steep_beta(nodes, radius, seed, beta):
+    # the 3,048-state network and criterion-06 instances, where five sweeps
+    # from V = 0 and an unguarded first step reported Diverged, and where
+    # Newton from V = 0 fails on five of the eight small cases: from the
+    # uniform policy's value, a sub-solution, every step is taken
+    net = random_geometric_network(nodes, radius, seed=seed, acyclic=False)
+    s = spec(*beta)
+    linear, rep_lin = core.solve_value_linear(net, s)
+    vf, rep = core.solve_value_iteration(net, s)
+    assert rep_lin.status == rep.status == core.SOLVED and vf.factor is not None
+    assert rep.iterations <= 20
+    np.testing.assert_allclose(vf.values, linear.values, rtol=0, atol=1e-9)
+
+
+def test_linear_solve_falls_back_to_newton_at_a_very_steep_travel_time():
+    # e^V underflows on the 3,048-state network at beta_TT = -1000: the
+    # exp-space solve fails and the Newton loop answers
+    net = random_geometric_network(300, 0.11, seed=1, acyclic=False)
+    s = spec(-1000.0, -0.2, -0.1, -0.6)
+    assert core._solve_exp_space(net, s)[1].status == core.SINGULAR
+    vf, rep = core.solve_value_linear(net, s)
+    assert rep.status == vf.status == core.SOLVED and vf.z is None
+    assert rep.residual <= 1e-14 * np.max(np.abs(vf.values))
+
+
+@pytest.mark.parametrize("seed", [2274, 6769, 3680])
+@pytest.mark.parametrize("scales", ["unit", "per-state"])
+def test_newton_iterates_rise_as_sub_solutions(seed, scales):
+    # capped at k steps, the loop returns values that never fall in k, and
+    # each is a sub-solution V <= T[V], both up to rounding relative to |V|
+    net = random_geometric_network(30, 0.3, seed=seed, acyclic=False)
+    v = core.arc_utilities(net, core.UtilitySpec(BETA_CYCLIC))
+    mu = (np.ones(net.n_states) if scales == "unit"
+          else np.exp(np.random.default_rng(1).uniform(-0.4, 0.0, net.n_states)))
+    previous, status, k = None, core.MAX_ITERATIONS, 0
+    while status == core.MAX_ITERATIONS:
+        k += 1
+        vf, rep = core.iterate_values(net, v, mu, max_iter=k)
+        status, values = rep.status, vf.values
+        assert status in (core.MAX_ITERATIONS, core.SOLVED) and k <= 30
+        slack = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+        assert np.all(values <= core.scaled_bellman(net, v, mu, values)[0] + slack)
+        if previous is not None:
+            assert np.all(values >= previous - slack)
+        previous = values
+    assert rep.iterations == k
+
+
 def test_acyclic_networks_end_in_sweeps():
-    # on a DAG sweeps reach the fixed point exactly after depth + 1 of them
+    # on a DAG the level pass reaches the fixed point exactly
     net = random_geometric_network(30, 0.3, seed=2)
     assert net.acyclic and not random_geometric_network(30, 0.3, seed=3680, acyclic=False).acyclic
     vf, rep = core.solve_value_iteration(net, spec(-4.0, -0.1, -0.05, -0.3))
@@ -331,7 +385,7 @@ def test_linear_solve_on_a_dag_where_exp_values_underflow():
 
 def test_linear_solve_on_a_cycle_where_exp_values_underflow():
     # e^V(a) = e^-800 underflows to 0, so the exp-space solve fails, and
-    # rho(M) > 1 is not proved: the sweeps and Newton steps answer, exactly
+    # rho(M) > 1 is not proved: the Newton steps answer, exactly
     net = build_network(["o", "a", "b", "d"], "d",
                         [("o", "a", [1.0]), ("a", "b", [1.0]), ("b", "a", [1.0]),
                          ("b", "d", [1.0])], ["cost"])
@@ -345,7 +399,7 @@ def test_linear_solve_on_a_cycle_where_exp_values_underflow():
 
 def test_linear_solve_where_exp_values_are_subnormal():
     # e^V(o) = e^-720 is subnormal: log z would carry its rounding, so on
-    # this cyclic network the sweeps and Newton steps answer instead
+    # this cyclic network the Newton steps answer instead
     net = build_network(["o", "a", "d"], "d",
                         [("o", "a", [1.0]), ("a", "d", [1.0]), ("o", "d", [2.5]),
                          ("a", "o", [1.0])], ["cost"])

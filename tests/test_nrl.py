@@ -148,7 +148,7 @@ def test_value_solve_uniform_matches_linear(chain_net):
     ref, _ = core.solve_value_linear(net, core.UtilitySpec(beta))
     np.testing.assert_allclose(vf.values, ref.values, atol=1e-9)
     # at mu = 1 the scaled operator is the plain one and both run core's one
-    # value-iteration loop: the same values to the bit and the same sweeps
+    # value-iteration loop: the same values to the bit and the same iterations
     for net, beta in ((net, beta), (chain_net, np.array([-0.3]))):
         vf, report = nrl.solve_nrl_value(net, beta, nrl.ScaleField.uniform(net))
         ref, ref_report = core.solve_value_iteration(net, core.UtilitySpec(beta))
@@ -247,11 +247,12 @@ def test_adjoint_reuses_the_newton_factor(monkeypatch):
         nrl.nrl_loglik_and_gradient(net, beta, nrl.ScaleField.uniform(net), obs)
         return len(factorizations)
 
-    # cyclic: one factor per Newton step of the value solve, and no other
+    # cyclic: the uniform start's factor plus one per Newton step of the
+    # value solve, and no other
     cyclic = random_geometric_network(30, 0.3, seed=6769, acyclic=False)
     beta = np.array([-8.0, -0.2, -0.1, -0.6])
     _, report = nrl.solve_nrl_value(cyclic, beta, nrl.ScaleField.uniform(cyclic))
-    assert gradient_factorizations(cyclic, beta) == report.iterations - core.NEWTON_AFTER
+    assert gradient_factorizations(cyclic, beta) == report.iterations + 1
     # acyclic: the value solve and the adjoint are level passes
     assert gradient_factorizations(random_geometric_network(15, 0.4, seed=1), BETA_TRUE) == 0
 

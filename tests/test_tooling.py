@@ -58,8 +58,8 @@ def test_bench_tracing_installs_and_uninstalls():
 
 def test_traced_fallback_is_one_solved_value_solve():
     # e^V underflows on this cyclic network: the exp-space solve fails and
-    # solve_value_linear returns the sweeps' and Newton steps' field from
-    # the same call, which the bench counts as one solve and no failure
+    # solve_value_linear returns the Newton steps' field from the same call,
+    # which the bench counts as one solve and no failure
     net = network.build_network(["o", "a", "b", "d"], "d",
                                 [("o", "a", [1.0]), ("a", "b", [1.0]), ("b", "a", [1.0]),
                                  ("b", "d", [1.0])], ["cost"])
